@@ -16,12 +16,16 @@ integrands, so an under-resolved fast transient can only flag a spurious
 FAIL, never hide a violation larger than the reported allowance; sample
 densely enough to resolve the fastest retained decay rate if the
 dissipation integral matters.
+
+Certification has two stages: (a) reduces each sampled state to the scalars
+of a TrajectoryRecord, online only; (b) derives every flag and slack from
+those stored scalars alone, for `run` and `certify` alike.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields, replace
 
 import numpy as np
 
@@ -30,6 +34,24 @@ from .spectral import SpectralField, _plan, tail_fraction
 from .dynamics import State, energy_identity_rhs
 
 _REL_TOL = 1e-9     # roundoff allowance on certified inequalities
+
+# One row per certificate: its check name, the inequality it certifies, and
+# the record fields stage (b) derives for it: the flag, then the slack the
+# summary ranks samples by and any further flag.
+_CERT_ROWS = (
+    ("decay", "||th||^2 + ||ph||^2 <= M8 e^{-M7 t} (initial)",
+     "decay_ok", "decay_slack"),
+    ("diss", "int ||grad th||^2 + ||grad ph||^2 <= M9 rho0^2",
+     "diss_ok", "diss_slack"),
+    ("psi_absorb", "||lap psi||^2 <= Gronwall envelope -> Ra^2 rho0^2 / 4C",
+     "psi_absorb_ok", "psi_absorb_slack", "psi_absorb_ball_ok"),
+    ("h1_absorb", "E_half <= (a3/r + a2) e^{a1}  (log-space slack)",
+     "h1_absorb_ok", "h1_absorb_slack"),
+    ("ebal", "2 R(mid) <= -M1 E_half + M2 E_Y  (+ identity residual)",
+     "ebal_ineq_ok"),
+    ("tail", "max field tail fraction <= threshold", "tail_ok"),
+)
+CERT_FIELDS = tuple(f for row in _CERT_ROWS for f in row[2:])
 
 
 @dataclass(frozen=True)
@@ -112,8 +134,10 @@ def compute_constants(p: Params, dom: Domain, cfg: CertificateConfig,
 class TrajectoryRecord:
     """Per-sample norms, energies and certificate verdicts.
 
-    Flags are True/False when the certificate was evaluated at this sample
-    and None when not applicable (before an anchor time, no paired run, ...).
+    The CERT_FIELDS are derived from the other fields, which include the
+    energy-balance midpoint scalars (R_mid, E_half_mid, E_Y_mid).  Flags are
+    True/False when the certificate was evaluated at this sample and None
+    when not applicable (before an anchor time, no paired run, ...).
     """
 
     t: float
@@ -137,6 +161,9 @@ class TrajectoryRecord:
     h1_absorb_slack: float | None = None
     cdep_ok: bool | None = None
     ebal_resid: float | None = None
+    R_mid: float | None = None
+    E_half_mid: float | None = None
+    E_Y_mid: float | None = None
     ebal_ineq_ok: bool | None = None
     tail_frac_k2: float | None = None
     tail_ok: bool | None = None
@@ -199,6 +226,45 @@ def _trapz_with_err(ts: np.ndarray, fs: np.ndarray) -> tuple[float, float]:
     return integral, err
 
 
+def _neumaier(s: float, c: float, x: float) -> tuple[float, float]:
+    """Compensated s + x: the new sum and the new running correction."""
+    t = s + x
+    c += (s - t) + x if abs(s) >= abs(x) else (x - t) + s
+    return t, c
+
+
+class _RunningTrapz:
+    """`_trapz_with_err` over a growing sample sequence, O(1) per sample,
+    with Neumaier-compensated sums.  Interval i carries the error share
+    h_i (e_i + e_{i+1}) / 2, e the interior second differences with each end
+    reusing its neighbour's; only the last interval's share is provisional."""
+
+    def __init__(self):
+        self.n = 0
+        self.integral = self.settled = (0.0, 0.0)   # (sum, correction)
+
+    def add(self, t: float, f: float) -> tuple[float, float]:
+        """Append the sample (t, f); return the integral and its error
+        estimate over all samples so far."""
+        n, self.n = self.n, self.n + 1
+        if n == 0:
+            self.t, self.f = t, f
+            return 0.0, 0.0
+        h, df = t - self.t, f - self.f
+        self.integral = _neumaier(*self.integral, h * (self.f + f) / 2.0)
+        if n == 1:
+            err = 0.25 * (abs(df) * h)
+        else:
+            d2 = abs(df - self.df)
+            e_prev = self.d2 if n > 2 else d2
+            self.settled = _neumaier(*self.settled,
+                                     self.h * 0.5 * (e_prev + d2))
+            err = sum(_neumaier(*self.settled, h * 0.5 * (d2 + d2))) / 12.0
+            self.d2 = d2
+        self.t, self.f, self.h, self.df = t, f, h, df
+        return sum(self.integral), err
+
+
 # -- individual certificates -------------------------------------------------
 
 def check_decay(rec: TrajectoryRecord, init: TrajectoryRecord,
@@ -218,20 +284,19 @@ def check_decay(rec: TrajectoryRecord, init: TrajectoryRecord,
     return ok, slack
 
 
-def check_dissipation_integral(recs: list, k: CertificateConstants
-                               ) -> tuple[bool, float]:
+def check_dissipation_integral(integral: float, qerr: float,
+                               init: TrajectoryRecord,
+                               k: CertificateConstants) -> tuple[bool, float]:
     """int_0^t (||grad theta||^2 + ||grad phi||^2) <= M9 (initial), checked
-    cumulatively with the quadrature error credited to the bound side.
+    cumulatively with the quadrature error credited to the bound side;
+    `integral` and `qerr` are the trapezoid sum and its error estimate.
 
     The integrand is convex once the fast modes dominate, so trapezoid
     overestimates it and a FAIL on a coarse sample cadence is conservative:
     rough initial data whose gradient norm collapses inside one sampling
     interval can fail here even though the exact integral is within bound.
     """
-    ts = np.array([r.t for r in recs])
-    fs = np.array([r.grad_theta_sq + r.grad_phi_sq for r in recs])
-    integral, qerr = _trapz_with_err(ts, fs)
-    bound = k.M9 * (recs[0].theta_sq + recs[0].phi_sq)
+    bound = k.M9 * (init.theta_sq + init.phi_sq)
     rhs = bound + qerr
     ok = integral <= rhs * (1 + _REL_TOL) or integral == rhs == 0.0
     slack = 1.0 if rhs == 0.0 and integral == 0.0 else (rhs - integral) / max(rhs, 1e-300)
@@ -256,15 +321,13 @@ def check_psi_absorbing(rec: TrajectoryRecord, rec_anchor: TrajectoryRecord,
     return ok, (rhs - lhs) / rhs, ball_ok
 
 
-def check_h1_absorbing(window: list, k: CertificateConstants, p: Params
+def check_h1_absorbing(ts: np.ndarray, ys: np.ndarray, m10: np.ndarray,
+                       k: CertificateConstants, p: Params
                        ) -> tuple[bool, float]:
-    """Uniform-Gronwall bound over a window [t - r, t] of records:
-    y(t) <= (a3/r + a2) e^{a1} with y the H1-level energy,
+    """Uniform-Gronwall bound over a window [t - r, t] of samples at times
+    `ts`: y(t) <= (a3/r + a2) e^{a1} with y the H1-level energy `ys`,
     a1 = int M10, a2 = (lam^2 + gamma^2 lam^2) rho_R^2 r / 2, a3 = int y.
     Compared in log space; quadrature error enlarges the bound side."""
-    ts = np.array([r.t for r in window])
-    ys = np.array([r.E_half for r in window])
-    m10 = k.M10_const + k.M10_lap_coef * np.array([r.lap_psi_sq for r in window])
     r_eff = float(ts[-1] - ts[0])
     a1, e1 = _trapz_with_err(ts, m10)
     a3, e3 = _trapz_with_err(ts, ys)
@@ -280,32 +343,16 @@ def check_h1_absorbing(window: list, k: CertificateConstants, p: Params
     return slack >= -math.log1p(_REL_TOL), slack
 
 
-def check_energy_balance(s_prev: State, s_next: State, dt: float, p: Params
-                         ) -> tuple[bool, float]:
-    """Residual of the discrete energy identity across one integrator step,
-    |(E_Y(next) - E_Y(prev))/(2 dt) - R(mid)| with R the closed-form
-    dissipation functional; O(dt^2) by the midpoint pairing.  The flag is
-    the dissipation inequality 2 R(mid) <= -M1 E_half(mid) + M2 E_Y(mid)
-    evaluated algebraically at the midpoint state."""
-    dom = s_prev.dom
-    mid = State(
-        psi=_avg(s_prev.psi, s_next.psi),
-        theta=_avg(s_prev.theta, s_next.theta),
-        phi=_avg(s_prev.phi, s_next.phi),
-        t=0.5 * (s_prev.t + s_next.t))
-    R = energy_identity_rhs(mid, p)
-    n_prev, n_next = state_norms(s_prev), state_norms(s_next)
-    dE = energy_y(n_next, p) - energy_y(n_prev, p)
-    resid = abs(dE / (2.0 * dt) - R)
-    n_mid = state_norms(mid)
-    ey, eh = energy_y(n_mid, p), energy_half(n_mid, p)
-    lam, gam, al = p.lam, p.gamma, p.alpha
-    M1 = 2.0 * min(p.Pr * p.C / (2 * p.Da), 1.0, 1.0 / al)
-    M2 = 2.0 * max(1.0, p.Ra ** 2 / (2 * p.C) + lam * gam / 4.0, lam / (4 * al))
-    bound = -M1 * eh + M2 * ey
-    scale = max(abs(2.0 * R), M1 * eh, M2 * ey, 1e-300)
-    ok = 2.0 * R <= bound + _REL_TOL * scale
-    return ok, resid
+def check_energy_balance(rec: TrajectoryRecord, k: CertificateConstants
+                         ) -> bool:
+    """Dissipation inequality 2 R(mid) <= -M1 E_half(mid) + M2 E_Y(mid)
+    across one integrator step, from the record's stored midpoint scalars
+    (R the closed-form dissipation functional).  Its ebal_resid is the
+    O(dt^2) residual |dE_Y/(2 dt) - R(mid)| of the discrete energy identity."""
+    R, eh, ey = rec.R_mid, rec.E_half_mid, rec.E_Y_mid
+    bound = -k.M1 * eh + k.M2 * ey
+    scale = max(abs(2.0 * R), k.M1 * eh, k.M2 * ey, 1e-300)
+    return 2.0 * R <= bound + _REL_TOL * scale
 
 
 def _avg(u, v):
@@ -332,30 +379,24 @@ def check_continuous_dependence(trajA, trajB, k: CertificateConstants,
             abs(ta - tb) > 1e-12 * max(1.0, abs(ta))
             for ta, tb in zip(trajA.times, trajB.times)):
         raise ValueError("trajectories have different sample grids")
-    ts = np.array(trajA.times)
-    Ds = np.empty(len(ts))
-    alphas = np.empty(len(ts))
-    for i, (sa, sb) in enumerate(zip(trajA.states, trajB.states)):
+    prefix, worst, D0 = _RunningTrapz(), math.inf, None
+    for t, sa, sb in zip(trajA.times, trajA.states, trajB.states):
         diff = state_norms(State(
             psi=_diff(sa.psi, sb.psi), theta=_diff(sa.theta, sb.theta),
             phi=_diff(sa.phi, sb.phi), t=sa.t))
-        Ds[i] = (p.Da / p.Pr) * diff["grad_psi_sq"] + diff["theta_sq"] \
+        D = (p.Da / p.Pr) * diff["grad_psi_sq"] + diff["theta_sq"] \
             + p.alpha * diff["phi_sq"]
         na = state_norms(sa)
-        alphas[i] = max(k.M_so ** 2 * na["grad_theta_sq"] * p.Pr / p.Da,
-                        (p.Ra ** 2 + p.gamma * p.lam) / 4.0,
-                        p.lam / (4.0 * p.alpha))
-    D0 = Ds[0]
-    if D0 == 0.0:
-        ok = bool(np.all(Ds == 0.0))
-        return ok, math.inf if ok else -math.inf
-    worst = math.inf
-    for i in range(len(ts)):
-        if Ds[i] == 0.0:
+        integral, qerr = prefix.add(t, max(
+            k.M_so ** 2 * na["grad_theta_sq"] * p.Pr / p.Da,
+            (p.Ra ** 2 + p.gamma * p.lam) / 4.0, p.lam / (4.0 * p.alpha)))
+        if D0 is None:
+            D0 = D
+        if D == 0.0:
             continue
-        integral, qerr = _trapz_with_err(ts[:i + 1], alphas[:i + 1])
-        slack = math.log(D0) + integral + qerr - math.log(Ds[i])
-        worst = min(worst, slack)
+        if D0 == 0.0:
+            return False, -math.inf
+        worst = min(worst, math.log(D0) + integral + qerr - math.log(D))
     return worst >= -math.log1p(_REL_TOL), worst
 
 
@@ -378,45 +419,98 @@ def measured_decay_rate(times, values, t_lo: float = 1.0, t_hi: float = 5.0
 
 # -- per-run evaluation ------------------------------------------------------
 
+class _Certifier:
+    """Stage (b): sets every flag and slack in CERT_FIELDS from the stored
+    scalars of one run's records, fed in sample order, so `run` and
+    `certify` derive bit-identical flags."""
+
+    def __init__(self, p: Params, k: CertificateConstants,
+                 cfg: CertificateConfig, checks: dict | None):
+        self.p, self.k, self.cfg = p, k, cfg
+        self.checks = {name: True for name in CertificateSuite.CHECK_NAMES}
+        if checks:
+            unknown = set(checks) - set(self.checks)
+            if unknown:
+                raise ValueError(
+                    f"unknown certificate toggles: {sorted(unknown)}")
+            self.checks.update({name: bool(v) for name, v in checks.items()})
+        self.init = self.anchor = None
+        self.diss = _RunningTrapz()
+        # h1 window: rows t, E_half, M10 in columns lo:hi of a buffer that is
+        # compacted in place, so each check reads contiguous views
+        self.win = np.empty((3, 16))
+        self.lo = self.hi = 0
+
+    def __call__(self, rec: TrajectoryRecord) -> TrajectoryRecord:
+        p, k, on = self.p, self.k, self.checks
+        if self.init is None:
+            self.init = rec
+        if on["decay"]:
+            rec.decay_ok, rec.decay_slack = check_decay(rec, self.init, k)
+        integral, qerr = self.diss.add(rec.t,
+                                       rec.grad_theta_sq + rec.grad_phi_sq)
+        if on["diss"]:
+            rec.diss_ok, rec.diss_slack = \
+                check_dissipation_integral(integral, qerr, self.init, k)
+        if rec.t >= k.t0 * (1.0 - 1e-12):
+            if self.anchor is None:
+                self.anchor = rec
+            if on["psi_absorb"]:
+                rec.psi_absorb_ok, rec.psi_absorb_slack, \
+                    rec.psi_absorb_ball_ok = \
+                    check_psi_absorbing(rec, self.anchor, k, p)
+            if self.hi == self.win.shape[1]:    # full: compact and grow
+                live = self.hi - self.lo
+                self.win = np.pad(self.win[:, self.lo:],
+                                  ((0, 0), (0, live + 16)))
+                self.lo, self.hi = 0, live
+            self.win[:, self.hi] = (rec.t, rec.E_half, k.M10_const
+                                    + k.M10_lap_coef * rec.lap_psi_sq)
+            self.hi += 1
+            edge = rec.t - self.cfg.r * (1 - 1e-12)
+            while self.hi - self.lo > 1 and self.win[0, self.lo + 1] <= edge:
+                self.lo += 1
+            if on["h1_absorb"] and self.win[0, self.lo] <= edge:
+                rec.h1_absorb_ok, rec.h1_absorb_slack = check_h1_absorbing(
+                    *self.win[:, self.lo:self.hi], k, p)
+        if on["ebal"] and rec.R_mid is not None:
+            rec.ebal_ineq_ok = check_energy_balance(rec, k)
+        if on["tail"] and rec.tail_frac_k2 is not None:
+            rec.tail_ok = rec.tail_frac_k2 <= self.cfg.tail_threshold
+        return rec
+
+
 class CertificateSuite:
     """Stateful per-run evaluator handed to the integrator as `monitors`.
 
-    Keeps the running accumulators the window/integral certificates need and
-    produces one TrajectoryRecord per sample.  Re-running it over the same
-    trajectory reproduces all flags bit-identically (pure functions of the
-    sampled data).
+    Stage (a) reduces each sampled state to one TrajectoryRecord, then
+    stage (b), shared with `replay_certificates`, sets its flags; replaying
+    the records therefore reproduces all flags and slacks bit-identically.
     """
 
-    CHECK_NAMES = ("decay", "diss", "psi_absorb", "h1_absorb", "ebal", "tail")
+    CHECK_NAMES = tuple(row[0] for row in _CERT_ROWS)
 
     def __init__(self, p: Params, dom: Domain, cfg: CertificateConfig,
                  s0: State, config_hash: str = "",
                  checks: dict | None = None):
         self.p, self.dom, self.cfg = p, dom, cfg
         self.config_hash = config_hash
-        self.checks = {name: True for name in self.CHECK_NAMES}
-        if checks:
-            unknown = set(checks) - set(self.CHECK_NAMES)
-            if unknown:
-                raise ValueError(f"unknown certificate toggles: {sorted(unknown)}")
-            self.checks.update({k: bool(v) for k, v in checks.items()})
         n0 = state_norms(s0)
         self.k = compute_constants(
             p, dom, cfg, rho0_sq=n0["theta_sq"] + n0["phi_sq"],
             lap_psi0_sq=n0["lap_psi_sq"])
+        self._certify = _Certifier(p, self.k, cfg, checks)
+        self.checks = self._certify.checks
         self.cutoff = cfg.tail_cutoff
         if self.cutoff is None:
             self.cutoff = max(1, min(dom.Nx, dom.Nz) // 2)
         if not 1 <= self.cutoff < min(dom.Nx, dom.Nz):
             raise ValueError(f"tail cutoff {self.cutoff} out of range")
-        self.init_rec: TrajectoryRecord | None = None
-        self.anchor_rec: TrajectoryRecord | None = None
-        self._recs: list[TrajectoryRecord] = []
-        self._window: list[TrajectoryRecord] = []
+        self.records: list[TrajectoryRecord] = []
 
     def on_sample(self, t: float, s: State, s_pre: State | None,
                   dt: float) -> TrajectoryRecord:
-        p, k, cfg = self.p, self.k, self.cfg
+        p, cfg = self.p, self.cfg
         n = state_norms(s)
         rec = TrajectoryRecord(
             t=t, lap_psi_sq=n["lap_psi_sq"], theta_sq=n["theta_sq"],
@@ -424,54 +518,28 @@ class CertificateSuite:
             grad_phi_sq=n["grad_phi_sq"], gradlap_psi_sq=n["gradlap_psi_sq"],
             E_Y=energy_y(n, p), E_half=energy_half(n, p),
             config_hash=self.config_hash)
-        if self.init_rec is None:
-            self.init_rec = rec
-        if self.checks["decay"]:
-            rec.decay_ok, rec.decay_slack = check_decay(rec, self.init_rec, k)
-        self._recs.append(rec)
-        if self.checks["diss"]:
-            rec.diss_ok, rec.diss_slack = \
-                check_dissipation_integral(self._recs, k)
-        if t >= k.t0 * (1.0 - 1e-12):
-            if self.anchor_rec is None:
-                self.anchor_rec = rec
-            if self.checks["psi_absorb"]:
-                rec.psi_absorb_ok, rec.psi_absorb_slack, \
-                    rec.psi_absorb_ball_ok = \
-                    check_psi_absorbing(rec, self.anchor_rec, k, p)
-            self._window.append(rec)
-            while len(self._window) > 1 and \
-                    self._window[1].t <= t - cfg.r * (1 - 1e-12):
-                self._window.pop(0)
-            if self.checks["h1_absorb"] and \
-                    self._window[0].t <= t - cfg.r * (1 - 1e-12):
-                rec.h1_absorb_ok, rec.h1_absorb_slack = \
-                    check_h1_absorbing(self._window, k, p)
         if s_pre is not None:
-            n_pre = state_norms(s_pre)
-            rec.dEY_dt_disc = (rec.E_Y - energy_y(n_pre, p)) / dt
+            dE = rec.E_Y - energy_y(state_norms(s_pre), p)
+            rec.dEY_dt_disc = dE / dt
             if self.checks["ebal"]:
-                rec.ebal_ineq_ok, rec.ebal_resid = \
-                    check_energy_balance(s_pre, s, dt, p)
+                mid = State(_avg(s_pre.psi, s.psi), _avg(s_pre.theta, s.theta),
+                            _avg(s_pre.phi, s.phi), 0.5 * (s_pre.t + s.t))
+                rec.R_mid = energy_identity_rhs(mid, p)
+                rec.ebal_resid = abs(dE / (2.0 * dt) - rec.R_mid)
+                n_mid = state_norms(mid)
+                rec.E_half_mid = energy_half(n_mid, p)
+                rec.E_Y_mid = energy_y(n_mid, p)
         if self.checks["tail"] and t >= cfg.tail_warmup:
-            rec.tail_ok, rec.tail_frac_k2 = check_tail_regularity(
+            _, rec.tail_frac_k2 = check_tail_regularity(
                 s, cfg.tail_k, self.cutoff, cfg.tail_threshold)
+        self.records.append(self._certify(rec))
         return rec
 
     def verdict(self) -> dict:
         """Overall pass/fail per certificate over everything sampled so far
         (None = never applicable)."""
-        out = {}
-        for key in ("decay_ok", "diss_ok", "psi_absorb_ok", "h1_absorb_ok",
-                    "ebal_ineq_ok", "tail_ok"):
-            vals = [getattr(r, key) for r in self._recs
-                    if getattr(r, key) is not None]
-            out[key] = None if not vals else all(vals)
-        return out
-
-    @property
-    def records(self) -> list:
-        return self._recs
+        return {row[2]: s["ok"] for row, s
+                in zip(_CERT_ROWS, summarize_records(self.records))}
 
 
 # -- offline re-certification ------------------------------------------------
@@ -479,71 +547,18 @@ class CertificateSuite:
 def replay_certificates(stored: list, p: Params, dom: Domain,
                         cfg: CertificateConfig, checks: dict | None = None
                         ) -> tuple[list, CertificateConstants]:
-    """Re-evaluate the norm-reconstructible certificates (decay, dissipation
-    integral, both absorbing bounds) from a stored record stream, mirroring
-    the online suite step for step.  State-dependent results (energy balance,
-    tail fraction) cannot be recomputed from norms and are carried over
-    unchanged.  Returns fresh records plus the constants used."""
+    """Re-derive every flag and slack in CERT_FIELDS from a stored record
+    stream through the same stage (b) as the online suite.  Returns fresh
+    records (the stored ones are left untouched) plus the constants used."""
     if not stored:
         raise ValueError("empty record stream")
     first = stored[0]
     k = compute_constants(p, dom, cfg,
                           rho0_sq=first.theta_sq + first.phi_sq,
                           lap_psi0_sq=first.lap_psi_sq)
-    en = {name: True for name in CertificateSuite.CHECK_NAMES}
-    if checks:
-        en.update({kk: bool(v) for kk, v in checks.items()})
-    out: list[TrajectoryRecord] = []
-    anchor = None
-    window: list[TrajectoryRecord] = []
-    for r0 in stored:
-        rec = TrajectoryRecord.from_json_dict(r0.to_json_dict())
-        rec.decay_ok = rec.decay_slack = None
-        rec.diss_ok = rec.diss_slack = None
-        rec.psi_absorb_ok = rec.psi_absorb_slack = None
-        rec.psi_absorb_ball_ok = None
-        rec.h1_absorb_ok = rec.h1_absorb_slack = None
-        if en["decay"]:
-            rec.decay_ok, rec.decay_slack = \
-                check_decay(rec, out[0] if out else rec, k)
-        out.append(rec)
-        if en["diss"]:
-            rec.diss_ok, rec.diss_slack = check_dissipation_integral(out, k)
-        if rec.t >= k.t0 * (1.0 - 1e-12):
-            if anchor is None:
-                anchor = rec
-            if en["psi_absorb"]:
-                rec.psi_absorb_ok, rec.psi_absorb_slack, \
-                    rec.psi_absorb_ball_ok = \
-                    check_psi_absorbing(rec, anchor, k, p)
-            window.append(rec)
-            while len(window) > 1 and \
-                    window[1].t <= rec.t - cfg.r * (1 - 1e-12):
-                window.pop(0)
-            if en["h1_absorb"] and window[0].t <= rec.t - cfg.r * (1 - 1e-12):
-                rec.h1_absorb_ok, rec.h1_absorb_slack = \
-                    check_h1_absorbing(window, k, p)
-        if not en["ebal"]:
-            rec.ebal_ineq_ok = None
-        if not en["tail"]:
-            rec.tail_ok = None
-    return out, k
-
-
-_CERT_ROWS = (
-    ("decay", "||th||^2 + ||ph||^2 <= M8 e^{-M7 t} (initial)",
-     "decay_ok", "decay_slack"),
-    ("diss", "int ||grad th||^2 + ||grad ph||^2 <= M9 rho0^2",
-     "diss_ok", "diss_slack"),
-    ("psi_absorb", "||lap psi||^2 <= Gronwall envelope -> Ra^2 rho0^2 / 4C",
-     "psi_absorb_ok", "psi_absorb_slack"),
-    ("h1_absorb", "E_half <= (a3/r + a2) e^{a1}  (log-space slack)",
-     "h1_absorb_ok", "h1_absorb_slack"),
-    ("ebal", "2 R(mid) <= -M1 E_half + M2 E_Y  (+ identity residual)",
-     "ebal_ineq_ok", None),
-    ("tail", "max field tail fraction <= threshold",
-     "tail_ok", "tail_frac_k2"),
-)
+    certify = _Certifier(p, k, cfg, checks)
+    cleared = dict.fromkeys(CERT_FIELDS)
+    return [certify(replace(r, **cleared)) for r in stored], k
 
 
 def summarize_records(recs: list) -> list[dict]:
@@ -554,7 +569,7 @@ def summarize_records(recs: list) -> list[dict]:
     h1_absorb: log(rhs) - log(lhs); tail: the fraction itself (rhs is the
     threshold); ebal rolls up the max identity residual instead."""
     rows = []
-    for name, ineq, ok_field, slack_field in _CERT_ROWS:
+    for name, ineq, ok_field, *derived in _CERT_ROWS:
         hits = [r for r in recs if getattr(r, ok_field) is not None]
         row = {"name": name, "inequality": ineq, "checked": len(hits),
                "passed": sum(bool(getattr(r, ok_field)) for r in hits),
@@ -571,8 +586,8 @@ def summarize_records(recs: list) -> list[dict]:
                 row["lhs"], row["rhs"] = worst.tail_frac_k2, None
                 row["worst_slack"] = worst.tail_frac_k2
             else:
-                worst = min(hits, key=lambda r: getattr(r, slack_field))
-                sl = getattr(worst, slack_field)
+                worst = min(hits, key=lambda r: getattr(r, derived[0]))
+                sl = getattr(worst, derived[0])
                 row["worst_slack"] = sl
                 if name == "decay":
                     lhs = worst.theta_sq + worst.phi_sq

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .certificates import (CertificateSuite, TrajectoryRecord,
+from .certificates import (CERT_FIELDS, CertificateSuite, TrajectoryRecord,
                            measured_decay_rate, replay_certificates,
                            summarize_records)
 from .config import (ConfigError, RunConfig, build_config,
@@ -243,15 +243,10 @@ def cmd_certify(args) -> int:
     return code
 
 
-_REPLAYED_FIELDS = ("decay_ok", "decay_slack", "diss_ok", "diss_slack",
-                    "psi_absorb_ok", "psi_absorb_slack",
-                    "psi_absorb_ball_ok", "h1_absorb_ok", "h1_absorb_slack")
-
-
 def _flag_mismatches(stored, replayed) -> list[str]:
     out = []
     for rs, rr in zip(stored, replayed):
-        for f in _REPLAYED_FIELDS:
+        for f in CERT_FIELDS:
             a, b = getattr(rs, f), getattr(rr, f)
             if a != b and not (a is None and b is None):
                 out.append(f"t={rs.t:g}: {f} stored {a!r} recomputed {b!r}")

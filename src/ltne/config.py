@@ -22,7 +22,8 @@ from .params import Domain, Params, PhysicalParams, nondimensionalize
 from .spectral import SpectralField, read_snapshot
 from .dynamics import State, assemble_linear
 from .integrator import StepperConfig
-from .certificates import CertificateConfig, state_norms, energy_y
+from .certificates import (CertificateConfig, CertificateSuite, state_norms,
+                           energy_y)
 
 _DIMENSIONLESS_KEYS = ("Ra", "Pr", "Da", "C", "lambda", "gamma", "alpha")
 
@@ -37,7 +38,7 @@ _TOP_KEYS = set(_DIMENSIONLESS_KEYS) | {
 _CERT_KEYS = {"enabled", "mso", "ctilde", "r", "tail_k", "tail_cutoff",
               "tail_threshold", "tail_warmup", "checks"}
 
-_CHECK_NAMES = ("decay", "diss", "psi_absorb", "h1_absorb", "ebal", "tail")
+_CHECK_NAMES = CertificateSuite.CHECK_NAMES
 
 _OUTPUT_KEYS = {"jsonl", "snapshot_at", "snapshot_prefix", "plot_csv"}
 

@@ -6,9 +6,10 @@ import pytest
 from ltne import (CertificateConfig, CertificateSuite, Domain, Params,
                   SpectralField, State, StepperConfig,
                   check_continuous_dependence, check_decay,
-                  check_tail_regularity, compute_constants,
+                  check_h1_absorbing, check_tail_regularity,
+                  compute_constants,
                   measured_decay_rate, replay_certificates, run)
-from ltne.certificates import TrajectoryRecord, _trapz_with_err
+from ltne.certificates import TrajectoryRecord, _RunningTrapz, _trapz_with_err
 
 
 def _params(**kw):
@@ -268,6 +269,22 @@ def test_replay_reproduces_online_flags_exactly():
             assert getattr(a, name) == getattr(b, name)
         assert b.ebal_ineq_ok == a.ebal_ineq_ok
         assert b.tail_ok == a.tail_ok
+    # the h1 window (compacted once here) holds exactly the samples from the
+    # last one at least r old: rebuilt from the records, same slacks
+    recs, checked = suite.records, 0
+    for i, r in enumerate(recs):
+        if r.h1_absorb_slack is None:
+            continue
+        lo = max(j for j in range(i + 1)
+                 if recs[j].t <= r.t - cfg.r * (1 - 1e-12))
+        w = recs[lo:i + 1]
+        m10 = k.M10_const + k.M10_lap_coef * np.array(
+            [q.lap_psi_sq for q in w])
+        assert check_h1_absorbing(
+            np.array([q.t for q in w]), np.array([q.E_half for q in w]),
+            m10, k, p) == (r.h1_absorb_ok, r.h1_absorb_slack)
+        checked += 1
+    assert checked == 16
     off, _ = replay_certificates(suite.records, p, dom, cfg,
                                  checks={"ebal": False, "tail": False,
                                          "decay": False})
@@ -285,6 +302,14 @@ def test_trapz_error_estimate_bounds_true_error():
     true2 = abs(integral2 - 2.0)
     assert 0.5 * true2 <= err2 <= 3.0 * true2
     assert _trapz_with_err(ts[:1], ts[:1]) == (0.0, 0.0)
+    # the streaming form equals it on every prefix (1, 2 and 3 points too)
+    ts3 = np.cumsum(np.random.default_rng(79).uniform(0.01, 0.2, 60))
+    for t, f in ((ts, ts ** 2), (ts2, np.sin(ts2)),
+                 (ts3, np.exp(-3.0 * ts3) * np.cos(5.0 * ts3))):
+        acc = _RunningTrapz()
+        for n in range(1, len(t) + 1):
+            assert acc.add(t[n - 1], f[n - 1]) == pytest.approx(
+                _trapz_with_err(t[:n], f[:n]), rel=1e-14, abs=0.0)
 
 
 def test_tail_regularity_pass_and_fail():

@@ -59,17 +59,35 @@ def _run_case(tmp_path, capsys, **over):
     return code, tmp_path / "case.jsonl"
 
 
+_FLAGS = ("decay_ok", "diss_ok", "psi_absorb_ok", "h1_absorb_ok",
+          "ebal_ineq_ok", "tail_ok")
+
+# Each edit makes the stored record disagree with what its stored scalars
+# imply, so certify must re-derive the flags and refuse the file.
+_TAMPER = {
+    "theta_sq": lambda v: 1.5 * v,
+    **{f: (lambda v: not v) for f in _FLAGS},
+    "tail_frac_k2": lambda v: 1.0,      # over the 1e-3 threshold
+    "R_mid": lambda v: 1e300,           # breaks the dissipation inequality
+    "E_half_mid": lambda v: 1e300,
+    "E_Y_mid": lambda v: -1e300,
+}
+
+
 def test_certify_rejects_tampering(tmp_path, capsys):
     code, jsonl = _run_case(tmp_path, capsys)
     assert code == 0
     lines = jsonl.read_text().splitlines()
-    rec = json.loads(lines[3])
-    rec["theta_sq"] *= 1.5            # norms no longer imply the stored flags
-    lines[3] = json.dumps(rec, sort_keys=True)
-    jsonl.write_text("\n".join(lines) + "\n")
-    assert main(["certify", str(jsonl)]) == 3
-    err = capsys.readouterr().err
-    assert "do not reproduce" in err
+    last = json.loads(lines[-1])      # t = t_end: every certificate applies
+    assert all(last[f] is True for f in _FLAGS)
+    accepted = []
+    for field, tamper in _TAMPER.items():
+        rec = dict(last, **{field: tamper(last[field])})
+        jsonl.write_text("\n".join(lines[:-1] + [json.dumps(rec)]) + "\n")
+        code = main(["certify", str(jsonl)])
+        if code != 3 or "do not reproduce" not in capsys.readouterr().err:
+            accepted.append((field, code))
+    assert accepted == []
 
 
 def test_certify_rejects_mixed_hashes(tmp_path, capsys):
