@@ -14,9 +14,8 @@ from .spectral import (GridField, SpectralField, derivative_x, derivative_z,
                        write_snapshot)
 from .dynamics import (LinearOperator, State, Tangent, assemble_linear,
                        energy_identity_rhs, energy_pairing, rhs,
-                       spectral_abscissa, weak_residual)
-from .integrator import (IntegrationBlowupError, StepperConfig, Trajectory,
-                         run, step)
+                       spectral_abscissa, state_norms, weak_residual)
+from .integrator import IntegrationBlowupError, StepperConfig, Trajectory, run
 from .certificates import (CertificateConfig, CertificateConstants,
                            CertificateSuite, TrajectoryRecord,
                            check_continuous_dependence, check_decay,
@@ -24,8 +23,7 @@ from .certificates import (CertificateConfig, CertificateConstants,
                            check_h1_absorbing, check_psi_absorbing,
                            check_tail_regularity, compute_constants,
                            energy_half, energy_y, measured_decay_rate,
-                           replay_certificates, state_norms,
-                           summarize_records)
+                           replay_certificates, summarize_records)
 from .config import (ConfigError, RunConfig, build_config,
                      build_initial_state, config_hash, load_config)
 
@@ -48,6 +46,6 @@ __all__ = [
     "norm_gradlap", "norm_hk", "norm_l2", "norm_lap", "nondimensionalize",
     "poincare_constant", "quadrature_weight", "read_snapshot",
     "replay_certificates", "rhs", "run", "spectral_abscissa", "state_norms",
-    "step", "summarize_records", "tail_fraction", "to_grid", "to_spectral",
+    "summarize_records", "tail_fraction", "to_grid", "to_spectral",
     "velocity_from_stream", "weak_residual", "write_snapshot",
 ]

@@ -30,8 +30,8 @@ from dataclasses import dataclass, fields as dc_fields, replace
 import numpy as np
 
 from .params import Domain, Params, poincare_constant
-from .spectral import SpectralField, _plan, tail_fraction
-from .dynamics import State, energy_identity_rhs
+from .spectral import SpectralField, tail_fraction
+from .dynamics import State, _energy_identity_rhs, state_norms
 
 _REL_TOL = 1e-9     # roundoff allowance on certified inequalities
 
@@ -184,23 +184,6 @@ class TrajectoryRecord:
         return TrajectoryRecord(**{k: v for k, v in d.items() if k in names})
 
 
-def state_norms(s: State) -> dict:
-    """The squared norms every certificate consumes, in one pass."""
-    plan = _plan(s.dom)
-    absmu = plan["absmu"]
-    a4 = s.dom.a / 4.0
-    cpsi, cth, cph = s.psi.coeffs, s.theta.coeffs, s.phi.coeffs
-    return {
-        "lap_psi_sq": float(a4 * np.sum(absmu ** 2 * cpsi ** 2)),
-        "gradlap_psi_sq": float(a4 * np.sum(absmu ** 3 * cpsi ** 2)),
-        "grad_psi_sq": float(a4 * np.sum(absmu * cpsi ** 2)),
-        "theta_sq": float(a4 * np.sum(cth ** 2)),
-        "phi_sq": float(a4 * np.sum(cph ** 2)),
-        "grad_theta_sq": float(a4 * np.sum(absmu * cth ** 2)),
-        "grad_phi_sq": float(a4 * np.sum(absmu * cph ** 2)),
-    }
-
-
 def energy_y(norms: dict, p: Params) -> float:
     return (p.Da / p.Pr) * norms["lap_psi_sq"] + norms["theta_sq"] \
         + p.alpha * norms["phi_sq"]
@@ -211,14 +194,14 @@ def energy_half(norms: dict, p: Params) -> float:
         + p.alpha * norms["grad_phi_sq"]
 
 
-def _trapz_with_err(ts: np.ndarray, fs: np.ndarray) -> tuple[float, float]:
-    """Trapezoid integral plus an error estimate from second differences:
-    per-interval error ~ h^3 |f''|/12 with f'' ~ second difference / h^2."""
-    if len(ts) < 2:
+def _trapz_with_err(h: np.ndarray, fs: np.ndarray) -> tuple[float, float]:
+    """Trapezoid integral of samples `fs` over intervals of widths `h`, plus
+    an error estimate from second differences: per-interval error
+    ~ h^3 |f''|/12 with f'' ~ second difference / h^2."""
+    if len(fs) < 2:
         return 0.0, 0.0
-    integral = float(np.trapezoid(fs, ts))
-    h = np.diff(ts)
-    if len(ts) == 2:
+    integral = float((h * (fs[1:] + fs[:-1]) / 2.0).sum())   # np.trapezoid
+    if len(fs) == 2:
         return integral, 0.25 * float(abs(fs[1] - fs[0]) * h[0])
     d2 = np.abs(np.diff(fs, 2))          # ~ h^2 |f''| at interior points
     d2 = np.concatenate([d2[:1], d2, d2[-1:]])   # reuse neighbors at edges
@@ -329,8 +312,9 @@ def check_h1_absorbing(ts: np.ndarray, ys: np.ndarray, m10: np.ndarray,
     a1 = int M10, a2 = (lam^2 + gamma^2 lam^2) rho_R^2 r / 2, a3 = int y.
     Compared in log space; quadrature error enlarges the bound side."""
     r_eff = float(ts[-1] - ts[0])
-    a1, e1 = _trapz_with_err(ts, m10)
-    a3, e3 = _trapz_with_err(ts, ys)
+    h = np.diff(ts)
+    a1, e1 = _trapz_with_err(h, m10)
+    a3, e3 = _trapz_with_err(h, ys)
     a2 = (p.lam ** 2 + p.gamma ** 2 * p.lam ** 2) * k.rho_R_sq * r_eff / 2.0
     y_t = float(ys[-1])
     if y_t == 0.0:
@@ -374,7 +358,8 @@ def check_continuous_dependence(trajA, trajB, k: CertificateConstants,
     D(t) <= D(0) exp(int_0^t alpha(tau) dtau) with
     D = (Da/Pr)||grad psi-diff||^2 + ||theta-diff||^2 + alpha ||phi-diff||^2,
     alpha(tau) = max(M_so^2 ||grad theta_A||^2 Pr/Da, (Ra^2 + gamma lam)/4,
-    lam/(4 alpha)).  Log-space; returns the worst slack over all samples."""
+    lam/(4 alpha)).  Log-space; returns the worst slack over the samples
+    after the first, where the slack is 0 by construction."""
     if len(trajA.times) != len(trajB.times) or any(
             abs(ta - tb) > 1e-12 * max(1.0, abs(ta))
             for ta, tb in zip(trajA.times, trajB.times)):
@@ -392,6 +377,7 @@ def check_continuous_dependence(trajA, trajB, k: CertificateConstants,
             (p.Ra ** 2 + p.gamma * p.lam) / 4.0, p.lam / (4.0 * p.alpha)))
         if D0 is None:
             D0 = D
+            continue
         if D == 0.0:
             continue
         if D0 == 0.0:
@@ -524,9 +510,9 @@ class CertificateSuite:
             if self.checks["ebal"]:
                 mid = State(_avg(s_pre.psi, s.psi), _avg(s_pre.theta, s.theta),
                             _avg(s_pre.phi, s.phi), 0.5 * (s_pre.t + s.t))
-                rec.R_mid = energy_identity_rhs(mid, p)
-                rec.ebal_resid = abs(dE / (2.0 * dt) - rec.R_mid)
                 n_mid = state_norms(mid)
+                rec.R_mid = _energy_identity_rhs(mid, p, n_mid)
+                rec.ebal_resid = abs(dE / (2.0 * dt) - rec.R_mid)
                 rec.E_half_mid = energy_half(n_mid, p)
                 rec.E_Y_mid = energy_y(n_mid, p)
         if self.checks["tail"] and t >= cfg.tail_warmup:

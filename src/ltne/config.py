@@ -20,10 +20,9 @@ import numpy as np
 
 from .params import Domain, Params, PhysicalParams, nondimensionalize
 from .spectral import SpectralField, read_snapshot
-from .dynamics import State, assemble_linear
+from .dynamics import State, assemble_linear, state_norms
 from .integrator import StepperConfig
-from .certificates import (CertificateConfig, CertificateSuite, state_norms,
-                           energy_y)
+from .certificates import CertificateConfig, CertificateSuite, energy_y
 
 _DIMENSIONLESS_KEYS = ("Ra", "Pr", "Da", "C", "lambda", "gamma", "alpha")
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .params import Domain, Params
 from .spectral import SpectralField, _jacobian_coeffs, _plan
-from .dynamics import State, _rhs_arrays
+from .dynamics import State, _rhs_arrays, assemble_linear
 
 BLOWUP_NORM = 1e12
 
@@ -81,28 +81,16 @@ def _sinhc(x: np.ndarray) -> np.ndarray:
     return np.where(small, 1.0 + x * x / 6.0, np.sinh(safe) / safe)
 
 
-class _Cnab2:
+class _LinearImplicit:
+    """What the linear-implicit schemes share: the assembled linear
+    operator and the explicit part (Ra coupling, Jacobian, conduction)."""
+
     def __init__(self, p: Params, dom: Domain, dt: float, linear_only: bool):
         self.p, self.dom, self.dt = p, dom, dt
         self.linear_only = linear_only
         plan = _plan(dom)
         self.mu, self.D = plan["mu"], plan["Dx"]
-        mu = self.mu
-        self.lpsi = (p.Pr / p.Da) * (p.C * mu - 1.0)
-        b11, b12 = mu - p.lam, p.lam
-        b21, b22 = p.gamma * p.lam / p.alpha, (mu - p.gamma * p.lam) / p.alpha
-        h = dt / 2.0
-        self.psi_num = 1.0 + h * self.lpsi
-        self.psi_den = 1.0 - h * self.lpsi
-        gdet = (1.0 - h * b11) * (1.0 - h * b22) - h * h * b12 * b21
-        self.gi11 = (1.0 - h * b22) / gdet
-        self.gi12 = h * b12 / gdet
-        self.gi21 = h * b21 / gdet
-        self.gi22 = (1.0 - h * b11) / gdet
-        self.f11 = 1.0 + h * b11
-        self.f12 = h * b12
-        self.f21 = h * b21
-        self.f22 = 1.0 + h * b22
+        self.L = assemble_linear(p, dom)
 
     def _explicit(self, cpsi, cth):
         p = self.p
@@ -113,6 +101,24 @@ class _Cnab2:
         if p.conduction_coupling:
             n_th = n_th + self.D @ cpsi
         return n_psi, n_th
+
+
+class _Cnab2(_LinearImplicit):
+    def __init__(self, p: Params, dom: Domain, dt: float, linear_only: bool):
+        super().__init__(p, dom, dt, linear_only)
+        L, h = self.L, dt / 2.0
+        b11, b12, b21, b22 = L.b11, L.b12, L.b21, L.b22
+        self.psi_num = 1.0 + h * L.lpsi
+        self.psi_den = 1.0 - h * L.lpsi
+        gdet = (1.0 - h * b11) * (1.0 - h * b22) - h * h * b12 * b21
+        self.gi11 = (1.0 - h * b22) / gdet
+        self.gi12 = h * b12 / gdet
+        self.gi21 = h * b21 / gdet
+        self.gi22 = (1.0 - h * b11) / gdet
+        self.f11 = 1.0 + h * b11
+        self.f12 = h * b12
+        self.f21 = h * b21
+        self.f22 = 1.0 + h * b22
 
     def _heun(self, c):
         f0 = _rhs_arrays(*c, self.p, self.dom, not self.linear_only)
@@ -136,14 +142,13 @@ class _Cnab2:
         return (psi_new, th_new, ph_new), n_cur
 
 
-class _Etd1(_Cnab2):
+class _Etd1(_LinearImplicit):
     def __init__(self, p: Params, dom: Domain, dt: float, linear_only: bool):
         super().__init__(p, dom, dt, linear_only)
-        mu = self.mu
-        b11, b12 = mu - p.lam, p.lam
-        b21, b22 = p.gamma * p.lam / p.alpha, (mu - p.gamma * p.lam) / p.alpha
-        self.epsi = np.exp(dt * self.lpsi)
-        self.phi1_psi = np.expm1(dt * self.lpsi) / self.lpsi
+        L = self.L
+        b11, b12, b21, b22 = L.b11, L.b12, L.b21, L.b22
+        self.epsi = np.exp(dt * L.lpsi)
+        self.phi1_psi = np.expm1(dt * L.lpsi) / L.lpsi
         m = (b11 + b22) / 2.0
         d = np.sqrt(((b11 - b22) / 2.0) ** 2 + b12 * b21)  # >= 0, real here
         emh = np.exp(m * dt)
@@ -199,19 +204,6 @@ def _check_blowup(c, dom: Domain, t: float):
         if dom.a / 4.0 * ss > BLOWUP_NORM ** 2:
             raise IntegrationBlowupError(
                 t, name, f"norm exceeded {BLOWUP_NORM:.0e}")
-
-
-def step(s: State, p: Params, cfg: StepperConfig) -> State:
-    """Advance one dt.  A single call has no multistep history, so for
-    imex_cnab2 this is the RK2 bootstrap step; `run` threads the history."""
-    st = _stepper(p, s.dom, cfg.dt, cfg.scheme, cfg.linear_only)
-    c = (s.psi.coeffs, s.theta.coeffs, s.phi.coeffs)
-    new, _ = st.advance(c, None)
-    t = s.t + cfg.dt
-    _check_blowup(new, s.dom, t)
-    dom = s.dom
-    return State(SpectralField(new[0], dom), SpectralField(new[1], dom),
-                 SpectralField(new[2], dom), t)
 
 
 def run(s0: State, p: Params, cfg: StepperConfig, monitors=None,

@@ -111,6 +111,7 @@ def _plan(dom: Domain) -> dict:
         "Sx": Sx, "Sz": Sz, "Cx": Cx, "Cz": Cz,
         "analysis_scale": 4.0 / (Px * Pz),
         "mu": mu, "absmu": -mu, "Dx": D,
+        "hk_weights": tuple((-mu) ** k for k in range(4)),   # |mu|^k
         "weight": (a / Px) * (1.0 / Pz),
         "x": jx * a / Px, "z": jz / Pz,
     }
@@ -198,37 +199,42 @@ def _jacobian_coeffs(cpsi: np.ndarray, cth: np.ndarray, dom: Domain) -> np.ndarr
         p["Sx"].T @ _jacobian_values(cpsi, cth, dom) @ p["Sz"])
 
 
-def _sumsq(c: np.ndarray, w: np.ndarray | None = None) -> float:
-    return float(np.sum(c * c if w is None else w * c * c))
+def _hk_weight(dom: Domain, k: int) -> np.ndarray:
+    """|mu|^k on the (Nx, Nz) mode grid, precomputed for k = 0..3."""
+    p = _plan(dom)
+    w = p["hk_weights"]
+    return w[k] if 0 <= k < len(w) else p["absmu"] ** k
 
 
-def norm_l2(u: SpectralField) -> float:
-    """||u|| with ||u||^2 = (a/4) sum u_mn^2."""
-    return np.sqrt(u.dom.a / 4.0 * _sumsq(u.coeffs))
-
-
-def norm_grad(u: SpectralField) -> float:
-    p = _plan(u.dom)
-    return np.sqrt(u.dom.a / 4.0 * _sumsq(u.coeffs, p["absmu"]))
-
-
-def norm_lap(u: SpectralField) -> float:
-    p = _plan(u.dom)
-    return np.sqrt(u.dom.a / 4.0 * _sumsq(u.coeffs, p["absmu"] ** 2))
-
-
-def norm_gradlap(u: SpectralField) -> float:
-    p = _plan(u.dom)
-    return np.sqrt(u.dom.a / 4.0 * _sumsq(u.coeffs, p["absmu"] ** 3))
+def _hk_sq(c: np.ndarray, dom: Domain, k: int) -> float:
+    """(a/4) sum |mu|^k c^2: the squared H^k-level seminorm of coefficients c.
+    Every stored squared norm goes through here."""
+    return float(dom.a / 4.0 * np.sum(_hk_weight(dom, k) * c ** 2))
 
 
 def norm_hk(u: SpectralField, k: int) -> float:
     """Spectral H^k seminorm: ((a/4) sum |mu|^k u_mn^2)^(1/2); k = 0, 1, 2, 3
-    reproduce the four named norms."""
+    give the four named norms."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    p = _plan(u.dom)
-    return np.sqrt(u.dom.a / 4.0 * _sumsq(u.coeffs, p["absmu"] ** k))
+    return np.sqrt(_hk_sq(u.coeffs, u.dom, k))
+
+
+def norm_l2(u: SpectralField) -> float:
+    """||u|| with ||u||^2 = (a/4) sum u_mn^2."""
+    return norm_hk(u, 0)
+
+
+def norm_grad(u: SpectralField) -> float:
+    return norm_hk(u, 1)
+
+
+def norm_lap(u: SpectralField) -> float:
+    return norm_hk(u, 2)
+
+
+def norm_gradlap(u: SpectralField) -> float:
+    return norm_hk(u, 3)
 
 
 def inner_l2(u: SpectralField, v: SpectralField) -> float:
@@ -250,12 +256,12 @@ def tail_fraction(u: SpectralField, k: int, cutoff: int) -> float:
     dom = u.dom
     if not 1 <= cutoff < min(dom.Nx, dom.Nz):
         raise ValueError("need 1 <= cutoff < min(Nx, Nz)")
-    p = _plan(dom)
-    w = p["absmu"] ** k
-    total = _sumsq(u.coeffs, w)
+    w, c = _hk_weight(dom, k), u.coeffs
+    total = float(np.sum(w * c * c))
     if total == 0.0:
         return 0.0
-    head = _sumsq(u.coeffs[:cutoff, :cutoff], w[:cutoff, :cutoff])
+    w, c = w[:cutoff, :cutoff], c[:cutoff, :cutoff]
+    head = float(np.sum(w * c * c))
     return (total - head) / total
 
 

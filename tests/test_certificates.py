@@ -8,7 +8,8 @@ from ltne import (CertificateConfig, CertificateSuite, Domain, Params,
                   check_continuous_dependence, check_decay,
                   check_h1_absorbing, check_tail_regularity,
                   compute_constants,
-                  measured_decay_rate, replay_certificates, run)
+                  measured_decay_rate, replay_certificates, run,
+                  state_norms)
 from ltne.certificates import TrajectoryRecord, _RunningTrapz, _trapz_with_err
 
 
@@ -223,7 +224,23 @@ def test_continuous_dependence_envelope():
     sB = State(f[0], SpectralField(pert, dom), f[2])
     trB = run(sB, p, st)
     ok2, slack2 = check_continuous_dependence(trA, trB, k, p)
-    assert ok2 and 0.0 <= slack2 < math.inf
+    assert ok2 and 0.0 < slack2 < math.inf
+    # the worst slack is taken over samples 1.., since sample 0 has slack 0
+    D, rate = [], []
+    for sa, sb in zip(trA.states, trB.states):
+        d = state_norms(State(*(SpectralField(
+            getattr(sa, f).coeffs - getattr(sb, f).coeffs, dom)
+            for f in ("psi", "theta", "phi"))))
+        D.append((p.Da / p.Pr) * d["grad_psi_sq"] + d["theta_sq"]
+                 + p.alpha * d["phi_sq"])
+        rate.append(max(k.M_so ** 2 * state_norms(sa)["grad_theta_sq"]
+                        * p.Pr / p.Da, (p.Ra ** 2 + p.gamma * p.lam) / 4.0,
+                        p.lam / (4.0 * p.alpha)))
+    ts, rate = np.array(trA.times), np.array(rate)
+    want = min(math.log(D[0]) - math.log(D[i])
+               + sum(_trapz_with_err(np.diff(ts[:i + 1]), rate[:i + 1]))
+               for i in range(1, len(ts)))
+    assert slack2 == pytest.approx(want, rel=1e-12)
     trC = run(sA, p, StepperConfig(dt=0.005, t_end=0.5, sample_every=10))
     with pytest.raises(ValueError, match="sample grids"):
         check_continuous_dependence(trA, trC, k, p)
@@ -294,22 +311,23 @@ def test_replay_reproduces_online_flags_exactly():
 
 def test_trapz_error_estimate_bounds_true_error():
     ts = np.linspace(0.0, 2.0, 9)
-    integral, err = _trapz_with_err(ts, ts ** 2)
+    integral, err = _trapz_with_err(np.diff(ts), ts ** 2)
     true_err = abs(integral - 8.0 / 3.0)
     assert err >= true_err * (1 - 1e-9)   # exact for quadratics
     ts2 = np.linspace(0.0, np.pi, 21)
-    integral2, err2 = _trapz_with_err(ts2, np.sin(ts2))
+    integral2, err2 = _trapz_with_err(np.diff(ts2), np.sin(ts2))
     true2 = abs(integral2 - 2.0)
     assert 0.5 * true2 <= err2 <= 3.0 * true2
-    assert _trapz_with_err(ts[:1], ts[:1]) == (0.0, 0.0)
+    assert _trapz_with_err(np.diff(ts[:1]), ts[:1]) == (0.0, 0.0)
     # the streaming form equals it on every prefix (1, 2 and 3 points too)
     ts3 = np.cumsum(np.random.default_rng(79).uniform(0.01, 0.2, 60))
     for t, f in ((ts, ts ** 2), (ts2, np.sin(ts2)),
                  (ts3, np.exp(-3.0 * ts3) * np.cos(5.0 * ts3))):
+        assert _trapz_with_err(np.diff(t), f)[0] == np.trapezoid(f, t)
         acc = _RunningTrapz()
         for n in range(1, len(t) + 1):
             assert acc.add(t[n - 1], f[n - 1]) == pytest.approx(
-                _trapz_with_err(t[:n], f[:n]), rel=1e-14, abs=0.0)
+                _trapz_with_err(np.diff(t[:n]), f[:n]), rel=1e-14, abs=0.0)
 
 
 def test_tail_regularity_pass_and_fail():

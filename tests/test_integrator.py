@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from ltne import (Domain, IntegrationBlowupError, Params, SpectralField,
-                  State, StepperConfig, assemble_linear, run, step,
-                  write_snapshot)
+from ltne import (Domain, Params, SpectralField, State, StepperConfig,
+                  assemble_linear, run, write_snapshot)
 
 
 def _params(**kw):
@@ -167,11 +166,9 @@ def test_blowup_returns_partial_trajectory():
     assert set(tr.failure) == {"t", "field", "error"}
     assert tr.failure["t"] <= 20.0
     assert len(tr.times) >= 1   # initial sample retained
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(IntegrationBlowupError, match="blew up"):
-            s = s0
-            for _ in range(50):
-                s = step(s, p, cfg)
+    assert "blew up" in tr.failure["error"]
+    assert tr.failure["field"] in ("psi", "theta", "phi")
+    assert f"in field {tr.failure['field']}" in tr.failure["error"]
 
 
 def test_run_is_deterministic():
@@ -183,19 +180,6 @@ def test_run_is_deterministic():
     f1, f2 = run(s0, p, cfg).final, run(s0, p, cfg).final
     for k in ("psi", "theta", "phi"):
         assert np.array_equal(getattr(f1, k).coeffs, getattr(f2, k).coeffs)
-
-
-def test_step_equals_single_step_run():
-    rng = np.random.default_rng(29)
-    dom = Domain(a=1.0, Nx=5, Nz=5)
-    p = _params()
-    s0 = _decaying_state(dom, rng)
-    cfg = StepperConfig(dt=2e-3, t_end=2e-3)
-    s1 = step(s0, p, cfg)
-    fin = run(s0, p, cfg).final
-    assert s1.t == fin.t
-    for k in ("psi", "theta", "phi"):
-        assert np.array_equal(getattr(s1, k).coeffs, getattr(fin, k).coeffs)
 
 
 def test_snapshot_restart_is_bit_identical(tmp_path):
