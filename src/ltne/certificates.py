@@ -73,6 +73,11 @@ class CertificateConfig:
     tail_threshold: float = 1e-3
     tail_warmup: float = 0.5
 
+    def __post_init__(self):
+        if not (math.isfinite(self.r) and self.r > 0):
+            raise ValueError(f"window length r must be finite and > 0, "
+                             f"got {self.r}")
+
 
 @dataclass(frozen=True)
 class CertificateConstants:
@@ -352,27 +357,28 @@ def check_tail_regularity(s: State, k: int, cutoff: int, threshold: float
     return frac <= threshold, frac
 
 
-def check_continuous_dependence(trajA, trajB, k: CertificateConstants,
+def check_continuous_dependence(statesA, statesB, k: CertificateConstants,
                                 p: Params) -> tuple[bool, float]:
-    """Uniqueness envelope for two runs of the same configuration:
+    """Uniqueness envelope for two runs of the same configuration, given as
+    their sampled States (the times are read from `State.t`):
     D(t) <= D(0) exp(int_0^t alpha(tau) dtau) with
     D = (Da/Pr)||grad psi-diff||^2 + ||theta-diff||^2 + alpha ||phi-diff||^2,
     alpha(tau) = max(M_so^2 ||grad theta_A||^2 Pr/Da, (Ra^2 + gamma lam)/4,
     lam/(4 alpha)).  Log-space; returns the worst slack over the samples
     after the first, where the slack is 0 by construction."""
-    if len(trajA.times) != len(trajB.times) or any(
-            abs(ta - tb) > 1e-12 * max(1.0, abs(ta))
-            for ta, tb in zip(trajA.times, trajB.times)):
+    if len(statesA) != len(statesB) or any(
+            abs(sa.t - sb.t) > 1e-12 * max(1.0, abs(sa.t))
+            for sa, sb in zip(statesA, statesB)):
         raise ValueError("trajectories have different sample grids")
     prefix, worst, D0 = _RunningTrapz(), math.inf, None
-    for t, sa, sb in zip(trajA.times, trajA.states, trajB.states):
+    for sa, sb in zip(statesA, statesB):
         diff = state_norms(State(
             psi=_diff(sa.psi, sb.psi), theta=_diff(sa.theta, sb.theta),
             phi=_diff(sa.phi, sb.phi), t=sa.t))
         D = (p.Da / p.Pr) * diff["grad_psi_sq"] + diff["theta_sq"] \
             + p.alpha * diff["phi_sq"]
         na = state_norms(sa)
-        integral, qerr = prefix.add(t, max(
+        integral, qerr = prefix.add(sa.t, max(
             k.M_so ** 2 * na["grad_theta_sq"] * p.Pr / p.Da,
             (p.Ra ** 2 + p.gamma * p.lam) / 4.0, p.lam / (4.0 * p.alpha)))
         if D0 is None:

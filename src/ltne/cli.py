@@ -9,9 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -52,12 +50,6 @@ def _resolve(path_str, base_dir: Path) -> Path:
     return p if p.is_absolute() else base_dir / p
 
 
-def _effective_checks(rc: RunConfig) -> dict:
-    if rc.cert_enabled:
-        return rc.checks
-    return {name: False for name in rc.checks}
-
-
 def _write_jsonl(path: Path, rc: RunConfig, records, failure):
     with open(path, "w") as fh:
         fh.write(json.dumps({"meta": rc.resolved,
@@ -76,7 +68,7 @@ def _execute(rc: RunConfig, jsonl_path: Path, base_dir: Path):
     JSONL stream plus any configured snapshot/plot artifacts."""
     s0 = build_initial_state(rc.ic, rc.dom, rc.p)
     suite = CertificateSuite(rc.p, rc.dom, rc.cert_cfg, s0, rc.config_hash,
-                             checks=_effective_checks(rc))
+                             checks=rc.checks)
     traj = integrate(s0, rc.p, rc.stepper, monitors=suite,
                      snapshot_times=tuple(float(x)
                                           for x in rc.output["snapshot_at"]))
@@ -220,7 +212,7 @@ def cmd_certify(args) -> int:
     except ConfigError as e:
         return _fail(f"{path}: stored config does not rebuild: {e}")
     replayed, k = replay_certificates(records, rc.p, rc.dom, rc.cert_cfg,
-                                      checks=_effective_checks(rc))
+                                      checks=rc.checks)
     if args.mso is None:
         mismatches = _flag_mismatches(records, replayed)
         if mismatches:
@@ -336,17 +328,7 @@ def cmd_sweep(args) -> int:
             tag = str(v)
         jobs.append((param, v, doc, out_dir / f"{param}={tag}.jsonl",
                      base_dir))
-    workers = os.cpu_count() or 1
-    try:
-        workers = min(workers, int(os.environ["LTNE_THREADS"]))
-    except (KeyError, ValueError):
-        pass
-    workers = max(1, min(workers, max(1, len(jobs))))
-    if jobs:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            rows = list(ex.map(lambda j: _sweep_child(*j), jobs))
-    else:
-        rows = []
+    rows = [_sweep_child(*j) for j in jobs]
     with open(csv_path, "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=_SWEEP_COLS)
         w.writeheader()

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +34,8 @@ _TOP_KEYS = set(_DIMENSIONLESS_KEYS) | {
     "sample_every", "linear_only", "conduction_coupling", "ic",
     "certificates", "output"}
 
-_CERT_KEYS = {"enabled", "mso", "ctilde", "r", "tail_k", "tail_cutoff",
-              "tail_threshold", "tail_warmup", "checks"}
+_CERT_KEYS = {"enabled", "checks",
+              *(f.name for f in fields(CertificateConfig))}
 
 _CHECK_NAMES = CertificateSuite.CHECK_NAMES
 
@@ -55,7 +55,6 @@ class RunConfig:
     stepper: StepperConfig
     ic: dict
     cert_cfg: CertificateConfig
-    cert_enabled: bool
     checks: dict
     output: dict
     resolved: dict
@@ -145,22 +144,22 @@ def build_config(doc: dict, base_dir: Path | str = ".") -> RunConfig:
     cert = dict(doc.get("certificates", {}))
     unknown = set(cert) - _CERT_KEYS
     _require(not unknown, f"unknown certificates keys: {sorted(unknown)}")
-    cert_enabled = bool(cert.get("enabled", True))
+    enabled = bool(cert.get("enabled", True))
     checks = {name: True for name in _CHECK_NAMES}
     for name, val in dict(cert.get("checks", {})).items():
         _require(name in _CHECK_NAMES,
                  f"unknown certificate toggle {name!r}")
         checks[name] = bool(val)
+    c = {**asdict(CertificateConfig()), **cert}
     try:
         cert_cfg = CertificateConfig(
-            mso=float(cert.get("mso", 1.0)),
-            ctilde=None if cert.get("ctilde") is None else float(cert["ctilde"]),
-            r=float(cert.get("r", 1.0)),
-            tail_k=int(cert.get("tail_k", 2)),
-            tail_cutoff=None if cert.get("tail_cutoff") is None
-            else int(cert["tail_cutoff"]),
-            tail_threshold=float(cert.get("tail_threshold", 1e-3)),
-            tail_warmup=float(cert.get("tail_warmup", 0.5)))
+            mso=float(c["mso"]),
+            ctilde=None if c["ctilde"] is None else float(c["ctilde"]),
+            r=float(c["r"]), tail_k=int(c["tail_k"]),
+            tail_cutoff=None if c["tail_cutoff"] is None
+            else int(c["tail_cutoff"]),
+            tail_threshold=float(c["tail_threshold"]),
+            tail_warmup=float(c["tail_warmup"]))
     except (TypeError, ValueError) as e:
         raise ConfigError(f"certificates block: {e}")
 
@@ -183,17 +182,15 @@ def build_config(doc: dict, base_dir: Path | str = ".") -> RunConfig:
         "linear_only": stepper.linear_only,
         "conduction_coupling": p.conduction_coupling,
         "ic": ic,
-        "certificates": {
-            "enabled": cert_enabled, "mso": cert_cfg.mso,
-            "ctilde": cert_cfg.ctilde, "r": cert_cfg.r,
-            "tail_k": cert_cfg.tail_k, "tail_cutoff": cert_cfg.tail_cutoff,
-            "tail_threshold": cert_cfg.tail_threshold,
-            "tail_warmup": cert_cfg.tail_warmup, "checks": checks},
+        "certificates": {"enabled": enabled, **asdict(cert_cfg),
+                         "checks": checks},
         "output": output,
     }
+    if not enabled:
+        checks = dict.fromkeys(checks, False)
     return RunConfig(p=p, dom=dom, stepper=stepper, ic=ic, cert_cfg=cert_cfg,
-                     cert_enabled=cert_enabled, checks=checks, output=output,
-                     resolved=resolved, config_hash=config_hash(resolved))
+                     checks=checks, output=output, resolved=resolved,
+                     config_hash=config_hash(resolved))
 
 
 def load_config(path) -> RunConfig:

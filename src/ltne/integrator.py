@@ -11,6 +11,7 @@ provided for cross-validation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -34,10 +35,10 @@ class StepperConfig:
     linear_only: bool = False
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be > 0")
-        if self.t_end < 0:
-            raise ValueError("t_end must be >= 0")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("dt must be finite and > 0")
+        if not (math.isfinite(self.t_end) and self.t_end >= 0):
+            raise ValueError("t_end must be finite and >= 0")
         if self.sample_every < 1:
             raise ValueError("sample_every must be >= 1")
         if self.scheme not in SCHEMES:
@@ -56,22 +57,13 @@ class IntegrationBlowupError(RuntimeError):
 
 @dataclass
 class Trajectory:
-    """Sampled output of one run.
+    """Outcome of one run: the last sampled state (on blowup, the last one
+    before it), the snapshots, and the failure if any.  The samples
+    themselves go only to the `monitors` handed to `run`."""
 
-    prestates[i] is the state one integrator step before samples[i] (None for
-    the initial sample); certificate residuals are measured across that step.
-    """
-
-    times: list[float] = field(default_factory=list)
-    states: list[State] = field(default_factory=list)
-    prestates: list[State | None] = field(default_factory=list)
-    records: list = field(default_factory=list)
+    final: State
     snapshots: list[tuple[float, State]] = field(default_factory=list)
     failure: dict | None = None
-
-    @property
-    def final(self) -> State:
-        return self.states[-1]
 
 
 def _sinhc(x: np.ndarray) -> np.ndarray:
@@ -209,7 +201,9 @@ def _check_blowup(c, dom: Domain, t: float):
 def run(s0: State, p: Params, cfg: StepperConfig, monitors=None,
         snapshot_times: tuple[float, ...] = ()) -> Trajectory:
     """Integrate to t_end, sampling every `sample_every` steps (the final
-    state is always sampled) and invoking `monitors.on_sample` per sample.
+    state is always sampled) and calling `monitors.on_sample(t, state,
+    prestate, dt)` per sample, prestate being the state one step earlier
+    (None at the initial sample).  Nothing else keeps the samples.
 
     Snapshot times must be step-aligned; each one is also an integrator
     restart barrier (the multistep history is dropped there), so a run
@@ -229,21 +223,18 @@ def run(s0: State, p: Params, cfg: StepperConfig, monitors=None,
         snap_steps[k] = ts
 
     stepper = _stepper(p, dom, cfg.dt, cfg.scheme, cfg.linear_only)
-    traj = Trajectory()
 
     def emit(t, state, prestate):
-        traj.times.append(t)
-        traj.states.append(state)
-        traj.prestates.append(prestate)
         if monitors is not None:
-            traj.records.append(monitors.on_sample(t, state, prestate, cfg.dt))
+            monitors.on_sample(t, state, prestate, cfg.dt)
+        return state
 
     def wrap(c, t):
         return State(SpectralField(c[0], dom), SpectralField(c[1], dom),
                      SpectralField(c[2], dom), t)
 
     c = (s0.psi.coeffs.copy(), s0.theta.coeffs.copy(), s0.phi.coeffs.copy())
-    emit(s0.t, wrap(c, s0.t), None)
+    traj = Trajectory(final=emit(s0.t, wrap(c, s0.t), None))
     if 0 in snap_steps:
         traj.snapshots.append((s0.t, wrap(c, s0.t)))
     hist = None
@@ -257,7 +248,7 @@ def run(s0: State, p: Params, cfg: StepperConfig, monitors=None,
             traj.failure = {"t": e.t, "field": e.field, "error": str(e)}
             return traj
         if k % cfg.sample_every == 0 or k == nsteps:
-            emit(t, wrap(c, t), wrap(c_before, t - cfg.dt))
+            traj.final = emit(t, wrap(c, t), wrap(c_before, t - cfg.dt))
         if k in snap_steps:
             traj.snapshots.append((t, wrap(c, t)))
             hist = None  # restart barrier: resumed runs reproduce exactly

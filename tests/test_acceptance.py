@@ -176,7 +176,7 @@ def test_06_linear_spectrum_oracle():
             f"negative {neg}, Ra-invariant {invariant}")
 
 
-def test_07_difference_envelope_ic_pairs():
+def test_07_difference_envelope_ic_pairs(sample_log):
     # pairs differing by 1e-6 in one temperature mode stay inside the
     # exponential difference envelope on [0, 1]
     p = _params()
@@ -194,8 +194,11 @@ def test_07_difference_envelope_ic_pairs():
         c = s0.theta.coeffs.copy()
         c[m - 1, n - 1] += 1e-6
         sB = State(s0.psi, SpectralField(c, dom), s0.phi, 0.0)
-        ok, slack = check_continuous_dependence(
-            run(s0, p, cfg), run(sB, p, cfg), k, p)
+        logA, logB = sample_log(), sample_log()
+        run(s0, p, cfg, monitors=logA)
+        run(sB, p, cfg, monitors=logB)
+        ok, slack = check_continuous_dependence(logA.states, logB.states,
+                                                k, p)
         assert ok, f"pair {seed} mode ({m}, {n}) left the envelope"
         worst = min(worst, slack)
     _report("difference envelope", True,

@@ -205,7 +205,7 @@ def test_psi_absorbing_anchor_and_ball_form():
     assert seen_pre and seen_post
 
 
-def test_continuous_dependence_envelope():
+def test_continuous_dependence_envelope(sample_log):
     rng = np.random.default_rng(67)
     dom = Domain(a=1.0, Nx=6, Nz=6)
     p = _params(Ra=10.0)
@@ -216,18 +216,19 @@ def test_continuous_dependence_envelope():
          for _ in range(3)]
     sA = State(*f)
     st = StepperConfig(dt=0.005, t_end=0.5, sample_every=5)
-    trA = run(sA, p, st)
-    ok, slack = check_continuous_dependence(trA, trA, k, p)
+    logA, logB, logC = sample_log(), sample_log(), sample_log()
+    run(sA, p, st, monitors=logA)
+    ok, slack = check_continuous_dependence(logA.states, logA.states, k, p)
     assert ok and slack == math.inf
     pert = f[1].coeffs.copy()
     pert[1, 0] += 1e-6
     sB = State(f[0], SpectralField(pert, dom), f[2])
-    trB = run(sB, p, st)
-    ok2, slack2 = check_continuous_dependence(trA, trB, k, p)
+    run(sB, p, st, monitors=logB)
+    ok2, slack2 = check_continuous_dependence(logA.states, logB.states, k, p)
     assert ok2 and 0.0 < slack2 < math.inf
     # the worst slack is taken over samples 1.., since sample 0 has slack 0
     D, rate = [], []
-    for sa, sb in zip(trA.states, trB.states):
+    for sa, sb in zip(logA.states, logB.states):
         d = state_norms(State(*(SpectralField(
             getattr(sa, f).coeffs - getattr(sb, f).coeffs, dom)
             for f in ("psi", "theta", "phi"))))
@@ -236,14 +237,15 @@ def test_continuous_dependence_envelope():
         rate.append(max(k.M_so ** 2 * state_norms(sa)["grad_theta_sq"]
                         * p.Pr / p.Da, (p.Ra ** 2 + p.gamma * p.lam) / 4.0,
                         p.lam / (4.0 * p.alpha)))
-    ts, rate = np.array(trA.times), np.array(rate)
+    ts, rate = np.array(logA.times), np.array(rate)
     want = min(math.log(D[0]) - math.log(D[i])
                + sum(_trapz_with_err(np.diff(ts[:i + 1]), rate[:i + 1]))
                for i in range(1, len(ts)))
     assert slack2 == pytest.approx(want, rel=1e-12)
-    trC = run(sA, p, StepperConfig(dt=0.005, t_end=0.5, sample_every=10))
+    run(sA, p, StepperConfig(dt=0.005, t_end=0.5, sample_every=10),
+        monitors=logC)
     with pytest.raises(ValueError, match="sample grids"):
-        check_continuous_dependence(trA, trC, k, p)
+        check_continuous_dependence(logA.states, logC.states, k, p)
 
 
 def test_energy_balance_residual_is_second_order():

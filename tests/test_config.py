@@ -6,6 +6,7 @@ import pytest
 from ltne import (ConfigError, SpectralField, State, build_config,
                   build_initial_state, config_hash, energy_y, load_config,
                   state_norms, write_snapshot)
+from ltne.cli import EXIT_CONFIG, main
 
 
 def _doc(**over):
@@ -28,7 +29,7 @@ def test_defaults_resolved():
     assert rc.stepper.scheme == "imex_cnab2"
     assert rc.stepper.sample_every == 10
     assert rc.ic == {"kind": "zero"}
-    assert rc.cert_enabled is True
+    assert rc.resolved["certificates"]["enabled"] is True
     assert rc.cert_cfg.mso == 1.0 and rc.cert_cfg.r == 1.0
     assert all(rc.checks.values())
     assert rc.output["jsonl"] is None and rc.output["snapshot_at"] == []
@@ -85,6 +86,46 @@ def test_validation_errors_are_config_errors():
         build_config(_doc(Nx="many"))
     with pytest.raises(ConfigError, match="collocation"):
         build_config(_doc(Nx=8, Mx=10))
+
+
+def test_non_finite_run_length_is_refused(tmp_path, capsys):
+    for key in ("t_end", "dt"):
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ConfigError, match=f"{key} must be finite"):
+                build_config(_doc(**{key: bad}))
+    cfg = tmp_path / "inf.json"
+    cfg.write_text(json.dumps(_doc(Nx=4, Nz=4, t_end=float("inf"))))
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert "t_end must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("r", [0.0, -1.0, float("nan"), float("inf")])
+def test_bad_uniform_gronwall_window_is_refused(r):
+    with pytest.raises(ConfigError, match="window length r"):
+        build_config(_doc(certificates={"r": r}))
+
+
+def test_certificates_disabled_turns_every_check_off():
+    given = {"enabled": False, "checks": {"decay": True, "tail": False}}
+    rc = build_config(_doc(certificates=given))
+    assert not any(rc.checks.values())
+    block = rc.resolved["certificates"]    # kept as the user gave it
+    assert block["enabled"] is False
+    assert block["checks"]["decay"] is True
+    assert block["checks"]["tail"] is False
+    assert build_config(rc.resolved).config_hash == rc.config_hash
+
+
+def test_config_hash_pinned():
+    # literal hashes: a stream written by an earlier version must still
+    # verify, so the resolved document may not change shape or values
+    assert build_config(_doc()).config_hash == "c5957fdd85be2300"
+    every_key = {"enabled": False, "mso": 2.5, "ctilde": 0.25, "r": 0.75,
+                 "tail_k": 3, "tail_cutoff": 4, "tail_threshold": 0.01,
+                 "tail_warmup": 0.2,
+                 "checks": {"decay": False, "tail": False}}
+    rc = build_config(_doc(certificates=every_key))
+    assert rc.config_hash == "cba5bba2f97de53e"
 
 
 def test_random_ic_normalization_and_reproducibility():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -133,7 +135,7 @@ def test_etd1_pure_psi_exact_decay():
     assert np.all(fin.phi.coeffs == 0.0)
 
 
-def test_cn_block_nonexpansive_at_huge_dt():
+def test_cn_block_nonexpansive_at_huge_dt(sample_log):
     # Crank-Nicolson of the dissipative theta-phi block contracts the
     # weighted energy ||theta||^2 + (alpha/gamma)||phi||^2 for any dt; only
     # the explicit bootstrap step is exempt
@@ -144,28 +146,32 @@ def test_cn_block_nonexpansive_at_huge_dt():
     th = SpectralField(rng.uniform(-1, 1, (4, 4)), dom)
     ph = SpectralField(rng.uniform(-1, 1, (4, 4)), dom)
     cfg = StepperConfig(dt=10.0, t_end=300.0, linear_only=True)
-    tr = run(State(z, th, ph), p, cfg)
+    log = sample_log()
+    tr = run(State(z, th, ph), p, cfg, monitors=log)
     w = p.alpha / p.gamma
     energies = [float(np.sum(s.theta.coeffs ** 2) + w * np.sum(s.phi.coeffs ** 2))
-                for s in tr.states]
+                for s in log.states]
     assert tr.failure is None
     for prev, nxt in zip(energies[1:], energies[2:]):
         assert nxt <= prev * (1.0 + 1e-12)
 
 
-def test_blowup_returns_partial_trajectory():
+def test_blowup_returns_partial_trajectory(sample_log):
     rng = np.random.default_rng(19)
     dom = Domain(a=1.0, Nx=4, Nz=4)
     p = _params(Ra=100.0)
     s0 = State(*(SpectralField(rng.uniform(-1, 1, (4, 4)), dom)
                  for _ in range(3)))
     cfg = StepperConfig(dt=1.0, t_end=20.0, scheme="rk4_explicit")
+    log = sample_log()
     with np.errstate(over="ignore", invalid="ignore"):
-        tr = run(s0, p, cfg)
+        tr = run(s0, p, cfg, monitors=log)
     assert tr.failure is not None
     assert set(tr.failure) == {"t", "field", "error"}
     assert tr.failure["t"] <= 20.0
-    assert len(tr.times) >= 1   # initial sample retained
+    assert len(log.times) >= 1   # the initial sample was handed out
+    assert tr.final is log.states[-1]
+    assert log.times[-1] < tr.failure["t"]
     assert "blew up" in tr.failure["error"]
     assert tr.failure["field"] in ("psi", "theta", "phi")
     assert f"in field {tr.failure['field']}" in tr.failure["error"]
@@ -219,16 +225,41 @@ def test_run_validation():
         StepperConfig(dt=0.1, t_end=1.0, scheme="euler")
 
 
-def test_sampling_cadence_and_prestates():
+def test_sampling_cadence_and_prestates(sample_log):
     rng = np.random.default_rng(37)
     dom = Domain(a=1.0, Nx=4, Nz=4)
     p = _params()
     s0 = _decaying_state(dom, rng)
     dt = 0.01
-    tr = run(s0, p, StepperConfig(dt=dt, t_end=10 * dt, sample_every=3))
-    assert tr.times == pytest.approx([0.0, 3 * dt, 6 * dt, 9 * dt, 10 * dt])
-    assert tr.prestates[0] is None
-    for t, pre in zip(tr.times[1:], tr.prestates[1:]):
+    log = sample_log()
+    tr = run(s0, p, StepperConfig(dt=dt, t_end=10 * dt, sample_every=3),
+             monitors=log)
+    assert log.times == pytest.approx([0.0, 3 * dt, 6 * dt, 9 * dt, 10 * dt])
+    assert [s.t for s in log.states] == log.times
+    assert log.prestates[0] is None
+    for t, pre in zip(log.times[1:], log.prestates[1:]):
         assert pre.t == pytest.approx(t - dt)
-    assert tr.records == []
-    assert tr.final is tr.states[-1]
+    assert tr.final is log.states[-1]
+
+
+def test_memory_flat_in_t_end():
+    # with no monitor, run keeps no samples: a run 4x longer, sampled at
+    # every step, peaks at the same traced memory
+    rng = np.random.default_rng(41)
+    dom = Domain(a=1.0, Nx=32, Nz=32)
+    p = _params()
+    s0 = _decaying_state(dom, rng)
+    dt, t_end = 1e-3, 0.025
+    run(s0, p, StepperConfig(dt=dt, t_end=t_end))   # warm the plan caches
+    peaks = []
+    tracemalloc.start()
+    try:
+        for n in (1, 4):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run(s0, p, StepperConfig(dt=dt, t_end=n * t_end))
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    state_bytes = 3 * 8 * dom.Nx * dom.Nz
+    assert abs(peaks[1] - peaks[0]) < 2 * state_bytes, peaks
