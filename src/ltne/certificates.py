@@ -74,9 +74,18 @@ class CertificateConfig:
     tail_warmup: float = 0.5
 
     def __post_init__(self):
-        if not (math.isfinite(self.r) and self.r > 0):
-            raise ValueError(f"window length r must be finite and > 0, "
-                             f"got {self.r}")
+        if not 0 < self.r < math.inf:
+            raise ValueError("window length r must be finite and > 0")
+        if not 0 < self.mso < math.inf:
+            raise ValueError("mso must be finite and > 0")
+        if not math.isfinite(self.tail_warmup):
+            raise ValueError("tail_warmup must be finite")
+        if not 0 <= self.tail_threshold < 1:
+            raise ValueError("tail_threshold must lie in [0, 1)")
+        if self.tail_k < 0:
+            raise ValueError("tail_k must be >= 0")
+        if self.tail_cutoff is not None and self.tail_cutoff < 1:
+            raise ValueError("tail_cutoff must be null or >= 1")
 
 
 @dataclass(frozen=True)

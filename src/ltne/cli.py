@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from .certificates import (CERT_FIELDS, CertificateSuite, TrajectoryRecord,
                            measured_decay_rate, replay_certificates,
                            summarize_records)
-from .config import (ConfigError, RunConfig, build_config,
+from .config import (_DIMENSIONLESS_KEYS, ConfigError, RunConfig, build_config,
                      build_initial_state, config_hash, load_config)
 from .dynamics import assemble_linear, spectral_abscissa
 from .integrator import run as integrate
@@ -37,7 +38,7 @@ _SWEEP_COLS = ("parameter", "value", "status", "t_end", "E_Y_final",
                "psi_absorb_ok", "h1_absorb_ok", "max_ebal_resid",
                "config_hash")
 
-_SWEEP_PARAMS = ("Ra", "Pr", "Da", "C", "lambda", "gamma", "alpha", "a")
+_SWEEP_PARAMS = _DIMENSIONLESS_KEYS + ("a",)
 
 
 def _fail(msg: str) -> int:
@@ -70,8 +71,7 @@ def _execute(rc: RunConfig, jsonl_path: Path, base_dir: Path):
     suite = CertificateSuite(rc.p, rc.dom, rc.cert_cfg, s0, rc.config_hash,
                              checks=rc.checks)
     traj = integrate(s0, rc.p, rc.stepper, monitors=suite,
-                     snapshot_times=tuple(float(x)
-                                          for x in rc.output["snapshot_at"]))
+                     snapshot_times=tuple(rc.output["snapshot_at"]))
     jsonl_path.parent.mkdir(parents=True, exist_ok=True)
     _write_jsonl(jsonl_path, rc, suite.records, traj.failure)
     snap_paths = []
@@ -173,9 +173,15 @@ def cmd_certify(args) -> int:
         stored_hash = head["config_hash"]
     except (json.JSONDecodeError, KeyError, TypeError) as e:
         return _fail(f"{path}:1: not a meta line ({e})")
-    if config_hash(resolved) != stored_hash:
+    if not isinstance(resolved, dict) or config_hash(resolved) != stored_hash:
         return _fail(f"{path}: config hash {stored_hash} does not match "
                      "its own config document")
+    try:    # IC files need not still exist offline
+        rc = build_config(dict(resolved, ic={"kind": "zero"}))
+        cert_cfg = rc.cert_cfg if args.mso is None \
+            else replace(rc.cert_cfg, mso=args.mso)
+    except ValueError as e:
+        return _fail(f"{path}: stored config does not rebuild: {e}")
     records, blowup = [], None
     for i, ln in enumerate(lines[1:], start=2):
         try:
@@ -198,20 +204,12 @@ def cmd_certify(args) -> int:
             return _fail(f"{path}:{i}: incomplete record ({e})")
     if not records:
         return _fail(f"{path}: no trajectory records")
-    dt, t_end = resolved["dt"], resolved["t_end"]
+    dt, t_end = rc.stepper.dt, rc.stepper.t_end
     if blowup is None and records[-1].t < records[0].t + t_end - 0.5 * dt:
         return _fail(f"{path}: truncated: last sample t={records[-1].t:g} "
                      f"but the run covers t_end={t_end:g}")
 
-    doc = json.loads(json.dumps(resolved))
-    doc["ic"] = {"kind": "zero"}    # IC files need not still exist offline
-    if args.mso is not None:
-        doc["certificates"]["mso"] = args.mso
-    try:
-        rc = build_config(doc)
-    except ConfigError as e:
-        return _fail(f"{path}: stored config does not rebuild: {e}")
-    replayed, k = replay_certificates(records, rc.p, rc.dom, rc.cert_cfg,
+    replayed, k = replay_certificates(records, rc.p, rc.dom, cert_cfg,
                                       checks=rc.checks)
     if args.mso is None:
         mismatches = _flag_mismatches(records, replayed)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,24 +24,46 @@ from .dynamics import State, assemble_linear, state_norms
 from .integrator import StepperConfig
 from .certificates import CertificateConfig, CertificateSuite, energy_y
 
+# In the order of the Params fields (`lambda` is `Params.lam`).
 _DIMENSIONLESS_KEYS = ("Ra", "Pr", "Da", "C", "lambda", "gamma", "alpha")
 
-_PHYSICAL_KEYS = ("rho0", "eps", "K", "mu_f", "mu_c", "beta", "g", "rhoc_f",
-                  "rhoc_s", "kappa_f", "kappa_s", "h", "T_l", "T_u")
+# Each block of the run document maps its keys to (type, default).  An
+# _ABSENT key is resolved only if given; a None default admits null.
+_ABSENT = object()
 
-_TOP_KEYS = set(_DIMENSIONLESS_KEYS) | {
-    "a", "physical", "Nx", "Nz", "Mx", "Mz", "dt", "t_end", "scheme",
-    "sample_every", "linear_only", "conduction_coupling", "ic",
-    "certificates", "output"}
+_TOP = {
+    **dict.fromkeys(_DIMENSIONLESS_KEYS, (float, _ABSENT)),
+    "a": (float, 1.0), "physical": (dict, _ABSENT),
+    "Nx": (int, 32), "Nz": (int, 32), "Mx": (int, 0), "Mz": (int, 0),
+    "dt": (float, 1e-3), "t_end": (float, 5.0), "scheme": (str, "imex_cnab2"),
+    "sample_every": (int, 10), "linear_only": (bool, False),
+    "conduction_coupling": (bool, False), "ic": (dict, {"kind": "zero"}),
+    "certificates": (dict, {}), "output": (dict, {}),
+}
 
-_CERT_KEYS = {"enabled", "checks",
-              *(f.name for f in fields(CertificateConfig))}
+_PHYSICAL = {f.name: (float, _ABSENT) for f in fields(PhysicalParams)}
 
-_CHECK_NAMES = CertificateSuite.CHECK_NAMES
+_CERTIFICATES = {
+    "enabled": (bool, True),
+    **{f.name: ({"float": float, "int": int}[f.type.removesuffix(" | None")],
+                f.default) for f in fields(CertificateConfig)},
+    "checks": (dict, {}),
+}
 
-_OUTPUT_KEYS = {"jsonl", "snapshot_at", "snapshot_prefix", "plot_csv"}
+_OUTPUT = {"jsonl": (str, None), "snapshot_at": (list, []),
+           "snapshot_prefix": (str, None), "plot_csv": (str, None)}
 
-_IC_KINDS = ("zero", "named", "random", "snapshot")
+# `_named_state` applies the named-IC defaults; they are not hashed.
+_IC = {
+    "zero": {},
+    "random": {"seed": (int, _ABSENT), "energy": (float, 1.0),
+               "decay": (float, 0.5)},
+    "snapshot": {"path": (str, _ABSENT)},
+    "named": {"name": (str, _ABSENT), "field": (str, _ABSENT),
+              **dict.fromkeys(("m", "n", "band"), (int, _ABSENT)),
+              **dict.fromkeys(("amplitude", "amp_psi", "amp_theta",
+                               "amp_phi"), (float, _ABSENT))},
+}
 
 
 class ConfigError(ValueError):
@@ -66,128 +88,99 @@ def _require(cond: bool, msg: str):
         raise ConfigError(msg)
 
 
-def _as_num(doc: dict, key: str, default, kind=float):
-    v = doc.get(key, default)
-    try:
+def _typed(field: str, v, kind: type, nullable: bool = False):
+    """`v` as a `kind`: bool takes JSON true/false only, int an integer or
+    an integral float, float any number, str/list/dict their JSON type."""
+    if v is None and nullable:
+        return v
+    number = isinstance(v, (int, float)) and not isinstance(v, bool)
+    if kind is int and number and (isinstance(v, int) or v.is_integer()):
+        return int(v)
+    if kind is float and number:
+        return float(v)
+    if kind not in (int, float) and isinstance(v, kind):
         return kind(v)
-    except (TypeError, ValueError):
-        raise ConfigError(f"field {key!r}: expected {kind.__name__}, got {v!r}")
+    raise ConfigError(f"field {field!r}: expected {kind.__name__}, got {v!r}")
+
+
+def _read_block(block, table: dict, name: str = "") -> dict:
+    """Type each key of one document block and fill in the defaults."""
+    _require(isinstance(block, dict),
+             f"{name or 'config root'} must be a JSON object")
+    unknown = set(block) - set(table)
+    _require(not unknown,
+             f"unknown {name or 'config'} keys: {sorted(unknown)}")
+    return {key: _typed(f"{name}.{key}" if name else key,
+                        block.get(key, default), kind, default is None)
+            for key, (kind, default) in table.items()
+            if key in block or default is not _ABSENT}
+
+
+def _build(cls, values: dict):
+    return cls(**{f.name: values[f.name] for f in fields(cls)})
 
 
 def build_config(doc: dict, base_dir: Path | str = ".") -> RunConfig:
     """Validate and resolve a config document into runtime objects."""
-    base_dir = Path(base_dir)
-    _require(isinstance(doc, dict), "config root must be a JSON object")
-    unknown = set(doc) - _TOP_KEYS
-    _require(not unknown, f"unknown config keys: {sorted(unknown)}")
-
-    a = _as_num(doc, "a", 1.0)
+    top = _read_block(doc, _TOP)
     numbers = {}
-    if "physical" in doc:
-        ph = doc["physical"]
-        unknown = set(ph) - set(_PHYSICAL_KEYS)
-        _require(not unknown, f"unknown physical keys: {sorted(unknown)}")
-        missing = set(_PHYSICAL_KEYS) - set(ph)
+    if "physical" in top:
+        ph = _read_block(top.pop("physical"), _PHYSICAL, "physical")
+        missing = set(_PHYSICAL) - set(ph)
         _require(not missing, f"physical block missing: {sorted(missing)}")
         try:
-            derived = nondimensionalize(PhysicalParams(**{k: float(ph[k])
-                                                          for k in _PHYSICAL_KEYS}), a=a)
+            derived = nondimensionalize(_build(PhysicalParams, ph), a=top["a"])
         except ValueError as e:
             raise ConfigError(f"physical block: {e}")
-        numbers = {"Ra": derived.Ra, "Pr": derived.Pr, "Da": derived.Da,
-                   "C": derived.C, "lambda": derived.lam,
-                   "gamma": derived.gamma, "alpha": derived.alpha}
-    for key in _DIMENSIONLESS_KEYS:
-        if key in doc:
-            numbers[key] = _as_num(doc, key, None)
+        numbers = dict(zip(_DIMENSIONLESS_KEYS, astuple(derived)))
+    numbers.update((k, top[k]) for k in _DIMENSIONLESS_KEYS if k in top)
     missing = set(_DIMENSIONLESS_KEYS) - set(numbers)
     _require(not missing,
              f"missing dimensionless numbers: {sorted(missing)} "
              "(give them directly or via a complete 'physical' block)")
 
     try:
-        p = Params(Ra=numbers["Ra"], Pr=numbers["Pr"], Da=numbers["Da"],
-                   C=numbers["C"], lam=numbers["lambda"],
-                   gamma=numbers["gamma"], alpha=numbers["alpha"], a=a,
-                   conduction_coupling=bool(doc.get("conduction_coupling", False)))
-        dom = Domain(a=a, Nx=_as_num(doc, "Nx", 32, int),
-                     Nz=_as_num(doc, "Nz", 32, int),
-                     Mx=_as_num(doc, "Mx", 0, int),
-                     Mz=_as_num(doc, "Mz", 0, int))
-        stepper = StepperConfig(
-            dt=_as_num(doc, "dt", 1e-3), t_end=_as_num(doc, "t_end", 5.0),
-            scheme=str(doc.get("scheme", "imex_cnab2")),
-            sample_every=_as_num(doc, "sample_every", 10, int),
-            linear_only=bool(doc.get("linear_only", False)))
+        p = _build(Params, {**top, **numbers, "lam": numbers["lambda"]})
+        dom = _build(Domain, top)
+        stepper = _build(StepperConfig, top)
     except ValueError as e:
         raise ConfigError(str(e))
 
-    ic = doc.get("ic", {"kind": "zero"})
-    _require(isinstance(ic, dict) and "kind" in ic,
-             "ic must be an object with a 'kind'")
-    _require(ic["kind"] in _IC_KINDS,
-             f"ic.kind must be one of {_IC_KINDS}, got {ic['kind']!r}")
-    ic = dict(ic)
-    if ic["kind"] == "snapshot":
+    kind = top["ic"].get("kind")
+    _require(isinstance(kind, str) and kind in _IC,
+             f"ic.kind must be one of {tuple(_IC)}, got {kind!r}")
+    # the resolved ic, hence the hash, keeps each given value as written
+    ic = {**_read_block(top["ic"], {"kind": (str, _ABSENT), **_IC[kind]},
+                        "ic"), **top["ic"]}
+    if kind == "snapshot":
         _require("path" in ic, "ic.kind 'snapshot' needs a 'path'")
-        path = Path(ic["path"])
-        if not path.is_absolute():
-            path = base_dir / path
+        path = Path(base_dir) / ic["path"]     # an absolute path stays as is
         _require(path.exists(), f"ic snapshot path {path} does not exist")
         ic["path"] = str(path)
-    if ic["kind"] == "random":
+    if kind == "random":
         _require("seed" in ic, "ic.kind 'random' needs an integer 'seed'")
         ic["seed"] = int(ic["seed"]) & (2 ** 64 - 1)
-        ic.setdefault("energy", 1.0)
-        ic.setdefault("decay", 0.5)
 
-    cert = dict(doc.get("certificates", {}))
-    unknown = set(cert) - _CERT_KEYS
-    _require(not unknown, f"unknown certificates keys: {sorted(unknown)}")
-    enabled = bool(cert.get("enabled", True))
-    checks = {name: True for name in _CHECK_NAMES}
-    for name, val in dict(cert.get("checks", {})).items():
-        _require(name in _CHECK_NAMES,
-                 f"unknown certificate toggle {name!r}")
-        checks[name] = bool(val)
-    c = {**asdict(CertificateConfig()), **cert}
+    cert = _read_block(top["certificates"], _CERTIFICATES, "certificates")
+    checks = dict.fromkeys(CertificateSuite.CHECK_NAMES, True)
+    for name, on in cert["checks"].items():
+        _require(name in checks, f"unknown certificate toggle {name!r}")
+        checks[name] = _typed(f"certificates.checks.{name}", on, bool)
+    cert["checks"] = checks
     try:
-        cert_cfg = CertificateConfig(
-            mso=float(c["mso"]),
-            ctilde=None if c["ctilde"] is None else float(c["ctilde"]),
-            r=float(c["r"]), tail_k=int(c["tail_k"]),
-            tail_cutoff=None if c["tail_cutoff"] is None
-            else int(c["tail_cutoff"]),
-            tail_threshold=float(c["tail_threshold"]),
-            tail_warmup=float(c["tail_warmup"]))
-    except (TypeError, ValueError) as e:
+        cert_cfg = _build(CertificateConfig, cert)
+    except ValueError as e:
         raise ConfigError(f"certificates block: {e}")
-
-    output = dict(doc.get("output", {}))
-    unknown = set(output) - _OUTPUT_KEYS
-    _require(not unknown, f"unknown output keys: {sorted(unknown)}")
-    output.setdefault("jsonl", None)
-    output.setdefault("snapshot_at", [])
-    output.setdefault("snapshot_prefix", None)
-    output.setdefault("plot_csv", None)
-    _require(isinstance(output["snapshot_at"], list),
-             "output.snapshot_at must be a list of times")
-
-    resolved = {
-        "Ra": p.Ra, "Pr": p.Pr, "Da": p.Da, "C": p.C, "lambda": p.lam,
-        "gamma": p.gamma, "alpha": p.alpha, "a": p.a,
-        "Nx": dom.Nx, "Nz": dom.Nz, "Mx": dom.Mx, "Mz": dom.Mz,
-        "dt": stepper.dt, "t_end": stepper.t_end, "scheme": stepper.scheme,
-        "sample_every": stepper.sample_every,
-        "linear_only": stepper.linear_only,
-        "conduction_coupling": p.conduction_coupling,
-        "ic": ic,
-        "certificates": {"enabled": enabled, **asdict(cert_cfg),
-                         "checks": checks},
-        "output": output,
-    }
-    if not enabled:
+    if not cert["enabled"]:
         checks = dict.fromkeys(checks, False)
+
+    output = _read_block(top["output"], _OUTPUT, "output")
+    for t in output["snapshot_at"]:
+        _require(0 <= _typed("output.snapshot_at", t, float) <= stepper.t_end,
+                 f"output.snapshot_at entries must lie in [0, t_end], got {t}")
+
+    resolved = {**top, **numbers, "Mx": dom.Mx, "Mz": dom.Mz, "ic": ic,
+                "certificates": cert, "output": output}
     return RunConfig(p=p, dom=dom, stepper=stepper, ic=ic, cert_cfg=cert_cfg,
                      checks=checks, output=output, resolved=resolved,
                      config_hash=config_hash(resolved))

@@ -23,8 +23,6 @@ from .dynamics import State, _rhs_arrays, assemble_linear
 
 BLOWUP_NORM = 1e12
 
-SCHEMES = ("imex_cnab2", "etd1", "rk4_explicit")
-
 
 @dataclass(frozen=True)
 class StepperConfig:
@@ -181,6 +179,7 @@ class _Rk4:
 
 
 _STEPPERS = {"imex_cnab2": _Cnab2, "etd1": _Etd1, "rk4_explicit": _Rk4}
+SCHEMES = tuple(_STEPPERS)
 
 
 @lru_cache(maxsize=32)

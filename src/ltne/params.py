@@ -73,8 +73,8 @@ class Params:
 
     def __post_init__(self):
         for name in ("Ra", "Pr", "Da", "C", "lam", "gamma", "alpha", "a"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"dimensionless parameter {name} must be > 0")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"parameter {name} must be finite and > 0")
 
 
 @dataclass(frozen=True)

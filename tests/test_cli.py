@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from ltne import config_hash
 from ltne.cli import main
 
 
@@ -88,6 +89,17 @@ def test_certify_rejects_tampering(tmp_path, capsys):
         if code != 3 or "do not reproduce" not in capsys.readouterr().err:
             accepted.append((field, code))
     assert accepted == []
+
+
+def test_certify_rejects_meta_that_is_not_a_run_document(tmp_path, capsys):
+    code, jsonl = _run_case(tmp_path, capsys)
+    empty_hash = config_hash({})     # the meta line carries its own hash
+    lines = [json.dumps({"meta": {}, "config_hash": empty_hash})]
+    for ln in jsonl.read_text().splitlines()[1:]:
+        lines.append(json.dumps(dict(json.loads(ln), config_hash=empty_hash)))
+    jsonl.write_text("\n".join(lines) + "\n")
+    assert main(["certify", str(jsonl)]) == 3
+    assert "does not rebuild" in capsys.readouterr().err
 
 
 def test_certify_rejects_mixed_hashes(tmp_path, capsys):

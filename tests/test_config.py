@@ -126,6 +126,50 @@ def test_config_hash_pinned():
                  "checks": {"decay": False, "tail": False}}
     rc = build_config(_doc(certificates=every_key))
     assert rc.config_hash == "cba5bba2f97de53e"
+    # integral floats for int keys and ints for float keys resolve as before
+    rc = build_config(_doc(Ra=100, Pr=1, Nx=16.0, Nz=8, sample_every=5.0,
+                           t_end=2))
+    assert rc.config_hash == "5a673cb957fad7a6"
+    assert build_config({"physical": _PHYS, "Ra": 7.0}).config_hash \
+        == "e77938fce9da0e3e"
+
+
+_INF, _NAN = float("inf"), float("nan")
+
+# (malformed document, a field its error must name); the first entry of each
+# block is also run through `ltne run`
+_MALFORMED = [
+    (_doc(linear_only="false"), "linear_only"),
+    (_doc(Nx=4.7), "Nx"),
+    (_doc(Ra=_INF), "Ra"),
+    (_doc(certificates=[1]), "certificates"),
+    (_doc(certificates={"checks": ["tail"]}), "checks"),
+    (_doc(certificates={"tail_warmup": _NAN}), "tail_warmup"),
+    (_doc(certificates={"mso": 0}), "mso"),
+    (_doc(certificates={"tail_k": -1}), "tail_k"),
+    (_doc(certificates={"tail_threshold": -1}), "tail_threshold"),
+    (_doc(output=[1]), "output"),
+    (_doc(output={"snapshot_at": [_INF]}), "snapshot_at"),
+    (_doc(ic={"kind": "random", "seed": "abc"}), "seed"),
+    (_doc(ic={"kind": "random", "seed": 1, "enrgy": 5}), "enrgy"),
+    (_doc(ic={"kind": "named", "name": "single_mode", "m": 2.7}), "ic.m"),
+]
+
+
+@pytest.mark.parametrize("doc,field", _MALFORMED,
+                         ids=[f for _, f in _MALFORMED])
+def test_malformed_values_are_config_errors(doc, field):
+    with pytest.raises(ConfigError, match=field):
+        build_config(doc)
+
+
+@pytest.mark.parametrize("doc,field", [_MALFORMED[i] for i in (0, 3, 9, 11)],
+                         ids=["top", "certificates", "output", "ic"])
+def test_malformed_block_exits_3(tmp_path, capsys, doc, field):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(dict(doc, Nx=4, Nz=4, t_end=0.1)))
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert field in capsys.readouterr().err
 
 
 def test_random_ic_normalization_and_reproducibility():
