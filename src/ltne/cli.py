@@ -367,7 +367,8 @@ def cmd_linearize(args) -> int:
     print(f"linearize {cfg_path.name}: {rc.dom.Nx}x{rc.dom.Nz} modes "
           f"-> {out}")
     print(f"  spectral abscissa: {absc:.12g}")
-    if rc.dom.Nx <= 8 and rc.dom.Nz <= 8:
+    # with conduction the per-mode union is not the operator's spectrum
+    if not rc.p.conduction_coupling and rc.dom.Nx <= 8 and rc.dom.Nz <= 8:
         dense = np.linalg.eigvals(L.dense())
         union = np.concatenate([L.lpsi.ravel().astype(complex),
                                 eigs.ravel()])

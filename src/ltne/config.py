@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
@@ -160,6 +161,11 @@ def build_config(doc: dict, base_dir: Path | str = ".") -> RunConfig:
     if kind == "random":
         _require("seed" in ic, "ic.kind 'random' needs an integer 'seed'")
         ic["seed"] = int(ic["seed"]) & (2 ** 64 - 1)
+    for key, (typ, _) in _IC[kind].items():
+        _require(typ is not float or math.isfinite(ic.get(key, 0.0)),
+                 f"ic.{key} must be finite, got {ic.get(key)}")
+    _require(ic.get("energy", 0.0) >= 0,
+             f"ic.energy must be >= 0, got {ic.get('energy')}")
 
     cert = _read_block(top["certificates"], _CERTIFICATES, "certificates")
     checks = dict.fromkeys(CertificateSuite.CHECK_NAMES, True)

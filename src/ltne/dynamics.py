@@ -98,14 +98,15 @@ def rhs(s: State, p: Params, include_jacobian: bool = True) -> Tangent:
 
 @dataclass(frozen=True)
 class LinearOperator:
-    """Linear part of the system for one (Params, Domain) pair.
+    """Linear part of the system for one (Params, Domain) pair: the
+    right-hand side with the Jacobian dropped,
+    `rhs(..., include_jacobian=False)`.  `dense()` is its matrix.
 
     lpsi: per-mode psi multipliers (Pr/Da)(C mu - 1), all negative.
     b11..b22: entries of the per-mode theta-phi blocks
     [[mu - lam, lam], [gamma lam / alpha, (mu - gamma lam)/alpha]]
-    (b12, b21 are mode-independent scalars).
-    coupling: Ra (Pr/Da) / mu times the d/dx projection, theta -> psi.
-    conduction: the optional D map theta-equation source from psi.
+    (b12, b21 are mode-independent scalars).  Without conduction coupling
+    these closed-form blocks and lpsi carry the whole spectrum.
     """
 
     dom: Domain
@@ -115,20 +116,6 @@ class LinearOperator:
     b12: float
     b21: float
     b22: np.ndarray
-    coupling_scale: np.ndarray   # Ra*(Pr/Da)/mu, applied after D
-    has_conduction: bool
-
-    def apply(self, s: State) -> Tangent:
-        D = _plan(self.dom)["Dx"]
-        cpsi, cth, cph = s.psi.coeffs, s.theta.coeffs, s.phi.coeffs
-        dpsi = self.lpsi * cpsi + self.coupling_scale * (D @ cth)
-        dth = self.b11 * cth + self.b12 * cph
-        if self.has_conduction:
-            dth = dth + D @ cpsi
-        dph = self.b21 * cth + self.b22 * cph
-        return Tangent(SpectralField(dpsi, self.dom),
-                       SpectralField(dth, self.dom),
-                       SpectralField(dph, self.dom))
 
     def block_eigenvalues(self) -> np.ndarray:
         """(Nx, Nz, 2) complex eigenvalues of the theta-phi blocks."""
@@ -139,27 +126,14 @@ class LinearOperator:
         return np.stack([tr / 2.0 + root, tr / 2.0 - root], axis=-1)
 
     def dense(self) -> np.ndarray:
-        """Dense (3K, 3K) assembly, K = Nx*Nz, ordering [psi; theta; phi],
-        each block flattened row-major.  For small-N spectrum checks."""
-        dom = self.dom
-        K = dom.Nx * dom.Nz
-        D = _plan(dom)["Dx"]
-        A = np.zeros((3 * K, 3 * K))
-        A[:K, :K] = np.diag(self.lpsi.ravel())
-        # theta -> psi: (coupling_scale * (D @ th)) is dense in m, diagonal in n
-        cs = self.coupling_scale
-        for n in range(dom.Nz):
-            idx = n + dom.Nz * np.arange(dom.Nx)
-            A[np.ix_(idx, K + idx)] = cs[:, n][:, None] * D
-        A[K:2 * K, K:2 * K] = np.diag(self.b11.ravel())
-        A[K:2 * K, 2 * K:] = self.b12 * np.eye(K)
-        if self.has_conduction:
-            for n in range(dom.Nz):
-                idx = n + dom.Nz * np.arange(dom.Nx)
-                A[np.ix_(K + idx, idx)] = D
-        A[2 * K:, K:2 * K] = self.b21 * np.eye(K)
-        A[2 * K:, 2 * K:] = np.diag(self.b22.ravel())
-        return A
+        """Matrix of the integrated linear right-hand side: (3K, 3K),
+        K = Nx*Nz, ordering [psi; theta; phi], each block flattened
+        row-major.  Column j is `_rhs_arrays` without the Jacobian applied
+        to the j-th unit state.  For small-N spectrum checks."""
+        dom, K = self.dom, self.dom.Nx * self.dom.Nz
+        E = np.eye(3 * K).reshape(3 * K, 3, dom.Nx, dom.Nz)
+        cols = _rhs_arrays(E[:, 0], E[:, 1], E[:, 2], self.p, dom, False)
+        return np.stack(cols, axis=1).reshape(3 * K, 3 * K).T
 
 
 def assemble_linear(p: Params, dom: Domain) -> LinearOperator:
@@ -172,8 +146,6 @@ def assemble_linear(p: Params, dom: Domain) -> LinearOperator:
         b12=p.lam,
         b21=p.gamma * p.lam / p.alpha,
         b22=(mu - p.gamma * p.lam) / p.alpha,
-        coupling_scale=p.Ra * (p.Pr / p.Da) / mu,
-        has_conduction=p.conduction_coupling,
     )
 
 
@@ -188,7 +160,7 @@ def spectral_abscissa(L: LinearOperator) -> float:
     triangular structure is gone and a dense eigensolve is used, which is only
     allowed at small truncations.
     """
-    if L.has_conduction:
+    if L.p.conduction_coupling:
         K = L.dom.Nx * L.dom.Nz
         if K > _DENSE_ABSCISSA_CAP:
             raise ValueError(

@@ -37,6 +37,8 @@ class StepperConfig:
             raise ValueError("dt must be finite and > 0")
         if not (math.isfinite(self.t_end) and self.t_end >= 0):
             raise ValueError("t_end must be finite and >= 0")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ValueError("t_end / dt must be a finite step count")
         if self.sample_every < 1:
             raise ValueError("sample_every must be >= 1")
         if self.scheme not in SCHEMES:
@@ -84,6 +86,7 @@ class _LinearImplicit:
 
     def _explicit(self, cpsi, cth):
         p = self.p
+        # grouped unlike `_rhs_arrays`; regrouping moves every CN/AB2 step
         n_psi = (p.Pr / p.Da) * p.Ra * (self.D @ cth) / self.mu
         n_th = np.zeros_like(cth)
         if not self.linear_only:

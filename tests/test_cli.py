@@ -3,8 +3,9 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvals as dense_eigvals
 
-from ltne import config_hash
+from ltne import assemble_linear, config_hash, load_config
 from ltne.cli import main
 
 
@@ -269,3 +270,15 @@ def test_linearize_reports_abscissa_and_crosscheck(tmp_path, capsys):
     r11 = rows[0]
     assert float(r11["mu"]) == pytest.approx(-2 * np.pi ** 2, rel=1e-15)
     assert float(r11["block_eig1_im"]) == 0.0
+    # with conduction the per-mode blocks are not the spectrum: no
+    # cross-check, and the abscissa is the dense operator's
+    doc = _base_doc(Nx=4, Nz=4, Ra=500.0, conduction_coupling=True)
+    cfg = _write(tmp_path / "cond.json", doc)
+    assert main(["linearize", str(cfg), "--out", str(out_csv)]) == 0
+    out = capsys.readouterr().out
+    assert "mismatch" not in out
+    absc = float(out.split("spectral abscissa:")[1].splitlines()[0])
+    rc = load_config(cfg)
+    L = assemble_linear(rc.p, rc.dom)
+    want = float(np.max(dense_eigvals(L.dense()).real))
+    assert absc == pytest.approx(want, rel=1e-11)

@@ -153,6 +153,10 @@ _MALFORMED = [
     (_doc(ic={"kind": "random", "seed": "abc"}), "seed"),
     (_doc(ic={"kind": "random", "seed": 1, "enrgy": 5}), "enrgy"),
     (_doc(ic={"kind": "named", "name": "single_mode", "m": 2.7}), "ic.m"),
+    (_doc(t_end=1e308, dt=1e-3), "t_end"),
+    (_doc(ic={"kind": "random", "seed": 1, "energy": -1}), "ic.energy"),
+    (_doc(ic={"kind": "named", "name": "single_mode", "amplitude": _NAN}),
+     "ic.amplitude"),
 ]
 
 

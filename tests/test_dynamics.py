@@ -101,21 +101,9 @@ def test_nonlinearity_is_quadratic():
                        atol=1e-14)
 
 
-def test_linear_operator_matches_rhs_without_jacobian():
-    rng = np.random.default_rng(37)
-    for cond in (False, True):
-        dom = Domain(a=0.8, Nx=6, Nz=4)
-        p = _params(a=0.8, Ra=25.0, lam=0.7, gamma=2.0, alpha=0.5,
-                    conduction_coupling=cond)
-        L = assemble_linear(p, dom)
-        s = _rand_state(dom, rng)
-        t1, t2 = L.apply(s), rhs(s, p, include_jacobian=False)
-        for u, v in ((t1.dpsi, t2.dpsi), (t1.dtheta, t2.dtheta),
-                     (t1.dphi, t2.dphi)):
-            assert np.allclose(u.coeffs, v.coeffs, rtol=1e-12, atol=1e-13)
-
-
-def test_dense_matches_apply():
+def test_dense_matches_linear_rhs():
+    # pins the dense layout: [psi; theta; phi] rows and columns, row-major
+    # per block, acting on a column vector
     rng = np.random.default_rng(41)
     for cond in (False, True):
         dom = Domain(a=1.1, Nx=4, Nz=3)
@@ -125,10 +113,25 @@ def test_dense_matches_apply():
         s = _rand_state(dom, rng)
         vec = np.concatenate([s.psi.coeffs.ravel(), s.theta.coeffs.ravel(),
                               s.phi.coeffs.ravel()])
-        t = L.apply(s)
+        t = rhs(s, p, include_jacobian=False)
         out = np.concatenate([t.dpsi.coeffs.ravel(), t.dtheta.coeffs.ravel(),
                               t.dphi.coeffs.ravel()])
         assert np.allclose(L.dense() @ vec, out, rtol=1e-12, atol=1e-13)
+
+
+def test_rhs_psi_only_mode_literals():
+    # psi_(1,1) = 1: damping -(Pr/Da)(2 C pi^2 + 1) at mu = -2 pi^2, and the
+    # conduction source d/dx sin(pi x) projected on sin(m pi x), m = 2, 4
+    dom = Domain(a=1.0, Nx=5, Nz=3)
+    for cond in (False, True):
+        p = _params(Pr=2.0, Da=0.5, C=0.4, conduction_coupling=cond)
+        t = rhs(_mode_state(dom, "psi", 1, 1), p, include_jacobian=False)
+        assert t.dpsi.coeffs[0, 0] == pytest.approx(
+            -(2.0 / 0.5) * (2 * 0.4 * np.pi ** 2 + 1.0), rel=1e-14)
+        want = np.zeros((dom.Nx, dom.Nz))
+        if cond:
+            want[1, 0], want[3, 0] = 8.0 / 3.0, 16.0 / 15.0
+        assert np.allclose(t.dtheta.coeffs, want, rtol=1e-14, atol=0.0)
 
 
 def test_dense_spectrum_is_union_of_mode_spectra():
