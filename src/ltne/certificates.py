@@ -192,11 +192,6 @@ class TrajectoryRecord:
             out[f.name] = v
         return out
 
-    @staticmethod
-    def from_json_dict(d: dict) -> "TrajectoryRecord":
-        names = {f.name for f in dc_fields(TrajectoryRecord)}
-        return TrajectoryRecord(**{k: v for k, v in d.items() if k in names})
-
 
 def energy_y(norms: dict, p: Params) -> float:
     return (p.Da / p.Pr) * norms["lap_psi_sq"] + norms["theta_sq"] \
@@ -535,12 +530,6 @@ class CertificateSuite:
                 s, cfg.tail_k, self.cutoff, cfg.tail_threshold)
         self.records.append(self._certify(rec))
         return rec
-
-    def verdict(self) -> dict:
-        """Overall pass/fail per certificate over everything sampled so far
-        (None = never applicable)."""
-        return {row[2]: s["ok"] for row, s
-                in zip(_CERT_ROWS, summarize_records(self.records))}
 
 
 # -- offline re-certification ------------------------------------------------

@@ -18,8 +18,10 @@ import numpy as np
 from .certificates import (CERT_FIELDS, CertificateSuite, TrajectoryRecord,
                            measured_decay_rate, replay_certificates,
                            summarize_records)
-from .config import (_DIMENSIONLESS_KEYS, ConfigError, RunConfig, build_config,
-                     build_initial_state, config_hash, load_config)
+from .config import (_BLOWUP, _DIMENSIONLESS_KEYS, _HEADER, _MARKER, _RECORD,
+                     _SWEEP, ConfigError, RunConfig, _read_block, _typed,
+                     build_config, build_initial_state, config_hash,
+                     load_config, read_json)
 from .dynamics import assemble_linear, spectral_abscissa
 from .integrator import run as integrate
 from .spectral import eigenvalue_grid, write_snapshot
@@ -93,7 +95,9 @@ def _execute(rc: RunConfig, jsonl_path: Path, base_dir: Path):
     return suite, traj, snap_paths
 
 
-def _print_report(rows):
+def _report(rows, failure) -> int:
+    """Print the per-certificate roll-up and the verdict; return the exit
+    code."""
     print("certificates:")
     for row in rows:
         status = "skipped" if row["checked"] == 0 else \
@@ -108,14 +112,11 @@ def _print_report(rows):
                 line += f"  rhs {row['rhs']:.6e}"
         print(line)
         print(f"      {row['inequality']}")
-
-
-def _verdict_exit(rows, failure) -> int:
-    if failure is not None:
-        return EXIT_BLOWUP
-    if any(row["ok"] is False for row in rows):
-        return EXIT_CERT_FAIL
-    return EXIT_OK
+    code = (EXIT_BLOWUP if failure is not None
+            else EXIT_CERT_FAIL if any(row["ok"] is False for row in rows)
+            else EXIT_OK)
+    print(f"verdict: {'PASS' if code == EXIT_OK else 'FAIL'}")
+    return code
 
 
 def cmd_run(args) -> int:
@@ -149,31 +150,26 @@ def cmd_run(args) -> int:
     if traj.failure is not None:
         print(f"  BLOWUP at t={traj.failure['t']:g} "
               f"({traj.failure['field']}); partial stream retained")
-    rows = summarize_records(suite.records)
-    _print_report(rows)
-    code = _verdict_exit(rows, traj.failure)
-    print(f"verdict: {'PASS' if code == EXIT_OK else 'FAIL'}")
-    return code
+    return _report(summarize_records(suite.records), traj.failure)
 
 
 def cmd_certify(args) -> int:
     path = Path(args.timeseries)
     try:
         text = path.read_text()
-    except OSError as e:
-        return _fail(str(e))
+    except (OSError, UnicodeDecodeError) as e:
+        return _fail(f"{path}: {e}")
     if not text:
         return _fail(f"{path}: empty file")
     if not text.endswith("\n"):
         return _fail(f"{path}: truncated (no final newline)")
     lines = text.splitlines()
     try:
-        head = json.loads(lines[0])
-        resolved = head["meta"]
-        stored_hash = head["config_hash"]
-    except (json.JSONDecodeError, KeyError, TypeError) as e:
+        head = _read_block(json.loads(lines[0]), _HEADER, "header")
+    except (json.JSONDecodeError, ConfigError) as e:
         return _fail(f"{path}:1: not a meta line ({e})")
-    if not isinstance(resolved, dict) or config_hash(resolved) != stored_hash:
+    resolved, stored_hash = head["meta"], head["config_hash"]
+    if config_hash(resolved) != stored_hash:
         return _fail(f"{path}: config hash {stored_hash} does not match "
                      "its own config document")
     try:    # IC files need not still exist offline
@@ -188,20 +184,22 @@ def cmd_certify(args) -> int:
             d = json.loads(ln)
         except json.JSONDecodeError as e:
             return _fail(f"{path}:{i}: malformed JSON ({e.msg})")
-        if not isinstance(d, dict):
-            return _fail(f"{path}:{i}: not a record object")
-        if "blowup" in d:
-            if i != len(lines):
-                return _fail(f"{path}:{i}: blowup marker before end of file")
-            blowup = d["blowup"]
-            continue
-        if d.get("config_hash") != stored_hash:
-            return _fail(f"{path}:{i}: mixed config hashes "
-                         f"({d.get('config_hash')!r} vs {stored_hash!r})")
+        is_marker = isinstance(d, dict) and "blowup" in d
+        if is_marker and i != len(lines):
+            return _fail(f"{path}:{i}: blowup marker before end of file")
         try:
-            records.append(TrajectoryRecord.from_json_dict(d))
-        except TypeError as e:
-            return _fail(f"{path}:{i}: incomplete record ({e})")
+            if is_marker:
+                line = _read_block(d, _MARKER, "marker")
+                blowup = _read_block(line["blowup"], _BLOWUP, "blowup")
+            else:
+                line = _read_block(d, _RECORD, "record")
+        except ConfigError as e:
+            return _fail(f"{path}:{i}: {e}")
+        if line["config_hash"] != stored_hash:
+            return _fail(f"{path}:{i}: mixed config hashes "
+                         f"({line['config_hash']!r} vs {stored_hash!r})")
+        if not is_marker:
+            records.append(TrajectoryRecord(**line))
     if not records:
         return _fail(f"{path}: no trajectory records")
     dt, t_end = rc.stepper.dt, rc.stepper.t_end
@@ -225,12 +223,8 @@ def cmd_certify(args) -> int:
     if args.mso is not None:
         print(f"  M_so overridden to {args.mso:g}")
     if blowup is not None:
-        print(f"  stream ends in BLOWUP at t={blowup.get('t', '?')}")
-    rows = summarize_records(replayed)
-    _print_report(rows)
-    code = _verdict_exit(rows, blowup)
-    print(f"verdict: {'PASS' if code == EXIT_OK else 'FAIL'}")
-    return code
+        print(f"  stream ends in BLOWUP at t={blowup['t']}")
+    return _report(summarize_records(replayed), blowup)
 
 
 def _flag_mismatches(stored, replayed) -> list[str]:
@@ -263,14 +257,12 @@ def _sweep_child(param, value, doc, jsonl_path: Path, base_dir: Path) -> dict:
                 assemble_linear(rc.p, rc.dom))
         except ValueError:
             pass    # dense spectrum refused at this truncation
-        v = suite.verdict()
-        for key in ("decay_ok", "psi_absorb_ok", "h1_absorb_ok"):
-            if v[key] is not None:
-                row[key] = v[key]
-        resids = [r.ebal_resid for r in suite.records
-                  if r.ebal_resid is not None]
-        if resids:
-            row["max_ebal_resid"] = max(resids)
+        summary = {s["name"]: s for s in summarize_records(suite.records)}
+        for name in ("decay", "psi_absorb", "h1_absorb"):
+            if summary[name]["ok"] is not None:
+                row[f"{name}_ok"] = summary[name]["ok"]
+        if summary["ebal"]["worst_slack"] is not None:
+            row["max_ebal_resid"] = summary["ebal"]["worst_slack"]
         row["status"] = "ok" if traj.failure is None \
             else f"blowup t={traj.failure['t']:g}"
     except Exception as e:
@@ -280,53 +272,36 @@ def _sweep_child(param, value, doc, jsonl_path: Path, base_dir: Path) -> dict:
 
 def cmd_sweep(args) -> int:
     spec_path = Path(args.spec)
+    base_dir = spec_path.resolve().parent
     try:
-        spec = json.loads(spec_path.read_text())
-    except OSError as e:
+        spec = _read_block(read_json(spec_path), _SWEEP, "sweep")
+        if ("base" in spec) == ("base_path" in spec):
+            return _fail("sweep needs exactly one of 'base' or 'base_path'")
+        base = spec["base"] if "base" in spec else _typed(
+            "base_path", read_json(_resolve(spec["base_path"], base_dir)),
+            dict)
+    except ConfigError as e:
         return _fail(str(e))
-    except json.JSONDecodeError as e:
-        return _fail(f"{spec_path}:{e.lineno}:{e.colno}: {e.msg}")
-    unknown = set(spec) - {"parameter", "values", "base", "base_path",
-                           "output_dir", "csv"}
-    if unknown:
-        return _fail(f"unknown sweep keys: {sorted(unknown)}")
-    param = spec.get("parameter")
+    param = spec["parameter"]
     if param not in _SWEEP_PARAMS:
         return _fail(f"sweep parameter must be one of {_SWEEP_PARAMS}, "
                      f"got {param!r}")
-    values = spec.get("values")
-    if not isinstance(values, list):
-        return _fail("sweep 'values' must be a list")
-    base_dir = spec_path.resolve().parent
-    if ("base" in spec) == ("base_path" in spec):
-        return _fail("sweep needs exactly one of 'base' or 'base_path'")
-    if "base" in spec:
-        base = spec["base"]
-    else:
-        bp = _resolve(spec["base_path"], base_dir)
-        try:
-            base = json.loads(bp.read_text())
-        except OSError as e:
-            return _fail(str(e))
-        except json.JSONDecodeError as e:
-            return _fail(f"{bp}:{e.lineno}:{e.colno}: {e.msg}")
 
     out_dir = _resolve(spec.get("output_dir", spec_path.stem + "_runs"),
                        base_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = _resolve(spec.get("csv", spec_path.stem + ".csv"), base_dir)
 
-    jobs = []
-    for v in values:
+    rows = []
+    for v in spec["values"]:
         doc = json.loads(json.dumps(base))
         doc[param] = v
         try:
             tag = f"{float(v):g}"
         except (TypeError, ValueError):
             tag = str(v)
-        jobs.append((param, v, doc, out_dir / f"{param}={tag}.jsonl",
-                     base_dir))
-    rows = [_sweep_child(*j) for j in jobs]
+        rows.append(_sweep_child(param, v, doc,
+                                 out_dir / f"{param}={tag}.jsonl", base_dir))
     with open(csv_path, "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=_SWEEP_COLS)
         w.writeheader()

@@ -7,6 +7,9 @@ key present taking precedence over the derived value.  Exactly one initial
 condition source must be given under `ic`.  The fully resolved document
 (defaults filled in) is what gets hashed and embedded in output streams, so a
 stream is self-describing and re-certifiable offline.
+
+The other JSON objects the command line reads, the sweep spec and each
+line of a JSONL stream, are typed by the same kind of key table.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import MISSING, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,14 +26,26 @@ from .params import Domain, Params, PhysicalParams, nondimensionalize
 from .spectral import SpectralField, read_snapshot
 from .dynamics import State, assemble_linear, state_norms
 from .integrator import StepperConfig
-from .certificates import CertificateConfig, CertificateSuite, energy_y
+from .certificates import (CertificateConfig, CertificateSuite,
+                           TrajectoryRecord, energy_y)
 
 # In the order of the Params fields (`lambda` is `Params.lam`).
 _DIMENSIONLESS_KEYS = ("Ra", "Pr", "Da", "C", "lambda", "gamma", "alpha")
 
-# Each block of the run document maps its keys to (type, default).  An
-# _ABSENT key is resolved only if given; a None default admits null.
-_ABSENT = object()
+# Each block of a document maps its keys to (type, default).  An _ABSENT
+# key is resolved only if given, a _REQUIRED one must be given; a None
+# default admits null.
+_ABSENT, _REQUIRED = object(), object()
+_TYPES = {"float": float, "int": int, "bool": bool, "str": str}
+
+
+def _table(cls) -> dict:
+    """The key table of a dataclass: each field's type and its default, or
+    _REQUIRED where it has none."""
+    return {f.name: (_TYPES[f.type.removesuffix(" | None")],
+                     _REQUIRED if f.default is MISSING else f.default)
+            for f in fields(cls)}
+
 
 _TOP = {
     **dict.fromkeys(_DIMENSIONLESS_KEYS, (float, _ABSENT)),
@@ -42,14 +57,10 @@ _TOP = {
     "certificates": (dict, {}), "output": (dict, {}),
 }
 
-_PHYSICAL = {f.name: (float, _ABSENT) for f in fields(PhysicalParams)}
+_PHYSICAL = _table(PhysicalParams)
 
-_CERTIFICATES = {
-    "enabled": (bool, True),
-    **{f.name: ({"float": float, "int": int}[f.type.removesuffix(" | None")],
-                f.default) for f in fields(CertificateConfig)},
-    "checks": (dict, {}),
-}
+_CERTIFICATES = {"enabled": (bool, True), **_table(CertificateConfig),
+                 "checks": (dict, {})}
 
 _OUTPUT = {"jsonl": (str, None), "snapshot_at": (list, []),
            "snapshot_prefix": (str, None), "plot_csv": (str, None)}
@@ -57,14 +68,27 @@ _OUTPUT = {"jsonl": (str, None), "snapshot_at": (list, []),
 # `_named_state` applies the named-IC defaults; they are not hashed.
 _IC = {
     "zero": {},
-    "random": {"seed": (int, _ABSENT), "energy": (float, 1.0),
+    "random": {"seed": (int, _REQUIRED), "energy": (float, 1.0),
                "decay": (float, 0.5)},
-    "snapshot": {"path": (str, _ABSENT)},
+    "snapshot": {"path": (str, _REQUIRED)},
     "named": {"name": (str, _ABSENT), "field": (str, _ABSENT),
               **dict.fromkeys(("m", "n", "band"), (int, _ABSENT)),
               **dict.fromkeys(("amplitude", "amp_psi", "amp_theta",
                                "amp_phi"), (float, _ABSENT))},
 }
+
+# `output_dir` and `csv` default to names derived from the spec's file name.
+_SWEEP = {"parameter": (str, _REQUIRED), "values": (list, _REQUIRED),
+          "base": (dict, _ABSENT), "base_path": (str, _ABSENT),
+          "output_dir": (str, _ABSENT), "csv": (str, _ABSENT)}
+
+# The lines of a JSONL stream: the header, one TrajectoryRecord per sample,
+# and an optional final blowup marker with its payload.
+_HEADER = {"meta": (dict, _REQUIRED), "config_hash": (str, _REQUIRED)}
+_RECORD = _table(TrajectoryRecord)
+_MARKER = {"blowup": (dict, _REQUIRED), "config_hash": (str, _REQUIRED)}
+_BLOWUP = {"t": (float, _REQUIRED), "field": (str, _REQUIRED),
+           "error": (str, _REQUIRED)}
 
 
 class ConfigError(ValueError):
@@ -91,8 +115,10 @@ def _require(cond: bool, msg: str):
 
 def _typed(field: str, v, kind: type, nullable: bool = False):
     """`v` as a `kind`: bool takes JSON true/false only, int an integer or
-    an integral float, float any number, str/list/dict their JSON type."""
-    if v is None and nullable:
+    an integral float, float any number, str/list/dict their JSON type.
+    A scalar of type `kind` is returned as is, a list or dict as a copy."""
+    if (v is None and nullable) or (type(v) is kind
+                                    and kind not in (dict, list)):
         return v
     number = isinstance(v, (int, float)) and not isinstance(v, bool)
     if kind is int and number and (isinstance(v, int) or v.is_integer()):
@@ -111,6 +137,9 @@ def _read_block(block, table: dict, name: str = "") -> dict:
     unknown = set(block) - set(table)
     _require(not unknown,
              f"unknown {name or 'config'} keys: {sorted(unknown)}")
+    missing = [k for k, (_, d) in table.items()
+               if d is _REQUIRED and k not in block]
+    _require(not missing, f"missing {name or 'config'} keys: {missing}")
     return {key: _typed(f"{name}.{key}" if name else key,
                         block.get(key, default), kind, default is None)
             for key, (kind, default) in table.items()
@@ -127,8 +156,6 @@ def build_config(doc: dict, base_dir: Path | str = ".") -> RunConfig:
     numbers = {}
     if "physical" in top:
         ph = _read_block(top.pop("physical"), _PHYSICAL, "physical")
-        missing = set(_PHYSICAL) - set(ph)
-        _require(not missing, f"physical block missing: {sorted(missing)}")
         try:
             derived = nondimensionalize(_build(PhysicalParams, ph), a=top["a"])
         except ValueError as e:
@@ -154,12 +181,10 @@ def build_config(doc: dict, base_dir: Path | str = ".") -> RunConfig:
     ic = {**_read_block(top["ic"], {"kind": (str, _ABSENT), **_IC[kind]},
                         "ic"), **top["ic"]}
     if kind == "snapshot":
-        _require("path" in ic, "ic.kind 'snapshot' needs a 'path'")
         path = Path(base_dir) / ic["path"]     # an absolute path stays as is
         _require(path.exists(), f"ic snapshot path {path} does not exist")
         ic["path"] = str(path)
     if kind == "random":
-        _require("seed" in ic, "ic.kind 'random' needs an integer 'seed'")
         ic["seed"] = int(ic["seed"]) & (2 ** 64 - 1)
     for key, (typ, _) in _IC[kind].items():
         _require(typ is not float or math.isfinite(ic.get(key, 0.0)),
@@ -192,16 +217,20 @@ def build_config(doc: dict, base_dir: Path | str = ".") -> RunConfig:
                      config_hash=config_hash(resolved))
 
 
-def load_config(path) -> RunConfig:
-    path = Path(path)
+def read_json(path):
+    """The JSON value in the file at `path`; a ConfigError naming the file
+    (and the line and column of a syntax error) if it cannot be read."""
     try:
-        text = path.read_text()
-    except OSError as e:
+        return json.loads(Path(path).read_text())
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"{path}: {e}")
-    try:
-        doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}:{e.lineno}:{e.colno}: {e.msg}")
+
+
+def load_config(path) -> RunConfig:
+    path = Path(path)
+    doc = read_json(path)
     try:
         return build_config(doc, base_dir=path.parent)
     except ConfigError as e:

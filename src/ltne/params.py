@@ -109,8 +109,7 @@ class Domain:
 
 
 def nondimensionalize(ph: PhysicalParams, a: float = 1.0,
-                      gamma_cap: float = GAMMA_CAP_DEFAULT,
-                      conduction_coupling: bool = False) -> Params:
+                      gamma_cap: float = GAMMA_CAP_DEFAULT) -> Params:
     """Map physical constants to the seven dimensionless numbers.
 
     Derived values above `gamma_cap` are rejected: they signal degenerate
@@ -132,7 +131,7 @@ def nondimensionalize(ph: PhysicalParams, a: float = 1.0,
                 f"derived number {name} = {val:.3g} exceeds the sanity cap "
                 f"{gamma_cap:.3g}; check the physical inputs")
     return Params(Ra=Ra, Pr=Pr, Da=Da, C=C, lam=lam, gamma=gamma,
-                  alpha=alpha, a=a, conduction_coupling=conduction_coupling)
+                  alpha=alpha, a=a)
 
 
 def poincare_constant(dom: Domain) -> float:

@@ -184,6 +184,42 @@ def test_run_blowup_exit_and_partial_stream(tmp_path, capsys):
     assert "BLOWUP" in capsys.readouterr().out
 
 
+def test_certify_rejects_mistyped_records(tmp_path, capsys):
+    code, jsonl = _run_case(tmp_path, capsys)
+    assert code == 0
+    lines = jsonl.read_text().splitlines()
+    rec = json.loads(lines[2])
+    cases = [(dict(rec, E_half="1"), "E_half"),
+             (dict(rec, theta_sq=None), "theta_sq"),
+             (dict(rec, theta_sq=[1.0]), "theta_sq"),
+             (dict(rec, theta_sq=True), "theta_sq"),
+             (dict(rec, decay_ok="true"), "decay_ok"),
+             (dict(rec, wavenumber=3), "wavenumber")]
+    for bad, field in cases:
+        edited = lines[:2] + [json.dumps(bad)] + lines[3:]
+        jsonl.write_text("\n".join(edited) + "\n")
+        assert main(["certify", str(jsonl)]) == 3, field
+        err = capsys.readouterr().err
+        assert ":3:" in err and field in err, err
+    blowup = {"t": 0.5, "field": "theta", "error": "overflow"}
+    markers = [({"blowup": 5}, "blowup"),
+               ({"blowup": dict(blowup, t="0.5")}, "blowup.t"),
+               ({"blowup": blowup, "extra": 1}, "extra"),
+               ({"blowup": blowup, "config_hash": "deadbeefdeadbeef"},
+                "mixed config hashes")]
+    for bad, field in markers:
+        marker = json.dumps(dict({"config_hash": rec["config_hash"]}, **bad))
+        jsonl.write_text("\n".join(lines + [marker]) + "\n")
+        assert main(["certify", str(jsonl)]) == 3, field
+        err = capsys.readouterr().err
+        assert f":{len(lines) + 1}:" in err and field in err, err
+    head = json.dumps({"meta": 5, "config_hash": rec["config_hash"]})
+    jsonl.write_text("\n".join([head] + lines[1:]) + "\n")
+    assert main(["certify", str(jsonl)]) == 3
+    err = capsys.readouterr().err
+    assert ":1: not a meta line" in err and "'header.meta'" in err, err
+
+
 def test_run_config_errors(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.json")]) == 3
     capsys.readouterr()
@@ -194,6 +230,11 @@ def test_run_config_errors(tmp_path, capsys):
     unk = _write(tmp_path / "unk.json", _base_doc(wavenumber=3))
     assert main(["run", str(unk)]) == 3
     assert "wavenumber" in capsys.readouterr().err
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}\n")
+    for cmd in ("run", "sweep", "certify"):
+        assert main([cmd, str(binary)]) == 3, cmd
+        assert "binary.json" in capsys.readouterr().err, cmd
 
 
 def test_sweep_empty_values(tmp_path, capsys):
@@ -226,6 +267,15 @@ def test_sweep_alpha_family(tmp_path, capsys):
         assert r["decay_ok"] == "True"
         assert float(r["spectral_abscissa"]) < 0.0
         assert float(r["max_ebal_resid"]) >= 0.0
+        # each summary column is what the row's own stream gives
+        stream = tmp_path / "runs" / f"alpha={alpha:g}.jsonl"
+        recs = [json.loads(ln)
+                for ln in stream.read_text().splitlines()[1:]]
+        assert float(r["max_ebal_resid"]) == max(
+            x["ebal_resid"] for x in recs if x["ebal_resid"] is not None)
+        for flag in ("decay_ok", "psi_absorb_ok", "h1_absorb_ok"):
+            given = [x[flag] for x in recs if x[flag] is not None]
+            assert r[flag] == (str(all(given)) if given else ""), flag
 
 
 def test_sweep_records_child_failure_and_continues(tmp_path, capsys):
@@ -253,6 +303,20 @@ def test_sweep_spec_validation(tmp_path, capsys):
     doc = {"parameter": "Ra", "values": 5, "base": _base_doc()}
     assert main(["sweep", str(_write(tmp_path / "s3.json", doc))]) == 3
     capsys.readouterr()
+    _write(tmp_path / "five.json", 5)
+    good = {"parameter": "Ra", "values": [1.0], "base": _base_doc()}
+    bad_specs = [(5, "sweep must be a JSON object"),
+                 (dict(good, base=5), "'sweep.base'"),
+                 (dict(good, output_dir=5), "'sweep.output_dir'"),
+                 (dict(good, csv=7), "'sweep.csv'"),
+                 ({"parameter": "Ra", "values": [1.0], "base_path": 3},
+                  "'sweep.base_path'"),
+                 ({"parameter": "Ra", "values": [1.0],
+                   "base_path": "five.json"}, "'base_path'")]
+    for i, (doc, field) in enumerate(bad_specs):
+        spec = _write(tmp_path / f"bad{i}.json", doc)
+        assert main(["sweep", str(spec)]) == 3, field
+        assert field in capsys.readouterr().err, field
 
 
 def test_linearize_reports_abscissa_and_crosscheck(tmp_path, capsys):
