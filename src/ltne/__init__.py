@@ -15,15 +15,15 @@ from .spectral import (GridField, SpectralField, derivative_x, derivative_z,
 from .dynamics import (LinearOperator, State, Tangent, assemble_linear,
                        energy_identity_rhs, energy_pairing, rhs,
                        spectral_abscissa, state_norms, weak_residual)
-from .integrator import IntegrationBlowupError, StepperConfig, Trajectory, run
+from .integrator import StepperConfig, Trajectory, run
 from .certificates import (CertificateConfig, CertificateConstants,
                            CertificateSuite, TrajectoryRecord,
                            check_continuous_dependence, check_decay,
                            check_dissipation_integral, check_energy_balance,
                            check_h1_absorbing, check_psi_absorbing,
-                           check_tail_regularity, compute_constants,
-                           energy_half, energy_y, measured_decay_rate,
-                           replay_certificates, summarize_records)
+                           compute_constants, energy_half, energy_y,
+                           measured_decay_rate, replay_certificates,
+                           summarize_records)
 from .config import (ConfigError, RunConfig, build_config,
                      build_initial_state, config_hash, load_config)
 
@@ -31,21 +31,19 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CertificateConfig", "CertificateConstants", "CertificateSuite",
-    "ConfigError", "Domain", "GridField", "IntegrationBlowupError",
-    "LinearOperator", "Params", "PhysicalParams", "RunConfig",
-    "SpectralField", "State", "StepperConfig", "Tangent", "Trajectory",
-    "TrajectoryRecord", "assemble_linear", "build_config",
-    "build_initial_state", "check_continuous_dependence", "check_decay",
-    "check_dissipation_integral", "check_energy_balance",
-    "check_h1_absorbing", "check_psi_absorbing", "check_tail_regularity",
-    "compute_constants", "config_hash", "derivative_x", "derivative_z",
-    "dx_projection_matrix", "eigenvalue_grid", "energy_half",
-    "energy_identity_rhs", "energy_pairing", "energy_y", "grid_points",
-    "inner_l2", "jacobian",
-    "laplacian_eigenvalue", "load_config", "measured_decay_rate", "norm_grad",
-    "norm_gradlap", "norm_hk", "norm_l2", "norm_lap", "nondimensionalize",
-    "poincare_constant", "quadrature_weight", "read_snapshot",
-    "replay_certificates", "rhs", "run", "spectral_abscissa", "state_norms",
-    "summarize_records", "tail_fraction", "to_grid", "to_spectral",
-    "velocity_from_stream", "weak_residual", "write_snapshot",
+    "ConfigError", "Domain", "GridField", "LinearOperator", "Params",
+    "PhysicalParams", "RunConfig", "SpectralField", "State", "StepperConfig",
+    "Tangent", "Trajectory", "TrajectoryRecord", "assemble_linear",
+    "build_config", "build_initial_state", "check_continuous_dependence",
+    "check_decay", "check_dissipation_integral", "check_energy_balance",
+    "check_h1_absorbing", "check_psi_absorbing", "compute_constants",
+    "config_hash", "derivative_x", "derivative_z", "dx_projection_matrix",
+    "eigenvalue_grid", "energy_half", "energy_identity_rhs", "energy_pairing",
+    "energy_y", "grid_points", "inner_l2", "jacobian", "laplacian_eigenvalue",
+    "load_config", "measured_decay_rate", "norm_grad", "norm_gradlap",
+    "norm_hk", "norm_l2", "norm_lap", "nondimensionalize", "poincare_constant",
+    "quadrature_weight", "read_snapshot", "replay_certificates", "rhs", "run",
+    "spectral_abscissa", "state_norms", "summarize_records", "tail_fraction",
+    "to_grid", "to_spectral", "velocity_from_stream", "weak_residual",
+    "write_snapshot",
 ]

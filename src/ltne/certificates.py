@@ -25,7 +25,7 @@ those stored scalars alone, for `run` and `certify` alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields as dc_fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -182,15 +182,6 @@ class TrajectoryRecord:
     tail_frac_k2: float | None = None
     tail_ok: bool | None = None
     config_hash: str = ""
-
-    def to_json_dict(self) -> dict:
-        out = {}
-        for f in dc_fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, (np.floating, np.bool_)):
-                v = v.item()
-            out[f.name] = v
-        return out
 
 
 def energy_y(norms: dict, p: Params) -> float:
@@ -350,15 +341,6 @@ def check_energy_balance(rec: TrajectoryRecord, k: CertificateConstants
 
 def _avg(u, v):
     return SpectralField(0.5 * (u.coeffs + v.coeffs), u.dom)
-
-
-def check_tail_regularity(s: State, k: int, cutoff: int, threshold: float
-                          ) -> tuple[bool, float]:
-    """Largest tail fraction over the three fields against the threshold."""
-    frac = max(tail_fraction(s.psi, k, cutoff),
-               tail_fraction(s.theta, k, cutoff),
-               tail_fraction(s.phi, k, cutoff))
-    return frac <= threshold, frac
 
 
 def check_continuous_dependence(statesA, statesB, k: CertificateConstants,
@@ -526,8 +508,8 @@ class CertificateSuite:
                 rec.E_half_mid = energy_half(n_mid, p)
                 rec.E_Y_mid = energy_y(n_mid, p)
         if self.checks["tail"] and t >= cfg.tail_warmup:
-            _, rec.tail_frac_k2 = check_tail_regularity(
-                s, cfg.tail_k, self.cutoff, cfg.tail_threshold)
+            rec.tail_frac_k2 = max(tail_fraction(u, cfg.tail_k, self.cutoff)
+                                   for u in (s.psi, s.theta, s.phi))
         self.records.append(self._certify(rec))
         return rec
 

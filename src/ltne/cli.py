@@ -11,6 +11,7 @@ import csv
 import json
 import sys
 from dataclasses import replace
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +60,7 @@ def _write_jsonl(path: Path, rc: RunConfig, records, failure):
                              "config_hash": rc.config_hash},
                             sort_keys=True) + "\n")
         for rec in records:
-            fh.write(json.dumps(rec.to_json_dict(), sort_keys=True) + "\n")
+            fh.write(json.dumps(vars(rec), sort_keys=True) + "\n")
         if failure is not None:
             fh.write(json.dumps({"blowup": failure,
                                  "config_hash": rc.config_hash},
@@ -89,9 +90,8 @@ def _execute(rc: RunConfig, jsonl_path: Path, base_dir: Path):
                   newline="") as fh:
             w = csv.writer(fh)
             w.writerow(_PLOT_COLS)
-            for rec in suite.records:
-                d = rec.to_json_dict()
-                w.writerow([d[c] for c in _PLOT_COLS])
+            w.writerows(itemgetter(*_PLOT_COLS)(vars(rec))
+                        for rec in suite.records)
     return suite, traj, snap_paths
 
 
@@ -298,7 +298,7 @@ def cmd_sweep(args) -> int:
         doc[param] = v
         try:
             tag = f"{float(v):g}"
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             tag = str(v)
         rows.append(_sweep_child(param, v, doc,
                                  out_dir / f"{param}={tag}.jsonl", base_dir))

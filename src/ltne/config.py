@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import MISSING, astuple, dataclass, fields
 from pathlib import Path
 
@@ -113,35 +114,41 @@ def _require(cond: bool, msg: str):
         raise ConfigError(msg)
 
 
-def _typed(field: str, v, kind: type, nullable: bool = False):
+def _typed(field: str, v, kind: type, nullable: bool = False,
+           prefix: str = ""):
     """`v` as a `kind`: bool takes JSON true/false only, int an integer or
-    an integral float, float any number, str/list/dict their JSON type.
-    A scalar of type `kind` is returned as is, a list or dict as a copy."""
+    an integral float, float any number in float range, str/list/dict their
+    JSON type.  A scalar of type `kind` is returned as is, a list or dict as
+    a copy.  Errors name the field as `prefix.field`."""
     if (v is None and nullable) or (type(v) is kind
                                     and kind not in (dict, list)):
         return v
     number = isinstance(v, (int, float)) and not isinstance(v, bool)
     if kind is int and number and (isinstance(v, int) or v.is_integer()):
         return int(v)
-    if kind is float and number:
+    if kind is float and number and abs(v) <= sys.float_info.max:
         return float(v)
     if kind not in (int, float) and isinstance(v, kind):
         return kind(v)
-    raise ConfigError(f"field {field!r}: expected {kind.__name__}, got {v!r}")
+    name = f"{prefix}.{field}" if prefix else field
+    got = "an integer out of float range" if kind is float and number \
+        else repr(v)
+    raise ConfigError(f"field {name!r}: expected {kind.__name__}, got {got}")
 
 
 def _read_block(block, table: dict, name: str = "") -> dict:
     """Type each key of one document block and fill in the defaults."""
     _require(isinstance(block, dict),
              f"{name or 'config root'} must be a JSON object")
-    unknown = set(block) - set(table)
+    unknown = block.keys() - table.keys()
     _require(not unknown,
              f"unknown {name or 'config'} keys: {sorted(unknown)}")
-    missing = [k for k, (_, d) in table.items()
-               if d is _REQUIRED and k not in block]
-    _require(not missing, f"missing {name or 'config'} keys: {missing}")
-    return {key: _typed(f"{name}.{key}" if name else key,
-                        block.get(key, default), kind, default is None)
+    if len(block) < len(table):     # else, with no unknown key, none missing
+        missing = [k for k, (_, d) in table.items()
+                   if d is _REQUIRED and k not in block]
+        _require(not missing, f"missing {name or 'config'} keys: {missing}")
+    return {key: _typed(key, block.get(key, default), kind, default is None,
+                        name)
             for key, (kind, default) in table.items()
             if key in block or default is not _ABSENT}
 

@@ -180,23 +180,18 @@ def jacobian(psi: SpectralField, theta: SpectralField) -> SpectralField:
     returns the exact projection onto the retained modes.
     """
     _check_same_domain(psi, theta)
-    return to_spectral(GridField(_jacobian_values(psi.coeffs, theta.coeffs,
-                                                  psi.dom), psi.dom))
-
-
-def _jacobian_values(cpsi: np.ndarray, cth: np.ndarray, dom: Domain) -> np.ndarray:
-    p = _plan(dom)
-    psi_x = p["Cx"] @ cpsi @ p["Sz"].T
-    psi_z = p["Sx"] @ cpsi @ p["Cz"].T
-    th_x = p["Cx"] @ cth @ p["Sz"].T
-    th_z = p["Sx"] @ cth @ p["Cz"].T
-    return psi_x * th_z - psi_z * th_x
+    return SpectralField(_jacobian_coeffs(psi.coeffs, theta.coeffs, psi.dom),
+                         psi.dom)
 
 
 def _jacobian_coeffs(cpsi: np.ndarray, cth: np.ndarray, dom: Domain) -> np.ndarray:
+    """`jacobian` on bare coefficient arrays: the product of the grid
+    derivatives, analysed back to sine coefficients."""
     p = _plan(dom)
-    return p["analysis_scale"] * (
-        p["Sx"].T @ _jacobian_values(cpsi, cth, dom) @ p["Sz"])
+    Sx, Sz, Cx, Cz = p["Sx"], p["Sz"], p["Cx"], p["Cz"]
+    psi_x, psi_z = Cx @ cpsi @ Sz.T, Sx @ cpsi @ Cz.T
+    th_x, th_z = Cx @ cth @ Sz.T, Sx @ cth @ Cz.T
+    return p["analysis_scale"] * (Sx.T @ (psi_x * th_z - psi_z * th_x) @ Sz)
 
 
 def _hk_weight(dom: Domain, k: int) -> np.ndarray:
@@ -290,9 +285,9 @@ def write_snapshot(path, psi: SpectralField, theta: SpectralField,
         fh.write("\n".join(lines) + "\n")
 
 
-def read_snapshot(path, Mx: int = 0, Mz: int = 0):
-    """Returns (psi, theta, phi, t).  Collocation sizes are not stored in the
-    file; pass Mx/Mz to override the defaults for the restored Domain."""
+def read_snapshot(path):
+    """Returns (psi, theta, phi, t) on a Domain with the default collocation
+    sizes, which the file does not store."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines:
@@ -306,7 +301,7 @@ def read_snapshot(path, Mx: int = 0, Mz: int = 0):
     except ValueError:
         raise ValueError(
             f"{path}: not a v1 snapshot (header {lines[0]!r})") from None
-    dom = Domain(a=a, Nx=Nx, Nz=Nz, Mx=Mx, Mz=Mz)
+    dom = Domain(a=a, Nx=Nx, Nz=Nz)
     fields = {}
     pos = 1
     for name in _FIELD_ORDER:

@@ -6,10 +6,9 @@ import pytest
 from ltne import (CertificateConfig, CertificateSuite, Domain, Params,
                   SpectralField, State, StepperConfig,
                   check_continuous_dependence, check_decay,
-                  check_h1_absorbing, check_tail_regularity,
-                  compute_constants,
+                  check_h1_absorbing, compute_constants,
                   measured_decay_rate, replay_certificates, run,
-                  state_norms, summarize_records)
+                  state_norms, summarize_records, tail_fraction)
 from ltne.certificates import TrajectoryRecord, _RunningTrapz, _trapz_with_err
 
 
@@ -280,6 +279,10 @@ def test_replay_reproduces_online_flags_exactly():
     suite, _ = _suite_run(p, dom, cfg, s0, st)
     fresh, k = replay_certificates(suite.records, p, dom, cfg)
     assert k.rho0_sq == suite.k.rho0_sq
+    # only JSON's own scalars, so a record's stream line is `vars(rec)`
+    scalar = (bool, int, float, str, type(None))
+    assert all(type(v) in scalar
+               for r in suite.records + fresh for v in vars(r).values())
     for a, b in zip(suite.records, fresh):
         for name in ("decay_ok", "decay_slack", "diss_ok", "diss_slack",
                      "psi_absorb_ok", "psi_absorb_slack",
@@ -341,10 +344,11 @@ def test_tail_regularity_pass_and_fail():
     smooth[0, 0] = 1.0
     s_rough = State(SpectralField(rough, dom), z, z)
     s_smooth = State(SpectralField(smooth, dom), z, z)
-    ok_r, frac_r = check_tail_regularity(s_rough, 2, 4, 1e-3)
-    assert not ok_r and frac_r == 1.0
-    ok_s, frac_s = check_tail_regularity(s_smooth, 2, 4, 1e-3)
-    assert ok_s and frac_s == 0.0
+    # the fraction stage (a) stores; stage (b) compares it to the threshold
+    def frac(s):
+        return max(tail_fraction(u, 2, 4) for u in (s.psi, s.theta, s.phi))
+    assert frac(s_rough) == 1.0
+    assert frac(s_smooth) == 0.0
 
 
 def test_measured_decay_rate_exact_exponential():

@@ -280,7 +280,7 @@ def test_sweep_alpha_family(tmp_path, capsys):
 
 def test_sweep_records_child_failure_and_continues(tmp_path, capsys):
     spec = _write(tmp_path / "mix.json",
-                  {"parameter": "alpha", "values": [1.0, -2.0],
+                  {"parameter": "alpha", "values": [1.0, -2.0, 10 ** 400],
                    "base": _base_doc(t_end=0.2)})
     assert main(["sweep", str(spec)]) == 0
     out = capsys.readouterr().out
@@ -290,6 +290,8 @@ def test_sweep_records_child_failure_and_continues(tmp_path, capsys):
     assert rows[0]["status"] == "ok"
     assert rows[1]["status"].startswith("error:")
     assert rows[1]["E_Y_final"] == ""
+    # an integer no float can hold is a malformed value like any other
+    assert rows[2]["status"].startswith("error: field 'alpha'")
 
 
 def test_sweep_spec_validation(tmp_path, capsys):

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from ltne import (ConfigError, SpectralField, State, build_config,
-                  build_initial_state, config_hash, energy_y, load_config,
-                  state_norms, write_snapshot)
+from ltne import (ConfigError, SpectralField, State, StepperConfig,
+                  build_config, build_initial_state, config_hash, energy_y,
+                  load_config, state_norms, write_snapshot)
 from ltne.cli import EXIT_CONFIG, main
 
 
@@ -99,6 +99,19 @@ def test_non_finite_run_length_is_refused(tmp_path, capsys):
     assert "t_end must be finite" in capsys.readouterr().err
 
 
+def test_run_length_not_a_step_multiple_is_refused(tmp_path, capsys):
+    with pytest.raises(ValueError, match="integer multiple of dt"):
+        StepperConfig(dt=0.3, t_end=1.0)
+    doc = _doc(Nx=4, Nz=4, dt=0.001, t_end=0.0105)
+    with pytest.raises(ConfigError, match="integer multiple of dt"):
+        build_config(doc)
+    cfg = tmp_path / "ragged.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert f"{cfg}: t_end must be an integer multiple of dt" \
+        in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("r", [0.0, -1.0, float("nan"), float("inf")])
 def test_bad_uniform_gronwall_window_is_refused(r):
     with pytest.raises(ConfigError, match="window length r"):
@@ -157,6 +170,7 @@ _MALFORMED = [
     (_doc(ic={"kind": "random", "seed": 1, "energy": -1}), "ic.energy"),
     (_doc(ic={"kind": "named", "name": "single_mode", "amplitude": _NAN}),
      "ic.amplitude"),
+    (_doc(Ra=10 ** 400), "field 'Ra'"),
 ]
 
 
@@ -167,8 +181,10 @@ def test_malformed_values_are_config_errors(doc, field):
         build_config(doc)
 
 
-@pytest.mark.parametrize("doc,field", [_MALFORMED[i] for i in (0, 3, 9, 11)],
-                         ids=["top", "certificates", "output", "ic"])
+@pytest.mark.parametrize("doc,field",
+                         [_MALFORMED[i] for i in (0, 3, 9, 11, -1)],
+                         ids=["top", "certificates", "output", "ic",
+                              "int_overflow"])
 def test_malformed_block_exits_3(tmp_path, capsys, doc, field):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(dict(doc, Nx=4, Nz=4, t_end=0.1)))

@@ -6,6 +6,7 @@ from scipy.linalg import expm
 
 from ltne import (Domain, Params, SpectralField, State, StepperConfig,
                   assemble_linear, run, write_snapshot)
+from ltne.integrator import _blowup
 
 
 def _params(**kw):
@@ -175,6 +176,28 @@ def test_blowup_returns_partial_trajectory(sample_log):
     assert "blew up" in tr.failure["error"]
     assert tr.failure["field"] in ("psi", "theta", "phi")
     assert f"in field {tr.failure['field']}" in tr.failure["error"]
+
+
+def test_blowup_verdict_names_the_failing_field():
+    dom = Domain(a=1.0, Nx=4, Nz=4)
+    t = 1.234567891
+    ok = np.full((4, 4), 0.25)
+    at_bound = np.zeros((4, 4))
+    at_bound[0, 0] = 2e12       # norm exactly 1e12: not above it
+    assert _blowup((ok, ok, ok), dom, t) is None
+    # the summed norms exceed the bound, but no single field's does
+    assert _blowup((at_bound, ok, at_bound), dom, t) is None
+    for i, name in enumerate(("psi", "theta", "phi")):
+        for value, detail in ((np.nan, "non-finite coefficients"),
+                              (np.inf, "non-finite coefficients"),
+                              (2.000001e12, "norm exceeded 1e+12")):
+            c = [ok, ok, ok]
+            c[i] = ok.copy()
+            c[i][1, 2] = value
+            assert _blowup(tuple(c), dom, t) == {
+                "t": t, "field": name,
+                "error": f"integration blew up at t=1.23457 in field {name} "
+                         f"({detail})"}
 
 
 def test_run_is_deterministic():
