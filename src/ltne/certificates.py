@@ -25,7 +25,7 @@ those stored scalars alone, for `run` and `certify` alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -52,6 +52,7 @@ _CERT_ROWS = (
     ("tail", "max field tail fraction <= threshold", "tail_ok"),
 )
 CERT_FIELDS = tuple(f for row in _CERT_ROWS for f in row[2:])
+CHECK_NAMES = tuple(row[0] for row in _CERT_ROWS)
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,8 @@ class CertificateConfig:
     carry; it is never quantified analytically, so certificates hold
     relative to the configured value (default 1.0).  c_tilde is the
     auxiliary dissipation-splitting factor, None meaning min(1, 1/alpha)/2.
-    r is the uniform-Gronwall window length.
+    r is the uniform-Gronwall window length.  `checks` switches each of
+    the CHECK_NAMES on or off; a name it leaves out is on.
     """
 
     mso: float = 1.0
@@ -72,6 +74,7 @@ class CertificateConfig:
     tail_cutoff: int | None = None
     tail_threshold: float = 1e-3
     tail_warmup: float = 0.5
+    checks: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not 0 < self.r < math.inf:
@@ -86,6 +89,14 @@ class CertificateConfig:
             raise ValueError("tail_k must be >= 0")
         if self.tail_cutoff is not None and self.tail_cutoff < 1:
             raise ValueError("tail_cutoff must be null or >= 1")
+        unknown = sorted(self.checks.keys() - set(CHECK_NAMES))
+        if unknown:
+            raise ValueError(f"unknown certificate toggles: {unknown}")
+        if any(type(on) is not bool for on in self.checks.values()):
+            raise ValueError(f"certificate toggles must be true or false, "
+                             f"got {self.checks}")
+        object.__setattr__(self, "checks",
+                           dict.fromkeys(CHECK_NAMES, True) | self.checks)
 
 
 @dataclass(frozen=True)
@@ -400,18 +411,15 @@ def measured_decay_rate(times, values, t_lo: float = 1.0, t_hi: float = 5.0
 class _Certifier:
     """Stage (b): sets every flag and slack in CERT_FIELDS from the stored
     scalars of one run's records, fed in sample order, so `run` and
-    `certify` derive bit-identical flags."""
+    `certify` derive bit-identical flags.  The constants come from `n0`,
+    the squared norms of the run's first sample."""
 
-    def __init__(self, p: Params, k: CertificateConstants,
-                 cfg: CertificateConfig, checks: dict | None):
-        self.p, self.k, self.cfg = p, k, cfg
-        self.checks = {name: True for name in CertificateSuite.CHECK_NAMES}
-        if checks:
-            unknown = set(checks) - set(self.checks)
-            if unknown:
-                raise ValueError(
-                    f"unknown certificate toggles: {sorted(unknown)}")
-            self.checks.update({name: bool(v) for name, v in checks.items()})
+    def __init__(self, p: Params, dom: Domain, cfg: CertificateConfig,
+                 n0: dict):
+        self.p, self.cfg = p, cfg
+        self.k = compute_constants(
+            p, dom, cfg, rho0_sq=n0["theta_sq"] + n0["phi_sq"],
+            lap_psi0_sq=n0["lap_psi_sq"])
         self.init = self.anchor = None
         self.diss = _RunningTrapz()
         # h1 window: rows t, E_half, M10 in columns lo:hi of a buffer that is
@@ -420,7 +428,7 @@ class _Certifier:
         self.lo = self.hi = 0
 
     def __call__(self, rec: TrajectoryRecord) -> TrajectoryRecord:
-        p, k, on = self.p, self.k, self.checks
+        p, k, on = self.p, self.k, self.cfg.checks
         if self.init is None:
             self.init = rec
         if on["decay"]:
@@ -466,24 +474,17 @@ class CertificateSuite:
     the records therefore reproduces all flags and slacks bit-identically.
     """
 
-    CHECK_NAMES = tuple(row[0] for row in _CERT_ROWS)
-
     def __init__(self, p: Params, dom: Domain, cfg: CertificateConfig,
-                 s0: State, config_hash: str = "",
-                 checks: dict | None = None):
+                 s0: State, config_hash: str = ""):
         self.p, self.dom, self.cfg = p, dom, cfg
         self.config_hash = config_hash
-        n0 = state_norms(s0)
-        self.k = compute_constants(
-            p, dom, cfg, rho0_sq=n0["theta_sq"] + n0["phi_sq"],
-            lap_psi0_sq=n0["lap_psi_sq"])
-        self._certify = _Certifier(p, self.k, cfg, checks)
-        self.checks = self._certify.checks
-        self.cutoff = cfg.tail_cutoff
-        if self.cutoff is None:
-            self.cutoff = max(1, min(dom.Nx, dom.Nz) // 2)
-        if not 1 <= self.cutoff < min(dom.Nx, dom.Nz):
-            raise ValueError(f"tail cutoff {self.cutoff} out of range")
+        self._certify = _Certifier(p, dom, cfg, state_norms(s0))
+        self.k = self._certify.k
+        n = min(dom.Nx, dom.Nz)
+        self.cutoff = cfg.tail_cutoff or max(1, n // 2)
+        if cfg.checks["tail"] and self.cutoff >= n:
+            raise ValueError(f"certificates.tail_cutoff {self.cutoff} out of "
+                             f"range: need < min(Nx, Nz) = {n}")
         self.records: list[TrajectoryRecord] = []
 
     def on_sample(self, t: float, s: State, s_pre: State | None,
@@ -499,7 +500,7 @@ class CertificateSuite:
         if s_pre is not None:
             dE = rec.E_Y - energy_y(state_norms(s_pre), p)
             rec.dEY_dt_disc = dE / dt
-            if self.checks["ebal"]:
+            if cfg.checks["ebal"]:
                 mid = State(_avg(s_pre.psi, s.psi), _avg(s_pre.theta, s.theta),
                             _avg(s_pre.phi, s.phi), 0.5 * (s_pre.t + s.t))
                 n_mid = state_norms(mid)
@@ -507,7 +508,7 @@ class CertificateSuite:
                 rec.ebal_resid = abs(dE / (2.0 * dt) - rec.R_mid)
                 rec.E_half_mid = energy_half(n_mid, p)
                 rec.E_Y_mid = energy_y(n_mid, p)
-        if self.checks["tail"] and t >= cfg.tail_warmup:
+        if cfg.checks["tail"] and t >= cfg.tail_warmup:
             rec.tail_frac_k2 = max(tail_fraction(u, cfg.tail_k, self.cutoff)
                                    for u in (s.psi, s.theta, s.phi))
         self.records.append(self._certify(rec))
@@ -517,20 +518,16 @@ class CertificateSuite:
 # -- offline re-certification ------------------------------------------------
 
 def replay_certificates(stored: list, p: Params, dom: Domain,
-                        cfg: CertificateConfig, checks: dict | None = None
+                        cfg: CertificateConfig
                         ) -> tuple[list, CertificateConstants]:
     """Re-derive every flag and slack in CERT_FIELDS from a stored record
     stream through the same stage (b) as the online suite.  Returns fresh
     records (the stored ones are left untouched) plus the constants used."""
     if not stored:
         raise ValueError("empty record stream")
-    first = stored[0]
-    k = compute_constants(p, dom, cfg,
-                          rho0_sq=first.theta_sq + first.phi_sq,
-                          lap_psi0_sq=first.lap_psi_sq)
-    certify = _Certifier(p, k, cfg, checks)
+    certify = _Certifier(p, dom, cfg, vars(stored[0]))
     cleared = dict.fromkeys(CERT_FIELDS)
-    return [certify(replace(r, **cleared)) for r in stored], k
+    return [certify(replace(r, **cleared)) for r in stored], certify.k
 
 
 def summarize_records(recs: list) -> list[dict]:

@@ -71,8 +71,7 @@ def _execute(rc: RunConfig, jsonl_path: Path, base_dir: Path):
     """Build IC, integrate with the certificate suite attached, write the
     JSONL stream plus any configured snapshot/plot artifacts."""
     s0 = build_initial_state(rc.ic, rc.dom, rc.p)
-    suite = CertificateSuite(rc.p, rc.dom, rc.cert_cfg, s0, rc.config_hash,
-                             checks=rc.checks)
+    suite = CertificateSuite(rc.p, rc.dom, rc.cert_cfg, s0, rc.config_hash)
     traj = integrate(s0, rc.p, rc.stepper, monitors=suite,
                      snapshot_times=tuple(rc.output["snapshot_at"]))
     jsonl_path.parent.mkdir(parents=True, exist_ok=True)
@@ -130,7 +129,7 @@ def cmd_run(args) -> int:
         if rc.output["jsonl"] else cfg_path.with_suffix(".jsonl")
     try:
         suite, traj, snap_paths = _execute(rc, jsonl_path, base_dir)
-    except (ConfigError, ValueError) as e:
+    except ValueError as e:
         return _fail(str(e))
     p, dom, k = rc.p, rc.dom, suite.k
     print(f"run {cfg_path.name}  hash {rc.config_hash}")
@@ -166,7 +165,7 @@ def cmd_certify(args) -> int:
     lines = text.splitlines()
     try:
         head = _read_block(json.loads(lines[0]), _HEADER, "header")
-    except (json.JSONDecodeError, ConfigError) as e:
+    except ValueError as e:     # ConfigError, JSONDecodeError, huge integers
         return _fail(f"{path}:1: not a meta line ({e})")
     resolved, stored_hash = head["meta"], head["config_hash"]
     if config_hash(resolved) != stored_hash:
@@ -174,16 +173,19 @@ def cmd_certify(args) -> int:
                      "its own config document")
     try:    # IC files need not still exist offline
         rc = build_config(dict(resolved, ic={"kind": "zero"}))
+    except ValueError as e:
+        return _fail(f"{path}: stored config does not rebuild: {e}")
+    try:
         cert_cfg = rc.cert_cfg if args.mso is None \
             else replace(rc.cert_cfg, mso=args.mso)
     except ValueError as e:
-        return _fail(f"{path}: stored config does not rebuild: {e}")
+        return _fail(f"--mso {args.mso:g}: {e}")
     records, blowup = [], None
     for i, ln in enumerate(lines[1:], start=2):
         try:
             d = json.loads(ln)
-        except json.JSONDecodeError as e:
-            return _fail(f"{path}:{i}: malformed JSON ({e.msg})")
+        except ValueError as e:     # JSONDecodeError or a huge integer
+            return _fail(f"{path}:{i}: malformed JSON ({e})")
         is_marker = isinstance(d, dict) and "blowup" in d
         if is_marker and i != len(lines):
             return _fail(f"{path}:{i}: blowup marker before end of file")
@@ -207,8 +209,7 @@ def cmd_certify(args) -> int:
         return _fail(f"{path}: truncated: last sample t={records[-1].t:g} "
                      f"but the run covers t_end={t_end:g}")
 
-    replayed, k = replay_certificates(records, rc.p, rc.dom, cert_cfg,
-                                      checks=rc.checks)
+    replayed, k = replay_certificates(records, rc.p, rc.dom, cert_cfg)
     if args.mso is None:
         mismatches = _flag_mismatches(records, replayed)
         if mismatches:
@@ -289,24 +290,24 @@ def cmd_sweep(args) -> int:
 
     out_dir = _resolve(spec.get("output_dir", spec_path.stem + "_runs"),
                        base_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = _resolve(spec.get("csv", spec_path.stem + ".csv"), base_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
-    for v in spec["values"]:
-        doc = json.loads(json.dumps(base))
-        doc[param] = v
-        try:
-            tag = f"{float(v):g}"
-        except (TypeError, ValueError, OverflowError):
-            tag = str(v)
-        rows.append(_sweep_child(param, v, doc,
-                                 out_dir / f"{param}={tag}.jsonl", base_dir))
-    with open(csv_path, "w", newline="") as fh:
+    with open(csv_path, "w", newline="") as fh:    # before any row runs
         w = csv.DictWriter(fh, fieldnames=_SWEEP_COLS)
         w.writeheader()
-        for row in rows:
-            w.writerow(row)
+        for v in spec["values"]:
+            doc = json.loads(json.dumps(base))
+            doc[param] = v
+            try:
+                tag = f"{float(v):g}"
+            except (TypeError, ValueError, OverflowError):
+                tag = str(v)
+            rows.append(_sweep_child(param, v, doc,
+                                     out_dir / f"{param}={tag}.jsonl",
+                                     base_dir))
+            w.writerow(rows[-1])
     bad = [r for r in rows if str(r["status"]) != "ok"]
     print(f"sweep {param} over {len(rows)} values -> {csv_path}")
     for r in bad:
@@ -379,7 +380,10 @@ def main(argv=None) -> int:
     pl.add_argument("--out", default=None, help="output CSV path")
     pl.set_defaults(func=cmd_linearize)
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as e:    # an output path that cannot be written
+        return _fail(str(e))
 
 
 if __name__ == "__main__":

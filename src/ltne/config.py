@@ -18,7 +18,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import MISSING, astuple, dataclass, fields
+from dataclasses import MISSING, astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +27,7 @@ from .params import Domain, Params, PhysicalParams, nondimensionalize
 from .spectral import SpectralField, read_snapshot
 from .dynamics import State, assemble_linear, state_norms
 from .integrator import StepperConfig
-from .certificates import (CertificateConfig, CertificateSuite,
-                           TrajectoryRecord, energy_y)
+from .certificates import CertificateConfig, TrajectoryRecord, energy_y
 
 # In the order of the Params fields (`lambda` is `Params.lam`).
 _DIMENSIONLESS_KEYS = ("Ra", "Pr", "Da", "C", "lambda", "gamma", "alpha")
@@ -37,7 +36,7 @@ _DIMENSIONLESS_KEYS = ("Ra", "Pr", "Da", "C", "lambda", "gamma", "alpha")
 # key is resolved only if given, a _REQUIRED one must be given; a None
 # default admits null.
 _ABSENT, _REQUIRED = object(), object()
-_TYPES = {"float": float, "int": int, "bool": bool, "str": str}
+_TYPES = {"float": float, "int": int, "bool": bool, "str": str, "dict": dict}
 
 
 def _table(cls) -> dict:
@@ -103,7 +102,6 @@ class RunConfig:
     stepper: StepperConfig
     ic: dict
     cert_cfg: CertificateConfig
-    checks: dict
     output: dict
     resolved: dict
     config_hash: str
@@ -200,17 +198,13 @@ def build_config(doc: dict, base_dir: Path | str = ".") -> RunConfig:
              f"ic.energy must be >= 0, got {ic.get('energy')}")
 
     cert = _read_block(top["certificates"], _CERTIFICATES, "certificates")
-    checks = dict.fromkeys(CertificateSuite.CHECK_NAMES, True)
-    for name, on in cert["checks"].items():
-        _require(name in checks, f"unknown certificate toggle {name!r}")
-        checks[name] = _typed(f"certificates.checks.{name}", on, bool)
-    cert["checks"] = checks
     try:
         cert_cfg = _build(CertificateConfig, cert)
     except ValueError as e:
         raise ConfigError(f"certificates block: {e}")
+    cert["checks"] = checks = dict(cert_cfg.checks)   # hashed as given
     if not cert["enabled"]:
-        checks = dict.fromkeys(checks, False)
+        cert_cfg = replace(cert_cfg, checks=dict.fromkeys(checks, False))
 
     output = _read_block(top["output"], _OUTPUT, "output")
     for t in output["snapshot_at"]:
@@ -220,7 +214,7 @@ def build_config(doc: dict, base_dir: Path | str = ".") -> RunConfig:
     resolved = {**top, **numbers, "Mx": dom.Mx, "Mz": dom.Mz, "ic": ic,
                 "certificates": cert, "output": output}
     return RunConfig(p=p, dom=dom, stepper=stepper, ic=ic, cert_cfg=cert_cfg,
-                     checks=checks, output=output, resolved=resolved,
+                     output=output, resolved=resolved,
                      config_hash=config_hash(resolved))
 
 
@@ -229,10 +223,10 @@ def read_json(path):
     (and the line and column of a syntax error) if it cannot be read."""
     try:
         return json.loads(Path(path).read_text())
-    except (OSError, UnicodeDecodeError) as e:
-        raise ConfigError(f"{path}: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}:{e.lineno}:{e.colno}: {e.msg}")
+    except (OSError, ValueError) as e:  # also not UTF-8, or a huge integer
+        raise ConfigError(f"{path}: {e}")
 
 
 def load_config(path) -> RunConfig:

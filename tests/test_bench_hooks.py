@@ -1,17 +1,23 @@
-"""The names the benchmark's tracer wraps must exist in the package.
+"""The names the benchmark uses must exist in the package.
 
 `perfbench/child.py --trace` replaces attributes of `ltne.cli` and
-`CertificateSuite.on_sample` by timed wrappers; a refactor that renames or
-deletes one of them breaks the per-layer benchmark, not the package.
+`CertificateSuite.on_sample` by timed wrappers, and both `child.py` and
+`perfbench/baselines.py` import from `ltne`; a refactor that renames or
+deletes one of these names, or changes a signature they call, breaks the
+benchmark, not the package.
 """
 
+import ast
+import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import ltne.cli
 from ltne import CertificateSuite
 
 CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
+BASELINES = CHILD.with_name("baselines.py")
 
 
 def test_traced_names_exist():
@@ -21,3 +27,18 @@ def test_traced_names_exist():
     for name in [*child.TRACED, "_execute", "main"]:
         assert callable(getattr(ltne.cli, name, None)), name
     assert callable(CertificateSuite.on_sample)
+
+
+def test_imported_names_exist_and_calls_bind():
+    for path in (CHILD, BASELINES):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 \
+                    and node.module.split(".")[0] == "ltne":
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert hasattr(module, alias.name), \
+                        (path.name, node.module, alias.name)
+    # bound as `baselines.py` calls them, positionally
+    inspect.signature(CertificateSuite).bind("p", "dom", "cfg", "s0")
+    inspect.signature(ltne.cli._sweep_child).bind(
+        "Ra", 10.0, {}, Path("Ra=10.jsonl"), Path("."))

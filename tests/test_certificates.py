@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ def _params(**kw):
 
 
 def _suite_run(p, dom, cfg, s0, stepper_cfg, checks=None):
-    suite = CertificateSuite(p, dom, cfg, s0, checks=checks)
+    if checks is not None:
+        cfg = replace(cfg, checks=checks)
+    suite = CertificateSuite(p, dom, cfg, s0)
     traj = run(s0, p, stepper_cfg, monitors=suite)
     return suite, traj
 
@@ -307,9 +310,8 @@ def test_replay_reproduces_online_flags_exactly():
             m10, k, p) == (r.h1_absorb_ok, r.h1_absorb_slack)
         checked += 1
     assert checked == 16
-    off, _ = replay_certificates(suite.records, p, dom, cfg,
-                                 checks={"ebal": False, "tail": False,
-                                         "decay": False})
+    off, _ = replay_certificates(suite.records, p, dom, replace(
+        cfg, checks={"ebal": False, "tail": False, "decay": False}))
     assert all(r.ebal_ineq_ok is None and r.tail_ok is None
                and r.decay_ok is None for r in off)
 
@@ -377,7 +379,7 @@ def test_suite_check_toggles_and_cutoff_validation():
     cfg = CertificateConfig()
     s0 = State.zero(dom)
     with pytest.raises(ValueError, match="unknown certificate toggles"):
-        CertificateSuite(p, dom, cfg, s0, checks={"nope": True})
+        CertificateConfig(checks={"nope": True})
     with pytest.raises(ValueError, match="cutoff"):
         CertificateSuite(p, dom, CertificateConfig(tail_cutoff=8), s0)
     suite, _ = _suite_run(p, dom, cfg, s0,

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -130,6 +131,11 @@ def test_certify_rejects_truncation(tmp_path, capsys):
     jsonl.write_text(lines[0] + "\n" + "{bad\n" + "\n".join(lines[2:]) + "\n")
     assert main(["certify", str(jsonl)]) == 3
     assert ":2: malformed JSON" in capsys.readouterr().err
+    # an integer longer than Python parses (4300 digits) is malformed too
+    huge = re.sub(r'"t": [^,]+', '"t": ' + "9" * 5001, lines[2], count=1)
+    jsonl.write_text("\n".join(lines[:2] + [huge] + lines[3:]) + "\n")
+    assert main(["certify", str(jsonl)]) == 3
+    assert f"{jsonl}:3: malformed JSON" in capsys.readouterr().err
 
 
 def test_certify_mso_override_loosens_only(tmp_path, capsys):
@@ -139,6 +145,11 @@ def test_certify_mso_override_loosens_only(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "M_so overridden to 1000" in out
     assert "verdict: PASS" in out
+    for bad in ("-1", "nan"):     # the flag is at fault, not the stream
+        assert main(["certify", str(jsonl), "--mso", bad]) == 3
+        err = capsys.readouterr().err
+        assert f"--mso {bad}: mso must be" in err
+        assert "does not rebuild" not in err
 
 
 def test_run_with_certificates_disabled(tmp_path, capsys):
@@ -235,6 +246,56 @@ def test_run_config_errors(tmp_path, capsys):
     for cmd in ("run", "sweep", "certify"):
         assert main([cmd, str(binary)]) == 3, cmd
         assert "binary.json" in capsys.readouterr().err, cmd
+    # an integer longer than Python parses (4300 digits)
+    huge = "9" * 5001
+    (tmp_path / "huge.json").write_text('{"Ra": %s}\n' % huge)
+    (tmp_path / "huge_sweep.json").write_text(
+        '{"parameter": "Ra", "values": [%s], "base": {}}\n' % huge)
+    for cmd, name in (("run", "huge.json"), ("sweep", "huge_sweep.json")):
+        assert main([cmd, str(tmp_path / name)]) == 3, cmd
+        assert f"{name}: " in capsys.readouterr().err, cmd
+
+
+def test_unwritable_outputs_exit_3(tmp_path, capsys):
+    nodir = tmp_path / "nodir" / "x.csv"
+    (tmp_path / "dir.jsonl").mkdir()
+    run_doc = _write(tmp_path / "dir.json", _base_doc(
+        t_end=0.1, output={"jsonl": "dir.jsonl"}))
+    cases = [   # (command line, the path its error must name)
+        (["run", _write(tmp_path / "plot.json", _base_doc(
+            t_end=0.1, output={"plot_csv": str(nodir)}))], nodir),
+        (["run", run_doc], tmp_path / "dir.jsonl"),
+        (["run", _write(tmp_path / "snap.json", _base_doc(
+            t_end=0.1, output={"snapshot_at": [0.0],
+                               "snapshot_prefix": str(nodir)}))], nodir),
+        (["sweep", _write(tmp_path / "sw.json", {
+            "parameter": "Ra", "values": [1.0],
+            "base": _base_doc(t_end=0.1), "csv": str(nodir)})], nodir),
+        (["linearize", run_doc, "--out", nodir], nodir),
+    ]
+    for argv, named in cases:
+        assert main([str(a) for a in argv]) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(named) in err, err
+    # the sweep fails before its first row runs
+    assert not (tmp_path / "sw_runs" / "Ra=1.jsonl").exists()
+
+
+def test_tail_cutoff_range_applies_only_with_tail_check(tmp_path, capsys):
+    # min(Nx, Nz) = 1 leaves no tail above any cutoff >= 1
+    for i, cert in enumerate(({"checks": {"tail": False}},
+                              {"enabled": False})):
+        cfg = _write(tmp_path / f"col{i}.json", _base_doc(
+            Nx=1, t_end=0.2, certificates=cert))
+        assert main(["run", str(cfg)]) == 0
+        assert main(["certify", str(cfg.with_suffix(".jsonl"))]) == 0
+        out = capsys.readouterr().out
+        assert "tail        skipped" in out and "verdict: PASS" in out
+    cfg = _write(tmp_path / "col.json", _base_doc(Nx=1, t_end=0.2))
+    assert main(["run", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "certificates.tail_cutoff 1 out of range" in err
+    assert "min(Nx, Nz) = 1" in err
 
 
 def test_sweep_empty_values(tmp_path, capsys):

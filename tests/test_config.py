@@ -31,7 +31,7 @@ def test_defaults_resolved():
     assert rc.ic == {"kind": "zero"}
     assert rc.resolved["certificates"]["enabled"] is True
     assert rc.cert_cfg.mso == 1.0 and rc.cert_cfg.r == 1.0
-    assert all(rc.checks.values())
+    assert all(rc.cert_cfg.checks.values())
     assert rc.output["jsonl"] is None and rc.output["snapshot_at"] == []
     assert len(rc.config_hash) == 16
     # the resolved doc is itself a valid config that resolves identically
@@ -121,7 +121,7 @@ def test_bad_uniform_gronwall_window_is_refused(r):
 def test_certificates_disabled_turns_every_check_off():
     given = {"enabled": False, "checks": {"decay": True, "tail": False}}
     rc = build_config(_doc(certificates=given))
-    assert not any(rc.checks.values())
+    assert not any(rc.cert_cfg.checks.values())
     block = rc.resolved["certificates"]    # kept as the user gave it
     assert block["enabled"] is False
     assert block["checks"]["decay"] is True
@@ -170,6 +170,7 @@ _MALFORMED = [
     (_doc(ic={"kind": "random", "seed": 1, "energy": -1}), "ic.energy"),
     (_doc(ic={"kind": "named", "name": "single_mode", "amplitude": _NAN}),
      "ic.amplitude"),
+    (_doc(certificates={"checks": {"tail": 1}}), "toggles must be true"),
     (_doc(Ra=10 ** 400), "field 'Ra'"),
 ]
 
