@@ -25,13 +25,15 @@ those stored scalars alone, for `run` and `certify` alike.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .params import Domain, Params, poincare_constant
-from .spectral import SpectralField, tail_fraction
-from .dynamics import State, _energy_identity_rhs, state_norms
+from .spectral import _hk_weight
+from .dynamics import (NORMS, State, _energy_identity_rhs, _sq_norms,
+                       _stack, state_norms)
 
 _REL_TOL = 1e-9     # roundoff allowance on certified inequalities
 
@@ -205,21 +207,6 @@ def energy_half(norms: dict, p: Params) -> float:
         + p.alpha * norms["grad_phi_sq"]
 
 
-def _trapz_with_err(h: np.ndarray, fs: np.ndarray) -> tuple[float, float]:
-    """Trapezoid integral of samples `fs` over intervals of widths `h`, plus
-    an error estimate from second differences: per-interval error
-    ~ h^3 |f''|/12 with f'' ~ second difference / h^2."""
-    if len(fs) < 2:
-        return 0.0, 0.0
-    integral = float((h * (fs[1:] + fs[:-1]) / 2.0).sum())   # np.trapezoid
-    if len(fs) == 2:
-        return integral, 0.25 * float(abs(fs[1] - fs[0]) * h[0])
-    d2 = np.abs(np.diff(fs, 2))          # ~ h^2 |f''| at interior points
-    d2 = np.concatenate([d2[:1], d2, d2[-1:]])   # reuse neighbors at edges
-    err = float(np.sum(h * 0.5 * (d2[:-1] + d2[1:])) / 12.0)
-    return integral, err
-
-
 def _neumaier(s: float, c: float, x: float) -> tuple[float, float]:
     """Compensated s + x: the new sum and the new running correction."""
     t = s + x
@@ -228,35 +215,108 @@ def _neumaier(s: float, c: float, x: float) -> tuple[float, float]:
 
 
 class _RunningTrapz:
-    """`_trapz_with_err` over a growing sample sequence, O(1) per sample,
-    with Neumaier-compensated sums.  Interval i carries the error share
-    h_i (e_i + e_{i+1}) / 2, e the interior second differences with each end
-    reusing its neighbour's; only the last interval's share is provisional."""
+    """Trapezoid integral of a growing sample sequence plus an error
+    estimate from second differences, O(1) per sample, with
+    Neumaier-compensated sums.  Interval i contributes the trapezoid term
+    h_i (f_i + f_{i+1}) / 2 and the error term h_i (e_i + e_{i+1}) / 2, e the
+    interior second differences |f_{i+1} - 2 f_i + f_{i-1}| with each end
+    reusing its neighbour's; the estimate is the error terms' sum over 12,
+    or |f_1 - f_0| h_0 / 4 for two samples."""
 
     def __init__(self):
         self.n = 0
         self.integral = self.settled = (0.0, 0.0)   # (sum, correction)
 
+    def step(self, t: float, f: float) -> int:
+        """Append the sample (t, f) and return how many came before it.
+        Then `term` is the newest interval's trapezoid term, and from the
+        third sample on `inner` is the error term of the interval before it
+        (settled now that both its ends are known) and `edge` the newest
+        interval's, which reuses its left end's e."""
+        n, self.n = self.n, self.n + 1
+        if n:
+            h, df = t - self.t, f - self.f
+            self.term = h * (self.f + f) / 2.0
+            if n > 1:
+                d2 = abs(df - self.df)
+                self.inner = self.h * 0.5 * ((self.d2 if n > 2 else d2) + d2)
+                self.edge = h * 0.5 * (d2 + d2)
+                self.d2 = d2
+            self.h, self.df = h, df
+        self.t, self.f = t, f
+        return n
+
     def add(self, t: float, f: float) -> tuple[float, float]:
         """Append the sample (t, f); return the integral and its error
         estimate over all samples so far."""
-        n, self.n = self.n, self.n + 1
+        n = self.step(t, f)
         if n == 0:
-            self.t, self.f = t, f
             return 0.0, 0.0
-        h, df = t - self.t, f - self.f
-        self.integral = _neumaier(*self.integral, h * (self.f + f) / 2.0)
+        self.integral = _neumaier(*self.integral, self.term)
         if n == 1:
-            err = 0.25 * (abs(df) * h)
-        else:
-            d2 = abs(df - self.df)
-            e_prev = self.d2 if n > 2 else d2
-            self.settled = _neumaier(*self.settled,
-                                     self.h * 0.5 * (e_prev + d2))
-            err = sum(_neumaier(*self.settled, h * 0.5 * (d2 + d2))) / 12.0
-            self.d2 = d2
-        self.t, self.f, self.h, self.df = t, f, h, df
-        return sum(self.integral), err
+            return sum(self.integral), 0.25 * (abs(self.df) * self.h)
+        self.settled = _neumaier(*self.settled, self.inner)
+        return (sum(self.integral),
+                sum(_neumaier(*self.settled, self.edge)) / 12.0)
+
+
+class _H1Window:
+    """The uniform-Gronwall window over the integrands (M10, E_half): the
+    samples from the last one at least r old, in columns lo:hi of a buffer
+    that is compacted in place.  Rows: t, the two integrands, and for the
+    interval that ends at the column its two trapezoid terms and its two
+    error terms, stepped by one `_RunningTrapz` per integrand as samples
+    arrive.  `sums` reduces the stored terms: element for element the
+    array an exact recomputation over the window sums, in the same order,
+    hence bit-identical to it.  Nothing is subtracted: E_half decays over
+    tens of orders of magnitude along a run, and a running sum that drops
+    departed terms cancels."""
+
+    def __init__(self, r: float):
+        self.r, self.buf = r, np.empty((7, 16))
+        self.lo = self.hi = 0
+        self.accs = (_RunningTrapz(), _RunningTrapz())
+
+    def add(self, t: float, fs: tuple) -> bool:
+        """Append the sample (t, (M10, E_half)), drop the samples the window
+        has left behind, and return whether it spans r."""
+        if self.hi == self.buf.shape[1]:    # full: compact and grow
+            live = self.hi - self.lo
+            self.buf = np.pad(self.buf[:, self.lo:], ((0, 0), (0, live + 16)))
+            self.lo, self.hi = 0, live
+        b, j = self.buf, self.hi
+        b[0, j], self.hi = t, j + 1
+        for i, (acc, f) in enumerate(zip(self.accs, fs)):
+            acc.step(t, f)
+            b[1 + i, j] = f
+            if acc.n > 1:
+                b[3 + i, j] = acc.term
+            if acc.n > 2:   # the interval before is interior now
+                b[5 + i, j - 1], b[5 + i, j] = acc.inner, acc.edge
+        edge = t - self.r * (1 - 1e-12)
+        while self.hi - self.lo > 1 and b[0, self.lo + 1] <= edge:
+            self.lo += 1
+        return b[0, self.lo] <= edge
+
+    def sums(self) -> tuple[float, float, float]:
+        """(a1, a3, r_eff): the trapezoid integrals of M10 and E_half over
+        the window, each with its error estimate added, and its length.
+        The first interval's stored error term is overwritten first with
+        the one a window starting there gives it (lo never moves back)."""
+        b, lo, hi = self.buf, self.lo, self.hi
+        r_eff = float(b[0, hi - 1] - b[0, lo])
+        if hi - lo < 2:     # r below the resolution of t
+            return 0.0, 0.0, r_eff
+        h = b[0, lo + 1] - b[0, lo]
+        if hi - lo == 2:
+            a = b[3:5, hi - 1]
+            err = 0.25 * (abs(b[1:3, hi - 1] - b[1:3, lo]) * h)
+        else:   # the first interval reuses its right end's e
+            d2 = np.abs(np.diff(b[1:3, lo:lo + 3], 2))[:, 0]
+            b[5:7, lo + 1] = h * 0.5 * (d2 + d2)
+            s = b[3:7, lo + 1:hi].sum(axis=1)
+            a, err = s[:2], s[2:] / 12.0
+        return (*(a + err).tolist(), r_eff)
 
 
 # -- individual certificates -------------------------------------------------
@@ -315,26 +375,21 @@ def check_psi_absorbing(rec: TrajectoryRecord, rec_anchor: TrajectoryRecord,
     return ok, (rhs - lhs) / rhs, ball_ok
 
 
-def check_h1_absorbing(ts: np.ndarray, ys: np.ndarray, m10: np.ndarray,
+def check_h1_absorbing(a1: float, a3: float, r_eff: float, y_t: float,
                        k: CertificateConstants, p: Params
                        ) -> tuple[bool, float]:
-    """Uniform-Gronwall bound over a window [t - r, t] of samples at times
-    `ts`: y(t) <= (a3/r + a2) e^{a1} with y the H1-level energy `ys`,
-    a1 = int M10, a2 = (lam^2 + gamma^2 lam^2) rho_R^2 r / 2, a3 = int y.
-    Compared in log space; quadrature error enlarges the bound side."""
-    r_eff = float(ts[-1] - ts[0])
-    h = np.diff(ts)
-    a1, e1 = _trapz_with_err(h, m10)
-    a3, e3 = _trapz_with_err(h, ys)
+    """Uniform-Gronwall bound over a window [t - r_eff, t] of samples:
+    y(t) <= (a3/r + a2) e^{a1} with y the H1-level energy, y_t = y(t),
+    a1 = int M10 and a3 = int y over the window, each with its quadrature
+    error estimate already added (the bound side), and
+    a2 = (lam^2 + gamma^2 lam^2) rho_R^2 r / 2.  Compared in log space."""
     a2 = (p.lam ** 2 + p.gamma ** 2 * p.lam ** 2) * k.rho_R_sq * r_eff / 2.0
-    y_t = float(ys[-1])
     if y_t == 0.0:
         return True, math.inf
-    base = (a3 + e3) / r_eff + a2
+    base = a3 / r_eff + a2
     if base <= 0.0:
         return False, -math.inf
-    log_rhs = math.log(base) + (a1 + e1)
-    slack = log_rhs - math.log(y_t)
+    slack = math.log(base) + a1 - math.log(y_t)
     return slack >= -math.log1p(_REL_TOL), slack
 
 
@@ -348,10 +403,6 @@ def check_energy_balance(rec: TrajectoryRecord, k: CertificateConstants
     bound = -k.M1 * eh + k.M2 * ey
     scale = max(abs(2.0 * R), k.M1 * eh, k.M2 * ey, 1e-300)
     return 2.0 * R <= bound + _REL_TOL * scale
-
-
-def _avg(u, v):
-    return SpectralField(0.5 * (u.coeffs + v.coeffs), u.dom)
 
 
 def check_continuous_dependence(statesA, statesB, k: CertificateConstants,
@@ -369,9 +420,7 @@ def check_continuous_dependence(statesA, statesB, k: CertificateConstants,
         raise ValueError("trajectories have different sample grids")
     prefix, worst, D0 = _RunningTrapz(), math.inf, None
     for sa, sb in zip(statesA, statesB):
-        diff = state_norms(State(
-            psi=_diff(sa.psi, sb.psi), theta=_diff(sa.theta, sb.theta),
-            phi=_diff(sa.phi, sb.phi), t=sa.t))
+        diff = _sq_norms(_stack(sa) - _stack(sb), sa.dom)
         D = (p.Da / p.Pr) * diff["grad_psi_sq"] + diff["theta_sq"] \
             + p.alpha * diff["phi_sq"]
         na = state_norms(sa)
@@ -387,10 +436,6 @@ def check_continuous_dependence(statesA, statesB, k: CertificateConstants,
             return False, -math.inf
         worst = min(worst, math.log(D0) + integral + qerr - math.log(D))
     return worst >= -math.log1p(_REL_TOL), worst
-
-
-def _diff(u, v):
-    return SpectralField(u.coeffs - v.coeffs, u.dom)
 
 
 def measured_decay_rate(times, values, t_lo: float = 1.0, t_hi: float = 5.0
@@ -422,10 +467,7 @@ class _Certifier:
             lap_psi0_sq=n0["lap_psi_sq"])
         self.init = self.anchor = None
         self.diss = _RunningTrapz()
-        # h1 window: rows t, E_half, M10 in columns lo:hi of a buffer that is
-        # compacted in place, so each check reads contiguous views
-        self.win = np.empty((3, 16))
-        self.lo = self.hi = 0
+        self.h1 = _H1Window(cfg.r)
 
     def __call__(self, rec: TrajectoryRecord) -> TrajectoryRecord:
         p, k, on = self.p, self.k, self.cfg.checks
@@ -445,20 +487,10 @@ class _Certifier:
                 rec.psi_absorb_ok, rec.psi_absorb_slack, \
                     rec.psi_absorb_ball_ok = \
                     check_psi_absorbing(rec, self.anchor, k, p)
-            if self.hi == self.win.shape[1]:    # full: compact and grow
-                live = self.hi - self.lo
-                self.win = np.pad(self.win[:, self.lo:],
-                                  ((0, 0), (0, live + 16)))
-                self.lo, self.hi = 0, live
-            self.win[:, self.hi] = (rec.t, rec.E_half, k.M10_const
-                                    + k.M10_lap_coef * rec.lap_psi_sq)
-            self.hi += 1
-            edge = rec.t - self.cfg.r * (1 - 1e-12)
-            while self.hi - self.lo > 1 and self.win[0, self.lo + 1] <= edge:
-                self.lo += 1
-            if on["h1_absorb"] and self.win[0, self.lo] <= edge:
+            m10 = k.M10_const + k.M10_lap_coef * rec.lap_psi_sq
+            if self.h1.add(rec.t, (m10, rec.E_half)) and on["h1_absorb"]:
                 rec.h1_absorb_ok, rec.h1_absorb_slack = check_h1_absorbing(
-                    *self.win[:, self.lo:self.hi], k, p)
+                    *self.h1.sums(), rec.E_half, k, p)
         if on["ebal"] and rec.R_mid is not None:
             rec.ebal_ineq_ok = check_energy_balance(rec, k)
         if on["tail"] and rec.tail_frac_k2 is not None:
@@ -486,31 +518,58 @@ class CertificateSuite:
             raise ValueError(f"certificates.tail_cutoff {self.cutoff} out of "
                              f"range: need < min(Nx, Nz) = {n}")
         self.records: list[TrajectoryRecord] = []
+        # Stage (a) works in buffers it owns: fresh (7, K) temporaries per
+        # sample cost more than the arithmetic from N=64 on.  `_stacks`
+        # holds this sample's coefficients and the last one's, used in turn;
+        # once the prestate is read, the last one's is scratch space.
+        shape, K = (3, dom.Nx, dom.Nz), dom.Nx * dom.Nz
+        self._stacks = (np.empty(shape), np.empty(shape))
+        self._work = (np.empty((3, K)), np.empty((len(NORMS), K)))
+        self._last, self._last_EY = (None,) * 3, None
+
+    def _tail_fractions(self, C: np.ndarray, out: np.ndarray) -> list[float]:
+        """`tail_fraction` of each field of the stacked coefficients C in one
+        pass, through the buffer `out`: the same products w * c * c, and the
+        head block copied to contiguous memory (by the reshape) before it is
+        summed, so every sum is the same pairwise sum."""
+        P = np.multiply(_hk_weight(self.dom, self.cfg.tail_k), C, out=out)
+        P *= C
+        head = P[:, :self.cutoff, :self.cutoff].reshape(3, -1)
+        return [(tot - hd) / tot if tot != 0.0 else 0.0 for tot, hd in zip(
+            P.reshape(3, -1).sum(axis=1).tolist(),
+            head.sum(axis=1).tolist())]
 
     def on_sample(self, t: float, s: State, s_pre: State | None,
                   dt: float) -> TrajectoryRecord:
         p, cfg = self.p, self.cfg
-        n = state_norms(s)
+        C, C_pre = self._stacks
+        arrays = (s.psi.coeffs, s.theta.coeffs, s.phi.coeffs)
+        C[0], C[1], C[2] = arrays
+        n = _sq_norms(C, self.dom, self._work)
         rec = TrajectoryRecord(
-            t=t, lap_psi_sq=n["lap_psi_sq"], theta_sq=n["theta_sq"],
-            phi_sq=n["phi_sq"], grad_theta_sq=n["grad_theta_sq"],
-            grad_phi_sq=n["grad_phi_sq"], gradlap_psi_sq=n["gradlap_psi_sq"],
-            E_Y=energy_y(n, p), E_half=energy_half(n, p),
-            config_hash=self.config_hash)
+            t=t, E_Y=energy_y(n, p), E_half=energy_half(n, p),
+            config_hash=self.config_hash, **{f: n[f] for f in NORMS[1:]})
         if s_pre is not None:
-            dE = rec.E_Y - energy_y(state_norms(s_pre), p)
+            # at sample_every=1 the prestate holds the last sample's arrays:
+            # C_pre is their stack and its E_Y is kept
+            pre = (s_pre.psi.coeffs, s_pre.theta.coeffs, s_pre.phi.coeffs)
+            E_Y_pre = self._last_EY
+            if not all(map(operator.is_, pre, self._last)):
+                C_pre[0], C_pre[1], C_pre[2] = pre
+                E_Y_pre = energy_y(_sq_norms(C_pre, self.dom, self._work), p)
+            dE = rec.E_Y - E_Y_pre
             rec.dEY_dt_disc = dE / dt
             if cfg.checks["ebal"]:
-                mid = State(_avg(s_pre.psi, s.psi), _avg(s_pre.theta, s.theta),
-                            _avg(s_pre.phi, s.phi), 0.5 * (s_pre.t + s.t))
-                n_mid = state_norms(mid)
-                rec.R_mid = _energy_identity_rhs(mid, p, n_mid)
+                mid = np.add(C_pre, C, out=C_pre)
+                mid *= 0.5
+                n_mid = _sq_norms(mid, self.dom, self._work)
+                rec.R_mid = _energy_identity_rhs(mid, p, self.dom, n_mid)
                 rec.ebal_resid = abs(dE / (2.0 * dt) - rec.R_mid)
                 rec.E_half_mid = energy_half(n_mid, p)
                 rec.E_Y_mid = energy_y(n_mid, p)
         if cfg.checks["tail"] and t >= cfg.tail_warmup:
-            rec.tail_frac_k2 = max(tail_fraction(u, cfg.tail_k, self.cutoff)
-                                   for u in (s.psi, s.theta, s.phi))
+            rec.tail_frac_k2 = max(self._tail_fractions(C, out=C_pre))
+        self._stacks, self._last, self._last_EY = (C_pre, C), arrays, rec.E_Y
         self.records.append(self._certify(rec))
         return rec
 

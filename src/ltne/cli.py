@@ -291,22 +291,26 @@ def cmd_sweep(args) -> int:
     out_dir = _resolve(spec.get("output_dir", spec_path.stem + "_runs"),
                        base_dir)
     csv_path = _resolve(spec.get("csv", spec_path.stem + ".csv"), base_dir)
+    streams = {}    # each row's stream file, refused if two rows share one
+    for v in spec["values"]:
+        try:
+            tag = f"{float(v):g}"
+        except (TypeError, ValueError, OverflowError):
+            tag = str(v)
+        path = out_dir / f"{param}={tag}.jsonl"
+        if path in streams:
+            return _fail(f"sweep values {streams[path]!r} and {v!r} would "
+                         f"both write {path}")
+        streams[path] = v
     out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
     with open(csv_path, "w", newline="") as fh:    # before any row runs
         w = csv.DictWriter(fh, fieldnames=_SWEEP_COLS)
         w.writeheader()
-        for v in spec["values"]:
-            doc = json.loads(json.dumps(base))
-            doc[param] = v
-            try:
-                tag = f"{float(v):g}"
-            except (TypeError, ValueError, OverflowError):
-                tag = str(v)
-            rows.append(_sweep_child(param, v, doc,
-                                     out_dir / f"{param}={tag}.jsonl",
-                                     base_dir))
+        for path, v in streams.items():
+            doc = {**json.loads(json.dumps(base)), param: v}
+            rows.append(_sweep_child(param, v, doc, path, base_dir))
             w.writerow(rows[-1])
     bad = [r for r in rows if str(r["status"]) != "ok"]
     print(f"sweep {param} over {len(rows)} values -> {csv_path}")

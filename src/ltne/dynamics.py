@@ -45,18 +45,34 @@ class State:
         return State(z, z, z, t)
 
 
+# The squared norms every certificate consumes, in `_sq_norms` order: psi
+# weighted by |mu|^k for k = 1, 2, 3, then theta and phi for k = 0, 1.
+NORMS = ("grad_psi_sq", "lap_psi_sq", "gradlap_psi_sq", "theta_sq",
+         "grad_theta_sq", "phi_sq", "grad_phi_sq")
+
+
+def _stack(s: State) -> np.ndarray:
+    return np.stack((s.psi.coeffs, s.theta.coeffs, s.phi.coeffs))
+
+
+def _sq_norms(C: np.ndarray, dom: Domain, work=None) -> dict:
+    """The NORMS of the stacked coefficients C = [psi, theta, phi] of shape
+    (3, Nx, Nz): one np.square, then each field's |mu|^k rows times its
+    squares, summed by row.  The element order w * c**2 and numpy's pairwise
+    row sums make each value equal `_hk_sq` bit for bit.  `work` is a pair
+    of buffers of shapes (3, K) and (7, K), K = Nx Nz, for callers that
+    must not allocate them per call."""
+    sq, prod = work or (None, np.empty((len(NORMS), C[0].size)))
+    sq = np.square(C.reshape(3, -1), out=sq)
+    w = _plan(dom)["hk_rows"]
+    np.multiply(w[1:], sq[0], out=prod[:3])
+    np.multiply(w[:2], sq[1:, None], out=prod[3:].reshape(2, 2, -1))
+    return dict(zip(NORMS, (dom.a / 4.0 * prod.sum(axis=1)).tolist()))
+
+
 def state_norms(s: State) -> dict:
     """The squared norms every certificate consumes, in one pass."""
-    dom, cpsi, cth, cph = s.dom, s.psi.coeffs, s.theta.coeffs, s.phi.coeffs
-    return {
-        "lap_psi_sq": _hk_sq(cpsi, dom, 2),
-        "gradlap_psi_sq": _hk_sq(cpsi, dom, 3),
-        "grad_psi_sq": _hk_sq(cpsi, dom, 1),
-        "theta_sq": _hk_sq(cth, dom, 0),
-        "phi_sq": _hk_sq(cph, dom, 0),
-        "grad_theta_sq": _hk_sq(cth, dom, 1),
-        "grad_phi_sq": _hk_sq(cph, dom, 1),
-    }
+    return _sq_norms(_stack(s), s.dom)
 
 
 @dataclass(frozen=True)
@@ -217,16 +233,17 @@ def energy_identity_rhs(s: State, p: Params) -> float:
     - gamma lam||phi||^2 - Ra <theta, d(lap psi)/dx>
     + (lam + gamma lam)<phi, theta> (plus the conduction source term when
     that switch is on).  The Jacobian contributes nothing by skew-symmetry."""
-    return _energy_identity_rhs(s, p, state_norms(s))
+    return _energy_identity_rhs(_stack(s), p, s.dom, state_norms(s))
 
 
-def _energy_identity_rhs(s: State, p: Params, n: dict) -> float:
-    """`energy_identity_rhs` with the squared norms `n = state_norms(s)`."""
-    _check(p, s.dom)
-    plan = _plan(s.dom)
+def _energy_identity_rhs(C, p: Params, dom: Domain, n: dict) -> float:
+    """`energy_identity_rhs` of the stacked coefficients C = [psi, theta,
+    phi], given their squared norms `n`."""
+    _check(p, dom)
+    plan = _plan(dom)
     mu, D = plan["mu"], plan["Dx"]
-    a4 = s.dom.a / 4.0
-    cpsi, cth, cph = s.psi.coeffs, s.theta.coeffs, s.phi.coeffs
+    a4 = dom.a / 4.0
+    cpsi, cth, cph = C
     cross = a4 * np.sum(cth * (D @ (mu * cpsi)))   # <theta, d(lap psi)/dx>
     thph = a4 * np.sum(cth * cph)
     out = (-p.C * n["gradlap_psi_sq"] - n["lap_psi_sq"] - n["grad_theta_sq"]

@@ -198,12 +198,23 @@ def _blowup(c, dom: Domain, t: float) -> dict | None:
     return None
 
 
+def _unchecked(cls, **attrs):
+    """An instance of the frozen dataclass `cls` without its `__post_init__`
+    checks.  Only `run` builds objects this way: `_blowup` has proved its
+    coefficients finite, and the stepper fixes their shape and domain."""
+    obj = object.__new__(cls)
+    vars(obj).update(attrs)
+    return obj
+
+
 def run(s0: State, p: Params, cfg: StepperConfig, monitors=None,
         snapshot_times: tuple[float, ...] = ()) -> Trajectory:
     """Integrate to t_end, sampling every `sample_every` steps (the final
     state is always sampled) and calling `monitors.on_sample(t, state,
     prestate, dt)` per sample, prestate being the state one step earlier
-    (None at the initial sample).  Nothing else keeps the samples.
+    (None at the initial sample).  Nothing else keeps the samples.  The
+    States handed out are not re-validated, and `run` never writes into
+    their arrays afterwards, so a monitor may key on array identity.
 
     Snapshot times must be step-aligned; each one is also an integrator
     restart barrier (the multistep history is dropped there), so a run
@@ -228,8 +239,9 @@ def run(s0: State, p: Params, cfg: StepperConfig, monitors=None,
         return state
 
     def wrap(c, t):
-        return State(SpectralField(c[0], dom), SpectralField(c[1], dom),
-                     SpectralField(c[2], dom), t)
+        psi, theta, phi = (_unchecked(SpectralField, coeffs=u, dom=dom)
+                           for u in c)
+        return _unchecked(State, psi=psi, theta=theta, phi=phi, t=t)
 
     c = (s0.psi.coeffs.copy(), s0.theta.coeffs.copy(), s0.phi.coeffs.copy())
     traj = Trajectory(final=emit(s0.t, wrap(c, s0.t), None))

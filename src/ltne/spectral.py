@@ -112,6 +112,7 @@ def _plan(dom: Domain) -> dict:
         "analysis_scale": 4.0 / (Px * Pz),
         "mu": mu, "absmu": -mu, "Dx": D,
         "hk_weights": tuple((-mu) ** k for k in range(4)),   # |mu|^k
+        "hk_rows": np.stack([((-mu) ** k).ravel() for k in range(4)]),
         "weight": (a / Px) * (1.0 / Pz),
         "x": jx * a / Px, "z": jz / Pz,
     }

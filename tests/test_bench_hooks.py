@@ -11,6 +11,8 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
+import sys
 from pathlib import Path
 
 import ltne.cli
@@ -18,6 +20,7 @@ from ltne import CertificateSuite
 
 CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
 BASELINES = CHILD.with_name("baselines.py")
+RUN = CHILD.with_name("run.py")
 
 
 def test_traced_names_exist():
@@ -42,3 +45,26 @@ def test_imported_names_exist_and_calls_bind():
     inspect.signature(CertificateSuite).bind("p", "dom", "cfg", "s0")
     inspect.signature(ltne.cli._sweep_child).bind(
         "Ra", 10.0, {}, Path("Ra=10.jsonl"), Path("."))
+
+
+def test_sweep_writes_the_streams_the_benchmark_reads(tmp_path, monkeypatch,
+                                                       capsys):
+    # `run.py` certifies each row of the `sweep-n32` workload by the stream
+    # name it expects; a tiny sweep over the same values, from the spec the
+    # benchmark writes, must produce exactly those files
+    monkeypatch.syspath_prepend(str(RUN.parent))    # run.py imports child
+    spec = importlib.util.spec_from_file_location("perfbench_run", RUN)
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench)   # for @dataclass
+    spec.loader.exec_module(bench)
+    wl = bench.make_workload("sweep-n32", 1)
+    tiny = bench.Workload(wl.name, dict(wl.config, Nx=4, Nz=4, t_end=0.01,
+                                        sample_every=5), wl.sweep_values)
+    tiny.write(tmp_path)
+    argv = json.loads((tmp_path / "spec.json").read_text())["commands"][0]
+    assert argv[0] == "sweep"
+    assert ltne.cli.main([argv[0], str(tmp_path / argv[1])]) == 0
+    capsys.readouterr()
+    written = sorted(p.relative_to(tmp_path).as_posix()
+                     for p in (tmp_path / "rows").iterdir())
+    assert written == sorted(tiny.streams) == sorted(wl.streams)

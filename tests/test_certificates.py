@@ -8,9 +8,26 @@ from ltne import (CertificateConfig, CertificateSuite, Domain, Params,
                   SpectralField, State, StepperConfig,
                   check_continuous_dependence, check_decay,
                   check_h1_absorbing, compute_constants,
-                  measured_decay_rate, replay_certificates, run,
-                  state_norms, summarize_records, tail_fraction)
-from ltne.certificates import TrajectoryRecord, _RunningTrapz, _trapz_with_err
+                  energy_identity_rhs, energy_y, measured_decay_rate,
+                  replay_certificates, run, state_norms, summarize_records,
+                  tail_fraction)
+from ltne.certificates import TrajectoryRecord, _H1Window, _RunningTrapz
+
+
+def _trapz_with_err(h: np.ndarray, fs: np.ndarray) -> tuple[float, float]:
+    """Reference for the streaming integrals: the trapezoid integral of
+    samples `fs` over intervals of widths `h`, plus an error estimate from
+    second differences: per-interval error ~ h^3 |f''|/12 with
+    f'' ~ second difference / h^2."""
+    if len(fs) < 2:
+        return 0.0, 0.0
+    integral = float((h * (fs[1:] + fs[:-1]) / 2.0).sum())   # np.trapezoid
+    if len(fs) == 2:
+        return integral, 0.25 * float(abs(fs[1] - fs[0]) * h[0])
+    d2 = np.abs(np.diff(fs, 2))          # ~ h^2 |f''| at interior points
+    d2 = np.concatenate([d2[:1], d2, d2[-1:]])   # reuse neighbors at edges
+    err = float(np.sum(h * 0.5 * (d2[:-1] + d2[1:])) / 12.0)
+    return integral, err
 
 
 def _params(**kw):
@@ -303,11 +320,14 @@ def test_replay_reproduces_online_flags_exactly():
         lo = max(j for j in range(i + 1)
                  if recs[j].t <= r.t - cfg.r * (1 - 1e-12))
         w = recs[lo:i + 1]
+        ts = np.array([q.t for q in w])
         m10 = k.M10_const + k.M10_lap_coef * np.array(
             [q.lap_psi_sq for q in w])
-        assert check_h1_absorbing(
-            np.array([q.t for q in w]), np.array([q.E_half for q in w]),
-            m10, k, p) == (r.h1_absorb_ok, r.h1_absorb_slack)
+        a1, e1 = _trapz_with_err(np.diff(ts), m10)
+        a3, e3 = _trapz_with_err(np.diff(ts), np.array([q.E_half for q in w]))
+        assert check_h1_absorbing(a1 + e1, a3 + e3, float(ts[-1] - ts[0]),
+                                  r.E_half, k, p) \
+            == (r.h1_absorb_ok, r.h1_absorb_slack)
         checked += 1
     assert checked == 16
     off, _ = replay_certificates(suite.records, p, dom, replace(
@@ -335,6 +355,114 @@ def test_trapz_error_estimate_bounds_true_error():
         for n in range(1, len(t) + 1):
             assert acc.add(t[n - 1], f[n - 1]) == pytest.approx(
                 _trapz_with_err(np.diff(t[:n]), f[:n]), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("nx, nz, a", [(4, 4, 1.0), (12, 8, 1.3),
+                                       (16, 16, 1.0), (64, 64, 1.0)])
+def test_one_pass_tail_fractions_equal_tail_fraction(nx, nz, a):
+    rng = np.random.default_rng(97)
+    dom = Domain(a=a, Nx=nx, Nz=nz)
+    taper = np.exp(-0.3 * np.add.outer(np.arange(nx), np.arange(nz)))
+    fields = [rng.standard_normal((nx, nz)) * taper for _ in range(3)]
+    fields[1] = np.zeros((nx, nz))      # a zero field has fraction 0
+    s = State(*(SpectralField(c, dom) for c in fields))
+    C = np.stack(fields)
+    for k in (2, 3):
+        for cutoff in (None, 1, min(nx, nz) - 1):
+            suite = CertificateSuite(_params(a=a), dom, CertificateConfig(
+                tail_k=k, tail_cutoff=cutoff), s)
+            assert suite._tail_fractions(C, np.empty_like(C)) == [
+                tail_fraction(u, k, suite.cutoff)
+                for u in (s.psi, s.theta, s.phi)]
+
+
+def _h1_reference(ts, fs, r):
+    """Every window `_H1Window` sums over a run, recomputed from scratch:
+    whether it spans r, its sample count, and its (a1, a3, r_eff)."""
+    for i, t in enumerate(ts):
+        edge = t - r * (1 - 1e-12)
+        lo = max([j for j in range(i + 1) if ts[j] <= edge], default=0)
+        w, h = slice(lo, i + 1), np.diff(ts[lo:i + 1])
+        (a1, e1), (a3, e3) = (_trapz_with_err(h, f[w]) for f in fs)
+        yield ts[lo] <= edge, i + 1 - lo, (a1 + e1, a3 + e3,
+                                           float(ts[i] - ts[lo]))
+
+
+def test_h1_window_sums_equal_recomputation_bit_for_bit():
+    # the stored trapezoid and error terms, reduced per check, are the
+    # array an exact recomputation over each window sums: same bits, on
+    # runs at four truncations and on non-uniform times, on windows of 1,
+    # 2, 3 and more samples, and across the buffer's compactions
+    rng = np.random.default_rng(101)
+    ts = np.cumsum(rng.uniform(0.005, 0.05, 300))
+    series = [(ts, (1e4 + rng.uniform(0.0, 50.0, ts.size),
+                    np.exp(-40.0 * ts) * (1.5 + np.sin(30.0 * ts))))]
+    for nx, nz, a in ((4, 4, 1.0), (12, 8, 1.3), (16, 16, 1.0),
+                      (64, 64, 1.0)):
+        dom, p = Domain(a=a, Nx=nx, Nz=nz), _params(Ra=30.0, a=a)
+        taper = np.exp(-0.5 * np.add.outer(np.arange(nx), np.arange(nz)))
+        s0 = State(*(SpectralField(rng.uniform(-1, 1, (nx, nz)) * taper, dom)
+                     for _ in range(3)))
+        suite, _ = _suite_run(p, dom, CertificateConfig(), s0, StepperConfig(
+            dt=0.01, t_end=1.2, sample_every=1))
+        k, recs = suite.k, suite.records
+        series.append((np.array([q.t for q in recs]), (
+            k.M10_const + k.M10_lap_coef * np.array(
+                [q.lap_psi_sq for q in recs]),
+            np.array([q.E_half for q in recs]))))
+    sizes = set()
+    for t, fs in series:
+        for r in (0.004, 0.012, 0.03, 0.3):
+            win = _H1Window(r)
+            for i, (spans, n, want) in enumerate(_h1_reference(t, fs, r)):
+                got = win.add(t[i].item(), (fs[0][i].item(), fs[1][i].item()))
+                assert (got, win.hi - win.lo) == (spans, n)
+                assert win.sums() == want
+                sizes.add(n)
+    assert {1, 2, 3} <= sizes and max(sizes) > 16
+
+
+def test_prestate_reuse_gives_the_records_of_fresh_arrays():
+    # fed the run's own States at sample_every=1, the suite finds each
+    # prestate holding the last sample's arrays and reuses that sample's
+    # stacked coefficients and E_Y; fed copies, it recomputes both.  Either
+    # way the prestate's scalars are those of the public functions.
+    rng = np.random.default_rng(103)
+    dom = Domain(a=1.3, Nx=12, Nz=8)
+    p = _params(Ra=30.0, a=1.3)
+    taper = np.exp(-0.5 * np.add.outer(np.arange(12), np.arange(8)))
+    s0 = State(*(SpectralField(rng.uniform(-1, 1, (12, 8)) * taper, dom)
+                 for _ in range(3)))
+    cfg = CertificateConfig(r=0.1, tail_k=3, tail_warmup=0.0)
+
+    def copied(st):
+        return None if st is None else State(*(SpectralField(
+            u.coeffs.copy(), dom) for u in (st.psi, st.theta, st.phi)), st.t)
+
+    for every in (1, 4):
+        own, fresh = (CertificateSuite(p, dom, cfg, s0) for _ in range(2))
+        last = []
+
+        class Both:
+            def on_sample(self, t, s, pre, dt):
+                if every == 1 and last:
+                    assert pre.phi.coeffs is last[-1].phi.coeffs
+                last.append(s)
+                rec = own.on_sample(t, s, pre, dt)
+                fresh.on_sample(t, copied(s), copied(pre), dt)
+                if pre is not None:
+                    assert rec.dEY_dt_disc == (rec.E_Y - energy_y(
+                        state_norms(pre), p)) / dt
+                    assert rec.R_mid == energy_identity_rhs(State(*(
+                        SpectralField(0.5 * (u.coeffs + v.coeffs), dom)
+                        for u, v in zip((pre.psi, pre.theta, pre.phi),
+                                        (s.psi, s.theta, s.phi)))), p)
+
+        run(s0, p, StepperConfig(dt=0.01, t_end=0.6, sample_every=every),
+            monitors=Both())
+        assert len(own.records) > 10
+        assert [vars(r) for r in own.records] == \
+            [vars(r) for r in fresh.records]
 
 
 def test_tail_regularity_pass_and_fail():

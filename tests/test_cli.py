@@ -355,6 +355,20 @@ def test_sweep_records_child_failure_and_continues(tmp_path, capsys):
     assert rows[2]["status"].startswith("error: field 'alpha'")
 
 
+def test_sweep_refuses_values_that_share_a_stream_file(tmp_path, capsys):
+    # stream names keep six significant digits, so these two values would
+    # write one file; the sweep stops before any row runs
+    spec = _write(tmp_path / "near.json",
+                  {"parameter": "Ra", "values": [1.0, 10.0, 10.0000001],
+                   "base": _base_doc(t_end=0.2)})
+    assert main(["sweep", str(spec)]) == 3
+    err = capsys.readouterr().err
+    assert "10.0 and 10.0000001" in err
+    assert str(tmp_path / "near_runs" / "Ra=10.jsonl") in err
+    assert not (tmp_path / "near.csv").exists()
+    assert not (tmp_path / "near_runs").exists()
+
+
 def test_sweep_spec_validation(tmp_path, capsys):
     doc = {"parameter": "Nx", "values": [8], "base": _base_doc()}
     assert main(["sweep", str(_write(tmp_path / "s1.json", doc))]) == 3

@@ -6,6 +6,8 @@ from ltne import (Domain, Params, SpectralField, State, assemble_linear,
                   energy_identity_rhs, energy_pairing, jacobian,
                   laplacian_eigenvalue, norm_l2, rhs, spectral_abscissa,
                   weak_residual)
+from ltne.dynamics import NORMS, _sq_norms
+from ltne.spectral import _hk_sq
 
 
 def _params(**kw):
@@ -250,3 +252,23 @@ def test_mode_coupling_structure_preserves_parity():
         assert set(nz[1].tolist()) <= {1}
         for mp in nz[0] + 1:
             assert (mp + m) % 2 == 1
+
+
+@pytest.mark.parametrize("nx, nz, a", [(4, 4, 1.0), (12, 8, 1.3),
+                                       (16, 16, 1.0), (64, 64, 1.0)])
+def test_norm_kernel_equals_hk_sq_bit_for_bit(nx, nz, a):
+    # one square and one weighted row sum per field, with or without the
+    # caller's buffers, give exactly the per-norm sums
+    rng = np.random.default_rng(89)
+    dom = Domain(a=a, Nx=nx, Nz=nz)
+    taper = np.exp(-0.2 * np.add.outer(np.arange(nx), np.arange(nz)))
+    ks = {"grad_psi_sq": (0, 1), "lap_psi_sq": (0, 2),
+          "gradlap_psi_sq": (0, 3), "theta_sq": (1, 0),
+          "grad_theta_sq": (1, 1), "phi_sq": (2, 0), "grad_phi_sq": (2, 1)}
+    assert set(NORMS) == set(ks)
+    work = (np.empty((3, nx * nz)), np.empty((len(NORMS), nx * nz)))
+    for _ in range(5):
+        C = rng.standard_normal((3, nx, nz)) * taper
+        for got in (_sq_norms(C, dom), _sq_norms(C, dom, work)):
+            assert got == {name: _hk_sq(C[f], dom, k)
+                           for name, (f, k) in ks.items()}

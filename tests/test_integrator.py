@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from ltne import (Domain, Params, SpectralField, State, StepperConfig,
-                  assemble_linear, run, write_snapshot)
+from ltne import (CertificateConfig, CertificateSuite, Domain, Params,
+                  SpectralField, State, StepperConfig, assemble_linear, run,
+                  write_snapshot)
 from ltne.integrator import _blowup
 
 
@@ -286,3 +287,59 @@ def test_memory_flat_in_t_end():
         tracemalloc.stop()
     state_bytes = 3 * 8 * dom.Nx * dom.Nz
     assert abs(peaks[1] - peaks[0]) < 2 * state_bytes, peaks
+
+
+def test_run_never_writes_into_arrays_it_handed_out():
+    # a monitor may key on array identity (the certificate suite reuses the
+    # last sample's norms when the prestate holds its arrays) only because
+    # neither `run` nor the suite writes into an array once handed out
+    rng = np.random.default_rng(43)
+    dom = Domain(a=1.3, Nx=6, Nz=5)
+    p = _params(a=1.3)
+    s0 = _decaying_state(dom, rng)
+    for every, scheme in ((1, "imex_cnab2"), (3, "imex_cnab2"), (2, "etd1")):
+        suite = CertificateSuite(p, dom, CertificateConfig(r=0.1), s0)
+        handed = []
+
+        class Copier:
+            def on_sample(self, t, s, pre, dt):
+                for st in (s, pre) if pre is not None else (s,):
+                    handed.extend((u.coeffs, u.coeffs.copy())
+                                  for u in (st.psi, st.theta, st.phi))
+                suite.on_sample(t, s, pre, dt)
+
+        traj = run(s0, p, StepperConfig(dt=0.01, t_end=0.5, scheme=scheme,
+                                        sample_every=every),
+                   monitors=Copier(), snapshot_times=(0.2,))
+        assert len(handed) > 100
+        for u in (traj.final.psi, traj.snapshots[0][1].theta):
+            assert any(u.coeffs is a for a, _ in handed)
+        for a, copy in handed:
+            assert np.array_equal(a, copy)
+
+
+def test_validation_stays_in_the_public_constructors(sample_log):
+    # `run` hands out States it does not re-validate, because `_blowup` has
+    # proved them finite: on a run that blows up, every one is finite and
+    # has the run's shape and domain, and the public constructors still
+    # refuse NaN, a bad shape and mixed domains
+    rng = np.random.default_rng(19)
+    dom = Domain(a=1.0, Nx=4, Nz=4)
+    s0 = State(*(SpectralField(rng.uniform(-1, 1, (4, 4)), dom)
+                 for _ in range(3)))
+    log = sample_log()
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr = run(s0, _params(Ra=100.0),
+                 StepperConfig(dt=0.012, t_end=1.2, scheme="rk4_explicit"),
+                 monitors=log)
+    assert tr.failure is not None and len(log.states) >= 5
+    for st in log.states + log.prestates[1:]:
+        for u in (st.psi, st.theta, st.phi):
+            assert u.dom is dom and u.coeffs.shape == (4, 4)
+            assert np.isfinite(u.coeffs).all()
+    with pytest.raises(ValueError, match="non-finite"):
+        SpectralField(np.full((4, 4), np.nan), dom)
+    with pytest.raises(ValueError, match="does not match domain"):
+        SpectralField(np.zeros((4, 3)), dom)
+    with pytest.raises(ValueError, match="different domains"):
+        State(s0.psi, s0.theta, SpectralField.zero(Domain(a=2.0, Nx=4, Nz=4)))
