@@ -262,15 +262,15 @@ class _RunningTrapz:
 
 class _H1Window:
     """The uniform-Gronwall window over the integrands (M10, E_half): the
-    samples from the last one at least r old, in columns lo:hi of a buffer
-    that is compacted in place.  Rows: t, the two integrands, and for the
-    interval that ends at the column its two trapezoid terms and its two
-    error terms, stepped by one `_RunningTrapz` per integrand as samples
-    arrive.  `sums` reduces the stored terms: element for element the
-    array an exact recomputation over the window sums, in the same order,
-    hence bit-identical to it.  Nothing is subtracted: E_half decays over
-    tens of orders of magnitude along a run, and a running sum that drops
-    departed terms cancels."""
+    samples from the last one at least r old, and never fewer than two once
+    two have arrived, in columns lo:hi of a buffer that is compacted in
+    place.  Rows: t, the two integrands, and for the interval that ends at
+    the column its two trapezoid terms and its two error terms, stepped by
+    one `_RunningTrapz` per integrand as samples arrive.  `sums` reduces
+    the stored terms: element for element the array an exact recomputation
+    over the window sums, in the same order, hence bit-identical to it.
+    Nothing is subtracted: E_half decays over tens of orders of magnitude
+    along a run, and a running sum that drops departed terms cancels."""
 
     def __init__(self, r: float):
         self.r, self.buf = r, np.empty((7, 16))
@@ -293,10 +293,12 @@ class _H1Window:
                 b[3 + i, j] = acc.term
             if acc.n > 2:   # the interval before is interior now
                 b[5 + i, j - 1], b[5 + i, j] = acc.inner, acc.edge
+        # an r below the resolution of t puts the edge at t itself; the
+        # window then keeps one interval, as for any r below the spacing
         edge = t - self.r * (1 - 1e-12)
-        while self.hi - self.lo > 1 and b[0, self.lo + 1] <= edge:
+        while self.hi - self.lo > 2 and b[0, self.lo + 1] <= edge:
             self.lo += 1
-        return b[0, self.lo] <= edge
+        return self.hi - self.lo > 1 and b[0, self.lo] <= edge
 
     def sums(self) -> tuple[float, float, float]:
         """(a1, a3, r_eff): the trapezoid integrals of M10 and E_half over
@@ -305,8 +307,6 @@ class _H1Window:
         the one a window starting there gives it (lo never moves back)."""
         b, lo, hi = self.buf, self.lo, self.hi
         r_eff = float(b[0, hi - 1] - b[0, lo])
-        if hi - lo < 2:     # r below the resolution of t
-            return 0.0, 0.0, r_eff
         h = b[0, lo + 1] - b[0, lo]
         if hi - lo == 2:
             a = b[3:5, hi - 1]

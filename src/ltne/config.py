@@ -25,7 +25,7 @@ import numpy as np
 
 from .params import Domain, Params, PhysicalParams, nondimensionalize
 from .spectral import SpectralField, read_snapshot
-from .dynamics import State, assemble_linear, state_norms
+from .dynamics import State, _sq_norms, assemble_linear
 from .integrator import StepperConfig
 from .certificates import CertificateConfig, TrajectoryRecord, energy_y
 
@@ -265,21 +265,26 @@ def build_initial_state(ic: dict, dom: Domain, p: Params) -> State:
 
 def _random_state(ic: dict, dom: Domain, p: Params) -> State:
     """Seeded smooth random field: uniform(-1, 1) coefficients damped by
-    e^{-decay (m+n)}, the whole state rescaled to the requested E_Y."""
-    rng = np.random.default_rng(ic["seed"])
+    e^{-decay (m+n)}, the whole state rescaled to the requested E_Y.  A
+    decay that underflows the field to zero or overflows it is refused."""
     decay = float(ic["decay"])
     energy = float(ic["energy"])
-    m = np.arange(1, dom.Nx + 1)[:, None]
-    n = np.arange(1, dom.Nz + 1)[None, :]
-    damp = np.exp(-decay * (m + n))
-    fields = [SpectralField(rng.uniform(-1.0, 1.0, (dom.Nx, dom.Nz)) * damp, dom)
-              for _ in range(3)]
-    s = State(*fields, 0.0)
     if energy == 0.0:
         return State.zero(dom)
-    e_raw = energy_y(state_norms(s), p)
+    rng = np.random.default_rng(ic["seed"])
+    m = np.arange(1, dom.Nx + 1)[:, None]
+    n = np.arange(1, dom.Nz + 1)[None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        damp = np.exp(-decay * (m + n))
+        C = np.stack([rng.uniform(-1.0, 1.0, (dom.Nx, dom.Nz)) * damp
+                      for _ in range(3)])
+        e_raw = energy_y(_sq_norms(C, dom), p)
+    _require(0.0 < e_raw < math.inf and energy / e_raw < math.inf,
+             f"ic.decay {decay:g} gives a random field with E_Y {e_raw:g} "
+             f"before scaling, which cannot be scaled to ic.energy "
+             f"{energy:g}")
     scale = np.sqrt(energy / e_raw)
-    return State(*[SpectralField(scale * f.coeffs, dom) for f in fields], 0.0)
+    return State(*[SpectralField(scale * c, dom) for c in C], 0.0)
 
 
 def _named_state(ic: dict, dom: Domain, p: Params) -> State:

@@ -1,4 +1,5 @@
-"""Right-hand side of the spectral ODE system, its linear part, residuals.
+"""Right-hand side of the spectral ODE system, its linear part, its energy
+identity.
 
 Per mode (m, n) with mu the Laplacian eigenvalue, the evolved system is
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import Domain, Params
-from .spectral import SpectralField, _hk_sq, _jacobian_coeffs, _plan
+from .spectral import SpectralField, _jacobian_coeffs, _plan
 
 
 @dataclass(frozen=True)
@@ -75,13 +76,6 @@ def state_norms(s: State) -> dict:
     return _sq_norms(_stack(s), s.dom)
 
 
-@dataclass(frozen=True)
-class Tangent:
-    dpsi: SpectralField
-    dtheta: SpectralField
-    dphi: SpectralField
-
-
 def _check(p: Params, dom: Domain):
     if p.a != dom.a:
         raise ValueError(f"aspect mismatch: Params a={p.a}, Domain a={dom.a}")
@@ -101,15 +95,14 @@ def _rhs_arrays(cpsi: np.ndarray, cth: np.ndarray, cph: np.ndarray,
     return dpsi, dth, dph
 
 
-def rhs(s: State, p: Params, include_jacobian: bool = True) -> Tangent:
-    """Time derivative of a state.  `include_jacobian=False` drops the
-    nonlinearity, leaving exactly the assembled linear operator's action."""
+def rhs(s: State, p: Params, include_jacobian: bool = True
+        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Time derivative of a state, as the coefficient arrays (dpsi, dtheta,
+    dphi).  `include_jacobian=False` drops the nonlinearity, leaving exactly
+    the assembled linear operator's action."""
     _check(p, s.dom)
-    dpsi, dth, dph = _rhs_arrays(s.psi.coeffs, s.theta.coeffs, s.phi.coeffs,
-                                 p, s.dom, include_jacobian)
-    dom = s.dom
-    return Tangent(SpectralField(dpsi, dom), SpectralField(dth, dom),
-                   SpectralField(dph, dom))
+    return _rhs_arrays(s.psi.coeffs, s.theta.coeffs, s.phi.coeffs, p, s.dom,
+                       include_jacobian)
 
 
 @dataclass(frozen=True)
@@ -187,48 +180,10 @@ def spectral_abscissa(L: LinearOperator) -> float:
     return float(max(np.max(eigs.real), np.max(L.lpsi)))
 
 
-def weak_residual(s_prev: State, s_next: State, dt: float, p: Params) -> float:
-    """Norm of the mass-weighted midpoint defect between two consecutive
-    states: M ((s_next - s_prev)/dt - rhs(s_mid)) with M = diag(Da/Pr, 1,
-    alpha) on (psi, theta, phi).  O(dt^2) along smooth trajectories of the
-    second-order integrator; O(1) for mismatched inputs."""
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    _check(p, s_prev.dom)
-    if s_prev.dom != s_next.dom:
-        raise ValueError("states live on different domains")
-    dom = s_prev.dom
-    mid = [(s_prev.psi.coeffs + s_next.psi.coeffs) / 2.0,
-           (s_prev.theta.coeffs + s_next.theta.coeffs) / 2.0,
-           (s_prev.phi.coeffs + s_next.phi.coeffs) / 2.0]
-    f = _rhs_arrays(mid[0], mid[1], mid[2], p, dom)
-    masses = (p.Da / p.Pr, 1.0, p.alpha)
-    prev = (s_prev.psi.coeffs, s_prev.theta.coeffs, s_prev.phi.coeffs)
-    nxt = (s_next.psi.coeffs, s_next.theta.coeffs, s_next.phi.coeffs)
-    total = 0.0
-    for w, cp, cn, df in zip(masses, prev, nxt, f):
-        r = w * ((cn - cp) / dt - df)
-        total += _hk_sq(r, dom, 0)
-    return float(np.sqrt(total))
-
-
-def energy_pairing(s: State, p: Params) -> float:
-    """(1/2) d/dt of E_Y = (Da/Pr)||lap psi||^2 + ||theta||^2 + alpha ||phi||^2
-    evaluated through the rhs: (Da/Pr)<lap dpsi, lap psi> + <dtheta, theta>
-    + alpha <dphi, phi>."""
-    _check(p, s.dom)
-    mu = _plan(s.dom)["mu"]
-    dpsi, dth, dph = _rhs_arrays(s.psi.coeffs, s.theta.coeffs, s.phi.coeffs,
-                                 p, s.dom)
-    a4 = s.dom.a / 4.0
-    return float(
-        (p.Da / p.Pr) * a4 * np.sum(mu * dpsi * mu * s.psi.coeffs)
-        + a4 * np.sum(dth * s.theta.coeffs)
-        + p.alpha * a4 * np.sum(dph * s.phi.coeffs))
-
-
 def energy_identity_rhs(s: State, p: Params) -> float:
-    """Closed-form value the pairing must equal: -C||grad lap psi||^2
+    """Closed-form value of (1/2) dE_Y/dt along `rhs`, which pairs the
+    derivative with the state as (Da/Pr)<lap dpsi, lap psi> + <dtheta, theta>
+    + alpha <dphi, phi>: -C||grad lap psi||^2
     - ||lap psi||^2 - ||grad theta||^2 - ||grad phi||^2 - lam||theta||^2
     - gamma lam||phi||^2 - Ra <theta, d(lap psi)/dx>
     + (lam + gamma lam)<phi, theta> (plus the conduction source term when

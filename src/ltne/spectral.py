@@ -1,4 +1,5 @@
-"""Sine-basis fields on (0, a) x (0, 1): transforms, derivatives, norms.
+"""Sine-basis fields on (0, a) x (0, 1): grid transforms, the dealiased
+Jacobian, the exact d/dx projection, H^k seminorms, snapshot files.
 
 Every scalar field is u(x, z) = sum_{m=1..Nx, n=1..Nz} u_mn sin(m pi x / a)
 sin(n pi z), which vanishes on the boundary by construction.  Coefficients are
@@ -84,7 +85,7 @@ def laplacian_eigenvalue(m: int, n: int, a: float) -> float:
 @lru_cache(maxsize=None)
 def _plan(dom: Domain) -> dict:
     """Precomputed matrices for one Domain: synthesis/analysis, derivative
-    evaluation, eigenvalue grids, quadrature weight."""
+    evaluation, the d/dx projection, eigenvalue grids and |mu|^k weights."""
     a, Nx, Nz, Mx, Mz = dom.a, dom.Nx, dom.Nz, dom.Mx, dom.Mz
     Px, Pz = Mx + 1, Mz + 1
     jx = np.arange(1, Mx + 1)
@@ -107,14 +108,13 @@ def _plan(dom: Domain) -> dict:
     with np.errstate(divide="ignore", invalid="ignore"):
         D = 4.0 * ms * mp / (a * (mp ** 2 - ms ** 2))
     D[(mp + ms) % 2 == 0] = 0.0
+    hk = np.stack([(-mu) ** k for k in range(4)])   # |mu|^k, k = 0..3
     return {
         "Sx": Sx, "Sz": Sz, "Cx": Cx, "Cz": Cz,
         "analysis_scale": 4.0 / (Px * Pz),
         "mu": mu, "absmu": -mu, "Dx": D,
-        "hk_weights": tuple((-mu) ** k for k in range(4)),   # |mu|^k
-        "hk_rows": np.stack([((-mu) ** k).ravel() for k in range(4)]),
-        "weight": (a / Px) * (1.0 / Pz),
-        "x": jx * a / Px, "z": jz / Pz,
+        "hk_weights": tuple(hk),   # views of hk_rows, one per k
+        "hk_rows": hk.reshape(4, -1),
     }
 
 
@@ -126,18 +126,6 @@ def dx_projection_matrix(dom: Domain) -> np.ndarray:
     weighting; couples only modes of opposite parity.
     """
     return _plan(dom)["Dx"]
-
-
-def grid_points(dom: Domain) -> tuple[np.ndarray, np.ndarray]:
-    """Interior collocation nodes (x_j, z_k)."""
-    p = _plan(dom)
-    return p["x"], p["z"]
-
-
-def quadrature_weight(dom: Domain) -> float:
-    """Weight per interior node; sum w * f(x_j, z_k) integrates sine
-    polynomials of band <= (Mx, Mz) exactly."""
-    return _plan(dom)["weight"]
 
 
 def eigenvalue_grid(dom: Domain) -> np.ndarray:
@@ -159,18 +147,6 @@ def to_spectral(v: GridField) -> SpectralField:
     p = _plan(v.dom)
     c = p["analysis_scale"] * (p["Sx"].T @ v.values @ p["Sz"])
     return SpectralField(c, v.dom)
-
-
-def derivative_x(u: SpectralField) -> GridField:
-    """du/dx on the grid (a cosine series in x; exact pointwise)."""
-    p = _plan(u.dom)
-    return GridField(p["Cx"] @ u.coeffs @ p["Sz"].T, u.dom)
-
-
-def derivative_z(u: SpectralField) -> GridField:
-    """du/dz on the grid (a cosine series in z; exact pointwise)."""
-    p = _plan(u.dom)
-    return GridField(p["Sx"] @ u.coeffs @ p["Cz"].T, u.dom)
 
 
 def jacobian(psi: SpectralField, theta: SpectralField) -> SpectralField:
@@ -210,40 +186,10 @@ def _hk_sq(c: np.ndarray, dom: Domain, k: int) -> float:
 
 def norm_hk(u: SpectralField, k: int) -> float:
     """Spectral H^k seminorm: ((a/4) sum |mu|^k u_mn^2)^(1/2); k = 0, 1, 2, 3
-    give the four named norms."""
+    give the L2, gradient, Laplacian and gradient-Laplacian norms."""
     if k < 0:
         raise ValueError("k must be >= 0")
     return np.sqrt(_hk_sq(u.coeffs, u.dom, k))
-
-
-def norm_l2(u: SpectralField) -> float:
-    """||u|| with ||u||^2 = (a/4) sum u_mn^2."""
-    return norm_hk(u, 0)
-
-
-def norm_grad(u: SpectralField) -> float:
-    return norm_hk(u, 1)
-
-
-def norm_lap(u: SpectralField) -> float:
-    return norm_hk(u, 2)
-
-
-def norm_gradlap(u: SpectralField) -> float:
-    return norm_hk(u, 3)
-
-
-def inner_l2(u: SpectralField, v: SpectralField) -> float:
-    """<u, v> = (a/4) sum u_mn v_mn."""
-    _check_same_domain(u, v)
-    return float(u.dom.a / 4.0 * np.sum(u.coeffs * v.coeffs))
-
-
-def velocity_from_stream(psi: SpectralField) -> tuple[GridField, GridField]:
-    """(v1, v2) = (-psi_z, psi_x) on the grid; divergence-free by construction."""
-    vz = derivative_z(psi)
-    vx = derivative_x(psi)
-    return GridField(-vz.values, psi.dom), vx
 
 
 def tail_fraction(u: SpectralField, k: int, cutoff: int) -> float:

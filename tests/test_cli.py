@@ -254,6 +254,30 @@ def test_run_config_errors(tmp_path, capsys):
     for cmd, name in (("run", "huge.json"), ("sweep", "huge_sweep.json")):
         assert main([cmd, str(tmp_path / name)]) == 3, cmd
         assert f"{name}: " in capsys.readouterr().err, cmd
+    # a decay that underflows the random field to zero, overflows it, or
+    # leaves it too small to scale to the energy
+    for ic in ({"decay": 1000}, {"decay": -1000},
+               {"decay": 5, "energy": 1e300}):
+        cfg = _write(tmp_path / "decay.json", _base_doc(
+            ic={"kind": "random", "seed": 1, **ic}))
+        assert main(["run", str(cfg)]) == 3, ic
+        assert "ic.decay" in capsys.readouterr().err, ic
+
+
+def test_h1_window_spans_an_interval_when_r_is_below_time_resolution(
+        tmp_path, capsys):
+    # r = 1e-20 puts the window's left edge at t itself; the window keeps
+    # the last interval, exactly as an r below the sample spacing does
+    h1 = {}
+    for r in (1e-20, 0.05):
+        code, jsonl = _run_case(tmp_path, capsys, certificates={"r": r})
+        assert code == 0, r
+        assert main(["certify", str(jsonl)]) == 0, r
+        assert "h1_absorb   pass" in capsys.readouterr().out
+        recs = [json.loads(ln) for ln in jsonl.read_text().splitlines()[1:]]
+        h1[r] = [(d["h1_absorb_ok"], d["h1_absorb_slack"]) for d in recs]
+    assert h1[1e-20] == h1[0.05]
+    assert h1[0.05][0] == (None, None) and h1[0.05][1][0] is True
 
 
 def test_unwritable_outputs_exit_3(tmp_path, capsys):

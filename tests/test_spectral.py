@@ -2,16 +2,25 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ltne import (Domain, GridField, SpectralField, derivative_x, derivative_z,
-                  dx_projection_matrix, grid_points, inner_l2, jacobian,
-                  laplacian_eigenvalue, norm_grad, norm_gradlap, norm_hk,
-                  norm_l2, norm_lap, quadrature_weight, read_snapshot,
-                  tail_fraction, to_grid, to_spectral, velocity_from_stream,
-                  write_snapshot)
+from ltne import (Domain, GridField, SpectralField, dx_projection_matrix,
+                  jacobian, laplacian_eigenvalue, norm_hk, read_snapshot,
+                  tail_fraction, to_grid, to_spectral, write_snapshot)
+from ltne.spectral import _plan
 
 
 def _rand_field(dom, rng, scale=1.0):
     return SpectralField(scale * rng.standard_normal((dom.Nx, dom.Nz)), dom)
+
+
+def _nodes(dom):
+    """Interior collocation nodes x_j = j a / (Mx + 1), z_k = k / (Mz + 1)."""
+    return (np.arange(1, dom.Mx + 1) * dom.a / (dom.Mx + 1),
+            np.arange(1, dom.Mz + 1) / (dom.Mz + 1))
+
+
+def _inner(u, v):
+    """<u, v> = (a/4) sum u_mn v_mn."""
+    return u.dom.a / 4.0 * np.sum(u.coeffs * v.coeffs)
 
 
 def test_laplacian_eigenvalue_literals():
@@ -30,7 +39,7 @@ def test_single_mode_grid_values():
     c = np.zeros((6, 5))
     c[0, 0] = 1.0
     g = to_grid(SpectralField(c, dom))
-    x, z = grid_points(dom)
+    x, z = _nodes(dom)
     expect = np.outer(np.sin(np.pi * x / dom.a), np.sin(np.pi * z))
     assert np.allclose(g.values, expect, atol=1e-14)
 
@@ -64,15 +73,17 @@ def test_parseval_against_grid_quadrature():
     for _ in range(5):
         u = _rand_field(dom, rng)
         g = to_grid(u)
-        quad_sq = quadrature_weight(dom) * np.sum(g.values ** 2)
-        assert quad_sq == pytest.approx(norm_l2(u) ** 2, rel=1e-12)
+        weight = dom.a / (dom.Mx + 1) / (dom.Mz + 1)   # per interior node
+        quad_sq = weight * np.sum(g.values ** 2)
+        assert quad_sq == pytest.approx(norm_hk(u, 0) ** 2, rel=1e-12)
 
 
 def test_derivatives_match_analytic_cosine_series():
+    # the grid derivative matrices the Jacobian multiplies by
     rng = np.random.default_rng(3)
     dom = Domain(a=1.7, Nx=7, Nz=6)
     u = _rand_field(dom, rng)
-    x, z = grid_points(dom)
+    x, z = _nodes(dom)
     m = np.arange(1, dom.Nx + 1)
     n = np.arange(1, dom.Nz + 1)
     # independent evaluation: du/dx = sum (m pi/a) u_mn cos(m pi x/a) sin(n pi z)
@@ -82,8 +93,9 @@ def test_derivatives_match_analytic_cosine_series():
     cosz = np.cos(np.outer(z, n) * np.pi)
     dx_expect = cosx @ ((m[:, None] * np.pi / dom.a) * u.coeffs) @ sinz.T
     dz_expect = sinx @ (u.coeffs * (n[None, :] * np.pi)) @ cosz.T
-    assert np.max(np.abs(derivative_x(u).values - dx_expect)) < 1e-12
-    assert np.max(np.abs(derivative_z(u).values - dz_expect)) < 1e-12
+    p = _plan(dom)
+    assert np.max(np.abs(p["Cx"] @ u.coeffs @ p["Sz"].T - dx_expect)) < 1e-12
+    assert np.max(np.abs(p["Sx"] @ u.coeffs @ p["Cz"].T - dz_expect)) < 1e-12
 
 
 def test_dx_projection_matrix_against_quad_oracle():
@@ -149,8 +161,8 @@ def test_jacobian_skew_symmetry_random_pairs():
     dom = Domain(a=1.0, Nx=12, Nz=12)
     for _ in range(20):
         psi, theta = _rand_field(dom, rng), _rand_field(dom, rng)
-        pairing = inner_l2(jacobian(psi, theta), theta)
-        scale = norm_grad(psi) * norm_l2(theta) * norm_grad(theta)
+        pairing = _inner(jacobian(psi, theta), theta)
+        scale = norm_hk(psi, 1) * norm_hk(theta, 0) * norm_hk(theta, 1)
         assert abs(pairing) <= 1e-10 * scale
 
 
@@ -171,14 +183,9 @@ def test_norms_single_mode_closed_form():
     u = SpectralField(c, dom)
     mu = abs(laplacian_eigenvalue(3, 2, a))
     base = 3.0 * np.sqrt(a) / 2.0
-    assert norm_l2(u) == pytest.approx(base, rel=1e-13)
-    assert norm_grad(u) == pytest.approx(base * mu ** 0.5, rel=1e-13)
-    assert norm_lap(u) == pytest.approx(base * mu, rel=1e-13)
-    assert norm_gradlap(u) == pytest.approx(base * mu ** 1.5, rel=1e-13)
     for k in range(5):
         assert norm_hk(u, k) == pytest.approx(base * mu ** (k / 2.0),
                                               rel=1e-13)
-    assert norm_hk(u, 2) == norm_lap(u)   # same expression, bit-identical
     with pytest.raises(ValueError):
         norm_hk(u, -1)
 
@@ -202,16 +209,7 @@ def test_grad_norm_matches_fine_grid_quadrature():
     uz = np.sin(np.outer(x, kx)) @ (u.coeffs * kz[None, :]) \
         @ np.cos(np.outer(z, kz)).T
     integ = simpson(simpson(ux ** 2 + uz ** 2, x=z, axis=1), x=x)
-    assert integ == pytest.approx(norm_grad(u) ** 2, rel=1e-8)
-
-
-def test_velocity_from_stream():
-    rng = np.random.default_rng(17)
-    dom = Domain(a=1.0, Nx=6, Nz=6)
-    psi = _rand_field(dom, rng)
-    v1, v2 = velocity_from_stream(psi)
-    assert np.allclose(v1.values, -derivative_z(psi).values, atol=1e-14)
-    assert np.allclose(v2.values, derivative_x(psi).values, atol=1e-14)
+    assert integ == pytest.approx(norm_hk(u, 1) ** 2, rel=1e-8)
 
 
 def test_tail_fraction_direct_summation():
