@@ -25,7 +25,6 @@ those stored scalars alone, for `run` and `certify` alike.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -501,7 +500,11 @@ class _Certifier:
 class CertificateSuite:
     """Stateful per-run evaluator handed to the integrator as `monitors`.
 
-    Stage (a) reduces each sampled state to one TrajectoryRecord, then
+    `on_sample(t, c, c_pre, dt)` takes the tuples of coefficient arrays
+    (psi, theta, phi) that `run` hands out.  A prestate that is the last
+    sample's tuple (the same object, as at sample_every=1) reuses that
+    sample's stacked coefficients and E_Y; any other is read afresh.
+    Stage (a) reduces each sample to one TrajectoryRecord, then
     stage (b), shared with `replay_certificates`, sets its flags; replaying
     the records therefore reproduces all flags and slacks bit-identically.
     """
@@ -525,7 +528,7 @@ class CertificateSuite:
         shape, K = (3, dom.Nx, dom.Nz), dom.Nx * dom.Nz
         self._stacks = (np.empty(shape), np.empty(shape))
         self._work = (np.empty((3, K)), np.empty((len(NORMS), K)))
-        self._last, self._last_EY = (None,) * 3, None
+        self._last = self._last_EY = None
 
     def _tail_fractions(self, C: np.ndarray, out: np.ndarray) -> list[float]:
         """`tail_fraction` of each field of the stacked coefficients C in one
@@ -539,23 +542,21 @@ class CertificateSuite:
             P.reshape(3, -1).sum(axis=1).tolist(),
             head.sum(axis=1).tolist())]
 
-    def on_sample(self, t: float, s: State, s_pre: State | None,
+    def on_sample(self, t: float, c: tuple, c_pre: tuple | None,
                   dt: float) -> TrajectoryRecord:
         p, cfg = self.p, self.cfg
         C, C_pre = self._stacks
-        arrays = (s.psi.coeffs, s.theta.coeffs, s.phi.coeffs)
-        C[0], C[1], C[2] = arrays
+        C[0], C[1], C[2] = c
         n = _sq_norms(C, self.dom, self._work)
         rec = TrajectoryRecord(
             t=t, E_Y=energy_y(n, p), E_half=energy_half(n, p),
             config_hash=self.config_hash, **{f: n[f] for f in NORMS[1:]})
-        if s_pre is not None:
-            # at sample_every=1 the prestate holds the last sample's arrays:
-            # C_pre is their stack and its E_Y is kept
-            pre = (s_pre.psi.coeffs, s_pre.theta.coeffs, s_pre.phi.coeffs)
+        if c_pre is not None:
+            # at sample_every=1 the prestate is the last sample's tuple:
+            # C_pre is its stack and its E_Y is kept
             E_Y_pre = self._last_EY
-            if not all(map(operator.is_, pre, self._last)):
-                C_pre[0], C_pre[1], C_pre[2] = pre
+            if c_pre is not self._last:
+                C_pre[0], C_pre[1], C_pre[2] = c_pre
                 E_Y_pre = energy_y(_sq_norms(C_pre, self.dom, self._work), p)
             dE = rec.E_Y - E_Y_pre
             rec.dEY_dt_disc = dE / dt
@@ -569,7 +570,7 @@ class CertificateSuite:
                 rec.E_Y_mid = energy_y(n_mid, p)
         if cfg.checks["tail"] and t >= cfg.tail_warmup:
             rec.tail_frac_k2 = max(self._tail_fractions(C, out=C_pre))
-        self._stacks, self._last, self._last_EY = (C_pre, C), arrays, rec.E_Y
+        self._stacks, self._last, self._last_EY = (C_pre, C), c, rec.E_Y
         self.records.append(self._certify(rec))
         return rec
 

@@ -67,31 +67,49 @@ def _write_jsonl(path: Path, rc: RunConfig, records, failure):
                                 sort_keys=True) + "\n")
 
 
+def _output_paths(rc: RunConfig, jsonl_path: Path, base_dir: Path,
+                  t0: float) -> dict:
+    """Each file a run writes, under its key: "jsonl", "plot_csv" (if
+    configured) and, per snapshot, the time `run` stamps it with (t0 plus
+    whole steps).  Outputs that would share a file are refused with a
+    ValueError naming both and the path."""
+    dt, out = rc.stepper.dt, rc.output
+    prefix = _resolve(out["snapshot_prefix"], base_dir) \
+        if out["snapshot_prefix"] else jsonl_path.with_suffix("")
+    named = {"jsonl": ("jsonl", jsonl_path)}
+    if out["plot_csv"]:
+        named["plot_csv"] = ("plot_csv", _resolve(out["plot_csv"], base_dir))
+    for ts in out["snapshot_at"]:
+        t = t0 + int(round(ts / dt)) * dt
+        named.setdefault(t, (f"snapshot_at {ts!r}",
+                             Path(f"{prefix}_t{t:g}.snap")))
+    owner = {}
+    for name, path in named.values():
+        if owner.setdefault(path.resolve(), name) != name:
+            raise ValueError(f"outputs {owner[path.resolve()]} and {name} "
+                             f"would both write {path}")
+    return {key: path for key, (_, path) in named.items()}
+
+
 def _execute(rc: RunConfig, jsonl_path: Path, base_dir: Path):
     """Build IC, integrate with the certificate suite attached, write the
     JSONL stream plus any configured snapshot/plot artifacts."""
     s0 = build_initial_state(rc.ic, rc.dom, rc.p)
+    paths = _output_paths(rc, jsonl_path, base_dir, s0.t)
     suite = CertificateSuite(rc.p, rc.dom, rc.cert_cfg, s0, rc.config_hash)
     traj = integrate(s0, rc.p, rc.stepper, monitors=suite,
                      snapshot_times=tuple(rc.output["snapshot_at"]))
     jsonl_path.parent.mkdir(parents=True, exist_ok=True)
     _write_jsonl(jsonl_path, rc, suite.records, traj.failure)
-    snap_paths = []
-    prefix = rc.output["snapshot_prefix"]
-    prefix = _resolve(prefix, base_dir) if prefix \
-        else jsonl_path.with_suffix("")
     for t, st in traj.snapshots:
-        sp = Path(f"{prefix}_t{t:g}.snap")
-        write_snapshot(sp, st.psi, st.theta, st.phi, t)
-        snap_paths.append(sp)
-    if rc.output["plot_csv"]:
-        with open(_resolve(rc.output["plot_csv"], base_dir), "w",
-                  newline="") as fh:
+        write_snapshot(paths[t], st.psi, st.theta, st.phi, t)
+    if "plot_csv" in paths:
+        with open(paths["plot_csv"], "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(_PLOT_COLS)
             w.writerows(itemgetter(*_PLOT_COLS)(vars(rec))
                         for rec in suite.records)
-    return suite, traj, snap_paths
+    return suite, traj, [paths[t] for t, _ in traj.snapshots]
 
 
 def _report(rows, failure) -> int:
@@ -201,6 +219,9 @@ def cmd_certify(args) -> int:
             return _fail(f"{path}:{i}: mixed config hashes "
                          f"({line['config_hash']!r} vs {stored_hash!r})")
         if not is_marker:
+            if records and not line["t"] > records[-1].t:
+                return _fail(f"{path}:{i}: record t={line['t']!r} does not "
+                             f"follow t={records[-1].t!r}")
             records.append(TrajectoryRecord(**line))
     if not records:
         return _fail(f"{path}: no trajectory records")

@@ -198,23 +198,17 @@ def _blowup(c, dom: Domain, t: float) -> dict | None:
     return None
 
 
-def _unchecked(cls, **attrs):
-    """An instance of the frozen dataclass `cls` without its `__post_init__`
-    checks.  Only `run` builds objects this way: `_blowup` has proved its
-    coefficients finite, and the stepper fixes their shape and domain."""
-    obj = object.__new__(cls)
-    vars(obj).update(attrs)
-    return obj
-
-
 def run(s0: State, p: Params, cfg: StepperConfig, monitors=None,
         snapshot_times: tuple[float, ...] = ()) -> Trajectory:
     """Integrate to t_end, sampling every `sample_every` steps (the final
-    state is always sampled) and calling `monitors.on_sample(t, state,
-    prestate, dt)` per sample, prestate being the state one step earlier
-    (None at the initial sample).  Nothing else keeps the samples.  The
-    States handed out are not re-validated, and `run` never writes into
-    their arrays afterwards, so a monitor may key on array identity.
+    state is always sampled) and calling `monitors.on_sample(t, c, c_pre,
+    dt)` per sample: c is the stepper's tuple of coefficient arrays (psi,
+    theta, phi) at time t, c_pre the tuple one step earlier (None at the
+    initial sample).  Nothing else keeps the samples.  `run` never writes
+    into an array once handed out, so a monitor may keep the arrays or key
+    on their identity; at sample_every=1 each c_pre is the last sample's c.
+    `Trajectory.final` and the snapshots are the only States `run` builds,
+    through the validating constructors, on the arrays handed out.
 
     Snapshot times must be step-aligned; each one is also an integrator
     restart barrier (the multistep history is dropped there), so a run
@@ -224,40 +218,39 @@ def run(s0: State, p: Params, cfg: StepperConfig, monitors=None,
     """
     dom = s0.dom
     nsteps = int(round(cfg.t_end / cfg.dt))
-    snap_steps = {}
+    snap_steps = set()
     for ts in snapshot_times:
         k = int(round(ts / cfg.dt))
         if abs(k * cfg.dt - ts) > 1e-9 * max(1.0, abs(ts)) or not 0 <= k <= nsteps:
             raise ValueError(f"snapshot time {ts} is not step-aligned in [0, t_end]")
-        snap_steps[k] = ts
+        snap_steps.add(k)
 
     stepper = _STEPPERS[cfg.scheme](p, dom, cfg.dt, cfg.linear_only)
 
-    def emit(t, state, prestate):
+    def sample(t, c, c_pre):
         if monitors is not None:
-            monitors.on_sample(t, state, prestate, cfg.dt)
-        return state
-
-    def wrap(c, t):
-        psi, theta, phi = (_unchecked(SpectralField, coeffs=u, dom=dom)
-                           for u in c)
-        return _unchecked(State, psi=psi, theta=theta, phi=phi, t=t)
+            monitors.on_sample(t, c, c_pre, cfg.dt)
+        return t, c
 
     c = (s0.psi.coeffs.copy(), s0.theta.coeffs.copy(), s0.phi.coeffs.copy())
-    traj = Trajectory(final=emit(s0.t, wrap(c, s0.t), None))
-    if 0 in snap_steps:
-        traj.snapshots.append((s0.t, wrap(c, s0.t)))
-    hist = None
+    last = sample(s0.t, c, None)
+    snaps = [last] if 0 in snap_steps else []
+    hist = failure = None
     for k in range(1, nsteps + 1):
         c_before = c
         c, hist = stepper.advance(c, hist)
         t = s0.t + k * cfg.dt
-        traj.failure = _blowup(c, dom, t)
-        if traj.failure is not None:
-            return traj
+        failure = _blowup(c, dom, t)
+        if failure is not None:
+            break
         if k % cfg.sample_every == 0 or k == nsteps:
-            traj.final = emit(t, wrap(c, t), wrap(c_before, t - cfg.dt))
+            last = sample(t, c, c_before)
         if k in snap_steps:
-            traj.snapshots.append((t, wrap(c, t)))
+            snaps.append((t, c))
             hist = None  # restart barrier: resumed runs reproduce exactly
-    return traj
+
+    def state(t, c):
+        return State(*(SpectralField(u, dom) for u in c), t)
+
+    return Trajectory(state(*last), [(t, state(t, c)) for t, c in snaps],
+                      failure)

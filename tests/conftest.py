@@ -1,16 +1,25 @@
 import pytest
 
+from ltne import SpectralField, State
+
 
 class SampleLog:
-    """Monitor for `run` that keeps what it is handed at each sample."""
+    """Monitor for `run` that keeps what it is handed at each sample: the
+    time, the tuple of coefficient arrays and the prestate's tuple."""
 
     def __init__(self):
-        self.times, self.states, self.prestates = [], [], []
+        self.times, self.samples, self.prestates = [], [], []
 
-    def on_sample(self, t, state, prestate, dt):
+    def on_sample(self, t, c, c_pre, dt):
         self.times.append(t)
-        self.states.append(state)
-        self.prestates.append(prestate)
+        self.samples.append(c)
+        self.prestates.append(c_pre)
+
+    def states(self, dom):
+        """The samples as validated States on `dom`, for the functions that
+        take States."""
+        return [State(*(SpectralField(u, dom) for u in c), t)
+                for t, c in zip(self.times, self.samples)]
 
 
 @pytest.fixture

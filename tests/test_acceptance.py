@@ -199,8 +199,8 @@ def test_07_difference_envelope_ic_pairs(sample_log):
         logA, logB = sample_log(), sample_log()
         run(s0, p, cfg, monitors=logA)
         run(sB, p, cfg, monitors=logB)
-        ok, slack = check_continuous_dependence(logA.states, logB.states,
-                                                k, p)
+        ok, slack = check_continuous_dependence(
+            logA.states(dom), logB.states(dom), k, p)
         assert ok, f"pair {seed} mode ({m}, {n}) left the envelope"
         worst = min(worst, slack)
     _report("difference envelope", True,

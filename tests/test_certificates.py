@@ -237,17 +237,19 @@ def test_continuous_dependence_envelope(sample_log):
     st = StepperConfig(dt=0.005, t_end=0.5, sample_every=5)
     logA, logB, logC = sample_log(), sample_log(), sample_log()
     run(sA, p, st, monitors=logA)
-    ok, slack = check_continuous_dependence(logA.states, logA.states, k, p)
+    statesA = logA.states(dom)
+    ok, slack = check_continuous_dependence(statesA, statesA, k, p)
     assert ok and slack == math.inf
     pert = f[1].coeffs.copy()
     pert[1, 0] += 1e-6
     sB = State(f[0], SpectralField(pert, dom), f[2])
     run(sB, p, st, monitors=logB)
-    ok2, slack2 = check_continuous_dependence(logA.states, logB.states, k, p)
+    statesB = logB.states(dom)
+    ok2, slack2 = check_continuous_dependence(statesA, statesB, k, p)
     assert ok2 and 0.0 < slack2 < math.inf
     # the worst slack is taken over samples 1.., since sample 0 has slack 0
     D, rate = [], []
-    for sa, sb in zip(logA.states, logB.states):
+    for sa, sb in zip(statesA, statesB):
         d = state_norms(State(*(SpectralField(
             getattr(sa, f).coeffs - getattr(sb, f).coeffs, dom)
             for f in ("psi", "theta", "phi"))))
@@ -264,7 +266,7 @@ def test_continuous_dependence_envelope(sample_log):
     run(sA, p, StepperConfig(dt=0.005, t_end=0.5, sample_every=10),
         monitors=logC)
     with pytest.raises(ValueError, match="sample grids"):
-        check_continuous_dependence(logA.states, logC.states, k, p)
+        check_continuous_dependence(statesA, logC.states(dom), k, p)
 
 
 def test_energy_balance_residual_is_second_order():
@@ -423,10 +425,11 @@ def test_h1_window_sums_equal_recomputation_bit_for_bit():
 
 
 def test_prestate_reuse_gives_the_records_of_fresh_arrays():
-    # fed the run's own States at sample_every=1, the suite finds each
-    # prestate holding the last sample's arrays and reuses that sample's
-    # stacked coefficients and E_Y; fed copies, it recomputes both.  Either
-    # way the prestate's scalars are those of the public functions.
+    # fed the run's own tuples at sample_every=1, the suite finds each
+    # prestate to be the last sample's tuple and reuses that sample's
+    # stacked coefficients and E_Y; fed fresh tuples of copied arrays, it
+    # recomputes both.  Either way the prestate's scalars are those of the
+    # public functions.
     rng = np.random.default_rng(103)
     dom = Domain(a=1.3, Nx=12, Nz=8)
     p = _params(Ra=30.0, a=1.3)
@@ -435,28 +438,28 @@ def test_prestate_reuse_gives_the_records_of_fresh_arrays():
                  for _ in range(3)))
     cfg = CertificateConfig(r=0.1, tail_k=3, tail_warmup=0.0)
 
-    def copied(st):
-        return None if st is None else State(*(SpectralField(
-            u.coeffs.copy(), dom) for u in (st.psi, st.theta, st.phi)), st.t)
+    def copied(c):
+        return None if c is None else tuple(u.copy() for u in c)
+
+    def state(c):
+        return State(*(SpectralField(u, dom) for u in c))
 
     for every in (1, 4):
         own, fresh = (CertificateSuite(p, dom, cfg, s0) for _ in range(2))
         last = []
 
         class Both:
-            def on_sample(self, t, s, pre, dt):
+            def on_sample(self, t, c, pre, dt):
                 if every == 1 and last:
-                    assert pre.phi.coeffs is last[-1].phi.coeffs
-                last.append(s)
-                rec = own.on_sample(t, s, pre, dt)
-                fresh.on_sample(t, copied(s), copied(pre), dt)
+                    assert pre is last[-1]
+                last.append(c)
+                rec = own.on_sample(t, c, pre, dt)
+                fresh.on_sample(t, copied(c), copied(pre), dt)
                 if pre is not None:
                     assert rec.dEY_dt_disc == (rec.E_Y - energy_y(
-                        state_norms(pre), p)) / dt
-                    assert rec.R_mid == energy_identity_rhs(State(*(
-                        SpectralField(0.5 * (u.coeffs + v.coeffs), dom)
-                        for u, v in zip((pre.psi, pre.theta, pre.phi),
-                                        (s.psi, s.theta, s.phi)))), p)
+                        state_norms(state(pre)), p)) / dt
+                    assert rec.R_mid == energy_identity_rhs(state(
+                        0.5 * (u + v) for u, v in zip(pre, c)), p)
 
         run(s0, p, StepperConfig(dt=0.01, t_end=0.6, sample_every=every),
             monitors=Both())

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.linalg import eigvals as dense_eigvals
 
-from ltne import assemble_linear, config_hash, load_config
+from ltne import (Domain, SpectralField, assemble_linear, config_hash,
+                  load_config, write_snapshot)
 from ltne.cli import main
 
 
@@ -278,6 +279,61 @@ def test_h1_window_spans_an_interval_when_r_is_below_time_resolution(
         h1[r] = [(d["h1_absorb_ok"], d["h1_absorb_slack"]) for d in recs]
     assert h1[1e-20] == h1[0.05]
     assert h1[0.05][0] == (None, None) and h1[0.05][1][0] is True
+
+
+def test_certify_refuses_record_times_that_do_not_increase(tmp_path,
+                                                           capsys):
+    # at r = 1e-20 a repeated record would make an h1 window of length 0
+    code, jsonl = _run_case(tmp_path, capsys, certificates={"r": 1e-20})
+    assert code == 0
+    lines = jsonl.read_text().splitlines()      # records at t = 0, 0.1, ...
+    edits = {   # the edited stream, and the line and times the error names
+        "duplicate": (lines[:3] + lines[2:], ":4: record t=0.1 does not "
+                                             "follow t=0.1"),
+        "swap": (lines[:2] + [lines[3], lines[2]] + lines[4:],
+                 ":4: record t=0.1 does not follow t=0.2"),
+    }
+    for name, (edited, message) in edits.items():
+        jsonl.write_text("\n".join(edited) + "\n")
+        assert main(["certify", str(jsonl)]) == 3, name
+        assert f"{jsonl}{message}" in capsys.readouterr().err, name
+
+
+def test_run_refuses_outputs_that_share_a_file(tmp_path, capsys):
+    cfg = _write(tmp_path / "same.json", _base_doc(
+        t_end=0.1, output={"jsonl": "same.out", "plot_csv": "same.out"}))
+    assert main(["run", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "outputs jsonl and plot_csv would both write" in err
+    assert str(tmp_path / "same.out") in err
+    assert not (tmp_path / "same.out").exists()
+
+
+def test_run_refuses_snapshots_that_share_a_file(tmp_path, capsys):
+    # snapshot files are named `<prefix>_t<t:g>.snap` with t the time `run`
+    # stamps them with, the initial state's t plus whole steps: from
+    # t = 1000, 1e-4 and 2e-4 later are both `_t1000`
+    ic = tmp_path / "late.snap"
+    z = SpectralField.zero(Domain(a=1.0, Nx=8, Nz=8))
+    write_snapshot(ic, z, z, z, 1000.0)
+    cases = [
+        (_base_doc(dt=1e-4, t_end=2e-4, ic={"kind": "snapshot",
+                                            "path": str(ic)},
+                   output={"jsonl": "late.jsonl",
+                           "snapshot_at": [1e-4, 2e-4]}),
+         "snapshot_at 0.0001 and snapshot_at 0.0002", "late_t1000.snap"),
+        # 1.2 million steps: refused before the first one
+        (_base_doc(dt=1e-7, t_end=0.1234562, sample_every=10 ** 6,
+                   output={"jsonl": "n4b.jsonl",
+                           "snapshot_at": [0.1234561, 0.1234562]}),
+         "snapshot_at 0.1234561 and snapshot_at 0.1234562",
+         "n4b_t0.123456.snap"),
+    ]
+    for doc, names, snap in cases:
+        assert main(["run", str(_write(tmp_path / "snaps.json", doc))]) == 3
+        err = capsys.readouterr().err
+        assert f"outputs {names} would both write {tmp_path / snap}" in err
+        assert not (tmp_path / doc["output"]["jsonl"]).exists()
 
 
 def test_unwritable_outputs_exit_3(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import operator
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,16 @@ def _decaying_state(dom, rng, scale=0.5):
     f = [SpectralField(scale * rng.uniform(-1.0, 1.0, (dom.Nx, dom.Nz))
                        * taper, dom) for _ in range(3)]
     return State(*f)
+
+
+def _fields(s):
+    """The coefficient arrays of a State, as `run` hands them out."""
+    return s.psi.coeffs, s.theta.coeffs, s.phi.coeffs
+
+
+def _same(xs, ys):
+    """Whether two sequences hold the same objects, in order."""
+    return len(xs) == len(ys) and all(map(operator.is_, xs, ys))
 
 
 def _maxdiff(a, b):
@@ -151,8 +162,8 @@ def test_cn_block_nonexpansive_at_huge_dt(sample_log):
     log = sample_log()
     tr = run(State(z, th, ph), p, cfg, monitors=log)
     w = p.alpha / p.gamma
-    energies = [float(np.sum(s.theta.coeffs ** 2) + w * np.sum(s.phi.coeffs ** 2))
-                for s in log.states]
+    energies = [float(np.sum(th ** 2) + w * np.sum(ph ** 2))
+                for _, th, ph in log.samples]
     assert tr.failure is None
     for prev, nxt in zip(energies[1:], energies[2:]):
         assert nxt <= prev * (1.0 + 1e-12)
@@ -172,7 +183,8 @@ def test_blowup_returns_partial_trajectory(sample_log):
     assert set(tr.failure) == {"t", "field", "error"}
     assert tr.failure["t"] <= 20.0
     assert len(log.times) >= 1   # the initial sample was handed out
-    assert tr.final is log.states[-1]
+    assert _same(_fields(tr.final), log.samples[-1])
+    assert tr.final.t == log.times[-1]
     assert log.times[-1] < tr.failure["t"]
     assert "blew up" in tr.failure["error"]
     assert tr.failure["field"] in ("psi", "theta", "phi")
@@ -259,11 +271,15 @@ def test_sampling_cadence_and_prestates(sample_log):
     tr = run(s0, p, StepperConfig(dt=dt, t_end=10 * dt, sample_every=3),
              monitors=log)
     assert log.times == pytest.approx([0.0, 3 * dt, 6 * dt, 9 * dt, 10 * dt])
-    assert [s.t for s in log.states] == log.times
     assert log.prestates[0] is None
-    for t, pre in zip(log.times[1:], log.prestates[1:]):
-        assert pre.t == pytest.approx(t - dt)
-    assert tr.final is log.states[-1]
+    # each prestate is the state one step before its sample: the last
+    # sample's own tuple when that is one step back
+    for k, pre in zip((3, 6, 9, 10), log.prestates[1:]):
+        before = run(s0, p, StepperConfig(dt=dt, t_end=(k - 1) * dt)).final
+        assert all(map(np.array_equal, pre, _fields(before)))
+    assert log.prestates[4] is log.samples[3]
+    assert _same(_fields(tr.final), log.samples[-1])
+    assert tr.final.t == log.times[-1]
 
 
 def test_memory_flat_in_t_end():
@@ -302,11 +318,10 @@ def test_run_never_writes_into_arrays_it_handed_out():
         handed = []
 
         class Copier:
-            def on_sample(self, t, s, pre, dt):
-                for st in (s, pre) if pre is not None else (s,):
-                    handed.extend((u.coeffs, u.coeffs.copy())
-                                  for u in (st.psi, st.theta, st.phi))
-                suite.on_sample(t, s, pre, dt)
+            def on_sample(self, t, c, pre, dt):
+                for arrays in (c, pre) if pre is not None else (c,):
+                    handed.extend((u, u.copy()) for u in arrays)
+                suite.on_sample(t, c, pre, dt)
 
         traj = run(s0, p, StepperConfig(dt=0.01, t_end=0.5, scheme=scheme,
                                         sample_every=every),
@@ -318,25 +333,47 @@ def test_run_never_writes_into_arrays_it_handed_out():
             assert np.array_equal(a, copy)
 
 
-def test_validation_stays_in_the_public_constructors(sample_log):
-    # `run` hands out States it does not re-validate, because `_blowup` has
-    # proved them finite: on a run that blows up, every one is finite and
-    # has the run's shape and domain, and the public constructors still
-    # refuse NaN, a bad shape and mixed domains
+def test_run_hands_out_arrays_and_builds_validated_states(monkeypatch):
+    # monitors get the stepper's tuples of arrays; `run` builds States only
+    # for `final` and the snapshots, each through the validating
+    # constructors, on the very arrays the monitor was handed
+    built = {State: [], SpectralField: []}
+    for cls, made in built.items():
+        def counted(self, check=cls.__post_init__, made=made):
+            made.append(self)
+            check(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
     rng = np.random.default_rng(19)
     dom = Domain(a=1.0, Nx=4, Nz=4)
     s0 = State(*(SpectralField(rng.uniform(-1, 1, (4, 4)), dom)
                  for _ in range(3)))
-    log = sample_log()
-    with np.errstate(over="ignore", invalid="ignore"):
-        tr = run(s0, _params(Ra=100.0),
-                 StepperConfig(dt=0.012, t_end=1.2, scheme="rk4_explicit"),
-                 monitors=log)
-    assert tr.failure is not None and len(log.states) >= 5
-    for st in log.states + log.prestates[1:]:
-        for u in (st.psi, st.theta, st.phi):
-            assert u.dom is dom and u.coeffs.shape == (4, 4)
-            assert np.isfinite(u.coeffs).all()
+    handed = []
+
+    class Check:
+        def on_sample(self, t, c, pre, dt):
+            for arrays in (c, pre) if pre is not None else (c,):
+                assert type(arrays) is tuple and len(arrays) == 3
+                assert all(type(u) is np.ndarray for u in arrays)
+            handed.append(c)
+
+    cases = ((_params(), StepperConfig(dt=0.01, t_end=0.3), (0.0, 0.1, 0.3)),
+             (_params(Ra=100.0), StepperConfig(dt=0.012, t_end=1.2,
+                                                scheme="rk4_explicit"),
+              (0.036,)))
+    for p, cfg, snaps in cases:
+        for made in built.values():
+            made.clear()
+        handed.clear()
+        with np.errstate(over="ignore", invalid="ignore"):
+            tr = run(s0, p, cfg, monitors=Check(), snapshot_times=snaps)
+        assert len(handed) > 5 and len(tr.snapshots) == len(snaps)
+        states = [tr.final] + [st for _, st in tr.snapshots]
+        assert _same(built[State], states)
+        assert _same(built[SpectralField],
+                     [u for st in states for u in (st.psi, st.theta, st.phi)])
+        assert _same(_fields(tr.final), handed[-1])
+        assert all(u.dom is dom for u in built[SpectralField])
+    assert tr.failure is not None     # the second case blew up
     with pytest.raises(ValueError, match="non-finite"):
         SpectralField(np.full((4, 4), np.nan), dom)
     with pytest.raises(ValueError, match="does not match domain"):
