@@ -29,8 +29,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .params import Domain, Params, poincare_constant
-from .spectral import _hk_weight
+from .params import Params, poincare_constant
+from .spectral import Domain
 from .dynamics import (NORMS, State, _energy_identity_rhs, _sq_norms,
                        _stack, state_norms)
 
@@ -517,9 +517,16 @@ class CertificateSuite:
         self.k = self._certify.k
         n = min(dom.Nx, dom.Nz)
         self.cutoff = cfg.tail_cutoff or max(1, n // 2)
-        if cfg.checks["tail"] and self.cutoff >= n:
-            raise ValueError(f"certificates.tail_cutoff {self.cutoff} out of "
-                             f"range: need < min(Nx, Nz) = {n}")
+        if cfg.checks["tail"]:
+            if self.cutoff >= n:
+                raise ValueError(f"certificates.tail_cutoff {self.cutoff} out "
+                                 f"of range: need < min(Nx, Nz) = {n}")
+            with np.errstate(over="ignore"):
+                self._tail_w = dom.plan.weight(cfg.tail_k)
+            if not np.isfinite(self._tail_w[-1, -1]):
+                raise ValueError(
+                    f"certificates.tail_k {cfg.tail_k} out of range: |mu|^k "
+                    f"overflows at mode ({dom.Nx}, {dom.Nz})")
         self.records: list[TrajectoryRecord] = []
         # Stage (a) works in buffers it owns: fresh (7, K) temporaries per
         # sample cost more than the arithmetic from N=64 on.  `_stacks`
@@ -535,7 +542,7 @@ class CertificateSuite:
         pass, through the buffer `out`: the same products w * c * c, and the
         head block copied to contiguous memory (by the reshape) before it is
         summed, so every sum is the same pairwise sum."""
-        P = np.multiply(_hk_weight(self.dom, self.cfg.tail_k), C, out=out)
+        P = np.multiply(self._tail_w, C, out=out)
         P *= C
         head = P[:, :self.cutoff, :self.cutoff].reshape(3, -1)
         return [(tot - hd) / tot if tot != 0.0 else 0.0 for tot, hd in zip(

@@ -25,7 +25,7 @@ from .config import (_BLOWUP, _DIMENSIONLESS_KEYS, _HEADER, _MARKER, _RECORD,
                      load_config, read_json)
 from .dynamics import assemble_linear, spectral_abscissa
 from .integrator import run as integrate
-from .spectral import eigenvalue_grid, write_snapshot
+from .spectral import write_snapshot
 
 EXIT_OK = 0
 EXIT_CERT_FAIL = 1
@@ -254,7 +254,7 @@ def _flag_mismatches(stored, replayed) -> list[str]:
     for rs, rr in zip(stored, replayed):
         for f in CERT_FIELDS:
             a, b = getattr(rs, f), getattr(rr, f)
-            if a != b and not (a is None and b is None):
+            if a != b:
                 out.append(f"t={rs.t:g}: {f} stored {a!r} recomputed {b!r}")
     return out
 
@@ -264,7 +264,12 @@ def _sweep_child(param, value, doc, jsonl_path: Path, base_dir: Path) -> dict:
     row["parameter"], row["value"] = param, value
     try:
         rc = build_config(doc, base_dir)
-        suite, traj, _ = _execute(rc, jsonl_path, base_dir)
+        # every row would share the base's plot and snapshot names
+        out = dict(rc.output, snapshot_prefix=None)
+        if out["plot_csv"]:
+            out["plot_csv"] = str(jsonl_path.with_suffix(".csv"))
+        suite, traj, _ = _execute(replace(rc, output=out), jsonl_path,
+                                  base_dir)
         last = suite.records[-1]
         row.update(t_end=last.t, E_Y_final=last.E_Y,
                    theta_sq_final=last.theta_sq, phi_sq_final=last.phi_sq,
@@ -352,7 +357,7 @@ def cmd_linearize(args) -> int:
     except ValueError as e:
         return _fail(str(e))
     eigs = L.block_eigenvalues()
-    mu = eigenvalue_grid(rc.dom)
+    mu = rc.dom.plan.mu
     out = Path(args.out) if args.out else cfg_path.with_suffix(".spectrum.csv")
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh)

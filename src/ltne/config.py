@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .params import Domain, Params, PhysicalParams, nondimensionalize
-from .spectral import SpectralField, read_snapshot
+from .params import Params, PhysicalParams, nondimensionalize
+from .spectral import Domain, SpectralField, read_snapshot
 from .dynamics import State, _sq_norms, assemble_linear
 from .integrator import StepperConfig
 from .certificates import CertificateConfig, TrajectoryRecord, energy_y

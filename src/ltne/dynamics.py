@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import Domain, Params
-from .spectral import SpectralField, _jacobian_coeffs, _plan
+from .params import Params
+from .spectral import Domain, SpectralField, _jacobian_coeffs
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ def _sq_norms(C: np.ndarray, dom: Domain, work=None) -> dict:
     must not allocate them per call."""
     sq, prod = work or (None, np.empty((len(NORMS), C[0].size)))
     sq = np.square(C.reshape(3, -1), out=sq)
-    w = _plan(dom)["hk_rows"]
+    w = dom.plan.hk_rows
     np.multiply(w[1:], sq[0], out=prod[:3])
     np.multiply(w[:2], sq[1:, None], out=prod[3:].reshape(2, 2, -1))
     return dict(zip(NORMS, (dom.a / 4.0 * prod.sum(axis=1)).tolist()))
@@ -83,8 +83,7 @@ def _check(p: Params, dom: Domain):
 
 def _rhs_arrays(cpsi: np.ndarray, cth: np.ndarray, cph: np.ndarray,
                 p: Params, dom: Domain, include_jacobian: bool = True):
-    plan = _plan(dom)
-    mu, D = plan["mu"], plan["Dx"]
+    mu, D = dom.plan.mu, dom.plan.D
     dpsi = (p.Pr / p.Da) * ((p.C * mu - 1.0) * cpsi + p.Ra * (D @ cth) / mu)
     dth = mu * cth + p.lam * (cph - cth)
     if include_jacobian:
@@ -147,7 +146,7 @@ class LinearOperator:
 
 def assemble_linear(p: Params, dom: Domain) -> LinearOperator:
     _check(p, dom)
-    mu = _plan(dom)["mu"]
+    mu = dom.plan.mu
     return LinearOperator(
         dom=dom, p=p,
         lpsi=(p.Pr / p.Da) * (p.C * mu - 1.0),
@@ -195,8 +194,7 @@ def _energy_identity_rhs(C, p: Params, dom: Domain, n: dict) -> float:
     """`energy_identity_rhs` of the stacked coefficients C = [psi, theta,
     phi], given their squared norms `n`."""
     _check(p, dom)
-    plan = _plan(dom)
-    mu, D = plan["mu"], plan["Dx"]
+    mu, D = dom.plan.mu, dom.plan.D
     a4 = dom.a / 4.0
     cpsi, cth, cph = C
     cross = a4 * np.sum(cth * (D @ (mu * cpsi)))   # <theta, d(lap psi)/dx>

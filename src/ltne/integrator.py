@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import Domain, Params
-from .spectral import SpectralField, _jacobian_coeffs, _plan
+from .params import Params
+from .spectral import Domain, SpectralField, _jacobian_coeffs
 from .dynamics import State, _rhs_arrays, assemble_linear
 
 BLOWUP_NORM = 1e12
@@ -72,8 +72,7 @@ class _LinearImplicit:
     def __init__(self, p: Params, dom: Domain, dt: float, linear_only: bool):
         self.p, self.dom, self.dt = p, dom, dt
         self.linear_only = linear_only
-        plan = _plan(dom)
-        self.mu, self.D = plan["mu"], plan["Dx"]
+        self.mu, self.D = dom.plan.mu, dom.plan.D
         self.L = assemble_linear(p, dom)
 
     def _explicit(self, cpsi, cth):

@@ -1,9 +1,10 @@
-"""Physical and dimensionless parameters and the rectangular domain.
+"""Physical and dimensionless parameters.
 
 The dimensionless problem lives on (0, a) x (0, 1): depth normalized to 1,
-aspect ratio a the single geometry parameter.  Seven dimensionless groups
-(Ra, Pr, Da, C, lambda, gamma, alpha) control the dynamics; they can be given
-directly or derived from a physical parameter set.
+aspect ratio a the single geometry parameter (`spectral.Domain` holds the
+truncation on it).  Seven dimensionless groups (Ra, Pr, Da, C, lambda,
+gamma, alpha) control the dynamics; they can be given directly or derived
+from a physical parameter set.
 """
 
 from __future__ import annotations
@@ -77,37 +78,6 @@ class Params:
                 raise ValueError(f"parameter {name} must be finite and > 0")
 
 
-@dataclass(frozen=True)
-class Domain:
-    """Spectral truncation and collocation sizes on (0, a) x (0, 1).
-
-    Nx, Nz: retained sine modes per direction.  Mx, Mz: interior collocation
-    points; Mx >= 2*Nx + 1 (and likewise in z) makes the quadrature of
-    quadratic products exact, which the dealiasing contract relies on.
-    Defaults are Mx = 2*Nx + 2 for even transform sizes.
-    """
-
-    a: float
-    Nx: int
-    Nz: int
-    Mx: int = 0
-    Mz: int = 0
-
-    def __post_init__(self):
-        if not self.a > 0:
-            raise ValueError("aspect ratio a must be > 0")
-        if self.Nx < 1 or self.Nz < 1:
-            raise ValueError("Nx and Nz must be >= 1")
-        if self.Mx == 0:
-            object.__setattr__(self, "Mx", 2 * self.Nx + 2)
-        if self.Mz == 0:
-            object.__setattr__(self, "Mz", 2 * self.Nz + 2)
-        if self.Mx < 2 * self.Nx + 1 or self.Mz < 2 * self.Nz + 1:
-            raise ValueError(
-                "collocation sizes must satisfy Mx >= 2*Nx+1, Mz >= 2*Nz+1 "
-                f"(got Mx={self.Mx}, Nx={self.Nx}, Mz={self.Mz}, Nz={self.Nz})")
-
-
 def nondimensionalize(ph: PhysicalParams, a: float = 1.0,
                       gamma_cap: float = GAMMA_CAP_DEFAULT) -> Params:
     """Map physical constants to the seven dimensionless numbers.
@@ -134,7 +104,7 @@ def nondimensionalize(ph: PhysicalParams, a: float = 1.0,
                   alpha=alpha, a=a)
 
 
-def poincare_constant(dom: Domain) -> float:
+def poincare_constant(dom) -> float:
     """Sharp Poincare constant M_P = 1/lambda_1 on (0, a) x (0, 1).
 
     lambda_1 = pi^2 (1/a^2 + 1) is the lowest Dirichlet Laplacian eigenvalue

@@ -1,5 +1,6 @@
-"""Sine-basis fields on (0, a) x (0, 1): grid transforms, the dealiased
-Jacobian, the exact d/dx projection, H^k seminorms, snapshot files.
+"""Sine-basis fields on (0, a) x (0, 1): the truncation (`Domain`) and the
+matrices it owns (`Plan`: grid transforms, the exact d/dx projection,
+|mu|^k weights), the dealiased Jacobian, H^k seminorms, snapshot files.
 
 Every scalar field is u(x, z) = sum_{m=1..Nx, n=1..Nz} u_mn sin(m pi x / a)
 sin(n pi z), which vanishes on the boundary by construction.  Coefficients are
@@ -23,18 +24,93 @@ Conventions and the two exactness facts everything else leans on:
   (no aliasing, and the skew-symmetry identity holds to roundoff).
 
 A cosine series (an x-derivative) sampled on this grid is *not* recovered
-exactly by sine analysis; the exact projection of d/dx lives in
-`dx_projection_matrix` instead.
+exactly by sine analysis; the exact projection of d/dx is `Plan.D` instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from .params import Domain
+
+@dataclass(frozen=True)
+class Domain:
+    """Spectral truncation and collocation sizes on (0, a) x (0, 1).
+
+    Nx, Nz: retained sine modes per direction.  Mx, Mz: interior collocation
+    points; Mx >= 2*Nx + 1 (and likewise in z) makes the quadrature of
+    quadratic products exact, which the dealiasing contract relies on.
+    Defaults are Mx = 2*Nx + 2 for even transform sizes.  `plan` holds the
+    truncation's matrices, built on first use.
+    """
+
+    a: float
+    Nx: int
+    Nz: int
+    Mx: int = 0
+    Mz: int = 0
+
+    def __post_init__(self):
+        if not self.a > 0:
+            raise ValueError("aspect ratio a must be > 0")
+        if self.Nx < 1 or self.Nz < 1:
+            raise ValueError("Nx and Nz must be >= 1")
+        if self.Mx == 0:
+            object.__setattr__(self, "Mx", 2 * self.Nx + 2)
+        if self.Mz == 0:
+            object.__setattr__(self, "Mz", 2 * self.Nz + 2)
+        if self.Mx < 2 * self.Nx + 1 or self.Mz < 2 * self.Nz + 1:
+            raise ValueError(
+                "collocation sizes must satisfy Mx >= 2*Nx+1, Mz >= 2*Nz+1 "
+                f"(got Mx={self.Mx}, Nx={self.Nx}, Mz={self.Mz}, Nz={self.Nz})")
+
+    @cached_property
+    def plan(self) -> Plan:
+        return Plan(self)
+
+
+class Plan:
+    """The matrices of one Domain's truncation.
+
+    Sx, Sz: sine synthesis, Sx[j-1, m-1] = sin(pi m j / Px), so coefficients
+    C have grid values Sx @ C @ Sz.T and grid values V analyse back to
+    scale * (Sx.T @ V @ Sz).  Cx, Cz: cosine evaluation with the derivative
+    factor folded in.  mu: the (Nx, Nz) Laplacian eigenvalues mu_mn.  D: the
+    (Nx, Nx) exact sine projection of d/dx acting on the m-index, so
+    (D @ c)[m'-1, :] are the coefficients of the projection of du/dx; it
+    couples only modes of opposite parity.  hk: |mu|^k for k = 0..3, shape
+    (4, Nx, Nz); hk_rows: its (4, Nx Nz) reshape.
+    """
+
+    def __init__(self, dom: Domain):
+        a, Nx, Nz, Mx, Mz = dom.a, dom.Nx, dom.Nz, dom.Mx, dom.Mz
+        Px, Pz = Mx + 1, Mz + 1
+        jx = np.arange(1, Mx + 1)
+        jz = np.arange(1, Mz + 1)
+        mm = np.arange(1, Nx + 1)
+        nn = np.arange(1, Nz + 1)
+        self.Sx = np.sin(np.pi * np.outer(jx, mm) / Px)
+        self.Sz = np.sin(np.pi * np.outer(jz, nn) / Pz)
+        kx = mm * np.pi / a
+        kz = nn * np.pi
+        self.Cx = np.cos(np.pi * np.outer(jx, mm) / Px) * kx
+        self.Cz = np.cos(np.pi * np.outer(jz, nn) / Pz) * kz
+        self.scale = 4.0 / (Px * Pz)
+        self.mu = -(kx[:, None] ** 2 + kz[None, :] ** 2)
+        # target m', source m: 4 m m' / (a (m'^2 - m^2)) for m + m' odd
+        mp = mm[:, None]
+        ms = mm[None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.D = 4.0 * ms * mp / (a * (mp ** 2 - ms ** 2))
+        self.D[(mp + ms) % 2 == 0] = 0.0
+        self.hk = np.stack([(-self.mu) ** k for k in range(4)])
+        self.hk_rows = self.hk.reshape(4, -1)
+
+    def weight(self, k: int) -> np.ndarray:
+        """|mu|^k on the (Nx, Nz) mode grid."""
+        return self.hk[k] if 0 <= k < len(self.hk) else (-self.mu) ** k
 
 
 @dataclass(frozen=True)
@@ -82,71 +158,19 @@ def laplacian_eigenvalue(m: int, n: int, a: float) -> float:
     return -((m * np.pi / a) ** 2 + (n * np.pi) ** 2)
 
 
-@lru_cache(maxsize=None)
-def _plan(dom: Domain) -> dict:
-    """Precomputed matrices for one Domain: synthesis/analysis, derivative
-    evaluation, the d/dx projection, eigenvalue grids and |mu|^k weights."""
-    a, Nx, Nz, Mx, Mz = dom.a, dom.Nx, dom.Nz, dom.Mx, dom.Mz
-    Px, Pz = Mx + 1, Mz + 1
-    jx = np.arange(1, Mx + 1)
-    jz = np.arange(1, Mz + 1)
-    mm = np.arange(1, Nx + 1)
-    nn = np.arange(1, Nz + 1)
-    # Sx[j-1, m-1] = sin(pi m j / Px); synthesis is Sx @ C @ Sz.T
-    Sx = np.sin(np.pi * np.outer(jx, mm) / Px)
-    Sz = np.sin(np.pi * np.outer(jz, nn) / Pz)
-    kx = mm * np.pi / a
-    kz = nn * np.pi
-    # cosine evaluation with the derivative factor folded in
-    Cx = np.cos(np.pi * np.outer(jx, mm) / Px) * kx
-    Cz = np.cos(np.pi * np.outer(jz, nn) / Pz) * kz
-    mu = -(kx[:, None] ** 2 + kz[None, :] ** 2)
-    # exact L2 sine projection of d/dx: target m', source m, nonzero for
-    # m + m' odd with coefficient 4 m m' / (a (m'^2 - m^2))
-    mp = mm[:, None]
-    ms = mm[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        D = 4.0 * ms * mp / (a * (mp ** 2 - ms ** 2))
-    D[(mp + ms) % 2 == 0] = 0.0
-    hk = np.stack([(-mu) ** k for k in range(4)])   # |mu|^k, k = 0..3
-    return {
-        "Sx": Sx, "Sz": Sz, "Cx": Cx, "Cz": Cz,
-        "analysis_scale": 4.0 / (Px * Pz),
-        "mu": mu, "absmu": -mu, "Dx": D,
-        "hk_weights": tuple(hk),   # views of hk_rows, one per k
-        "hk_rows": hk.reshape(4, -1),
-    }
-
-
-def dx_projection_matrix(dom: Domain) -> np.ndarray:
-    """(Nx, Nx) matrix of the exact sine-basis projection of d/dx.
-
-    Acting on the m-index of a coefficient array: (D @ c)[m'-1, :] are the
-    coefficients of the projection of du/dx.  Antisymmetric up to the m m'
-    weighting; couples only modes of opposite parity.
-    """
-    return _plan(dom)["Dx"]
-
-
-def eigenvalue_grid(dom: Domain) -> np.ndarray:
-    """(Nx, Nz) array of mu_mn."""
-    return _plan(dom)["mu"]
-
-
 def _check_same_domain(u: SpectralField, v: SpectralField):
     if u.dom != v.dom:
         raise ValueError("fields live on different domains")
 
 
 def to_grid(u: SpectralField) -> GridField:
-    p = _plan(u.dom)
-    return GridField(p["Sx"] @ u.coeffs @ p["Sz"].T, u.dom)
+    p = u.dom.plan
+    return GridField(p.Sx @ u.coeffs @ p.Sz.T, u.dom)
 
 
 def to_spectral(v: GridField) -> SpectralField:
-    p = _plan(v.dom)
-    c = p["analysis_scale"] * (p["Sx"].T @ v.values @ p["Sz"])
-    return SpectralField(c, v.dom)
+    p = v.dom.plan
+    return SpectralField(p.scale * (p.Sx.T @ v.values @ p.Sz), v.dom)
 
 
 def jacobian(psi: SpectralField, theta: SpectralField) -> SpectralField:
@@ -164,24 +188,17 @@ def jacobian(psi: SpectralField, theta: SpectralField) -> SpectralField:
 def _jacobian_coeffs(cpsi: np.ndarray, cth: np.ndarray, dom: Domain) -> np.ndarray:
     """`jacobian` on bare coefficient arrays: the product of the grid
     derivatives, analysed back to sine coefficients."""
-    p = _plan(dom)
-    Sx, Sz, Cx, Cz = p["Sx"], p["Sz"], p["Cx"], p["Cz"]
+    p = dom.plan
+    Sx, Sz, Cx, Cz = p.Sx, p.Sz, p.Cx, p.Cz
     psi_x, psi_z = Cx @ cpsi @ Sz.T, Sx @ cpsi @ Cz.T
     th_x, th_z = Cx @ cth @ Sz.T, Sx @ cth @ Cz.T
-    return p["analysis_scale"] * (Sx.T @ (psi_x * th_z - psi_z * th_x) @ Sz)
-
-
-def _hk_weight(dom: Domain, k: int) -> np.ndarray:
-    """|mu|^k on the (Nx, Nz) mode grid, precomputed for k = 0..3."""
-    p = _plan(dom)
-    w = p["hk_weights"]
-    return w[k] if 0 <= k < len(w) else p["absmu"] ** k
+    return p.scale * (Sx.T @ (psi_x * th_z - psi_z * th_x) @ Sz)
 
 
 def _hk_sq(c: np.ndarray, dom: Domain, k: int) -> float:
     """(a/4) sum |mu|^k c^2: the squared H^k-level seminorm of coefficients c.
     Every stored squared norm goes through here."""
-    return float(dom.a / 4.0 * np.sum(_hk_weight(dom, k) * c ** 2))
+    return float(dom.a / 4.0 * np.sum(dom.plan.weight(k) * c ** 2))
 
 
 def norm_hk(u: SpectralField, k: int) -> float:
@@ -198,7 +215,7 @@ def tail_fraction(u: SpectralField, k: int, cutoff: int) -> float:
     dom = u.dom
     if not 1 <= cutoff < min(dom.Nx, dom.Nz):
         raise ValueError("need 1 <= cutoff < min(Nx, Nz)")
-    w, c = _hk_weight(dom, k), u.coeffs
+    w, c = dom.plan.weight(k), u.coeffs
     total = float(np.sum(w * c * c))
     if total == 0.0:
         return 0.0

@@ -369,7 +369,7 @@ def test_one_pass_tail_fractions_equal_tail_fraction(nx, nz, a):
     fields[1] = np.zeros((nx, nz))      # a zero field has fraction 0
     s = State(*(SpectralField(c, dom) for c in fields))
     C = np.stack(fields)
-    for k in (2, 3):
+    for k in (0, 2, 3, 5):
         for cutoff in (None, 1, min(nx, nz) - 1):
             suite = CertificateSuite(_params(a=a), dom, CertificateConfig(
                 tail_k=k, tail_cutoff=cutoff), s)

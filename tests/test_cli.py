@@ -9,6 +9,7 @@ from scipy.linalg import eigvals as dense_eigvals
 from ltne import (Domain, SpectralField, assemble_linear, config_hash,
                   load_config, write_snapshot)
 from ltne.cli import main
+from ltne.spectral import Plan
 
 
 def _write(path, doc):
@@ -378,6 +379,50 @@ def test_tail_cutoff_range_applies_only_with_tail_check(tmp_path, capsys):
     assert "min(Nx, Nz) = 1" in err
 
 
+def test_tail_k_whose_weight_overflows_is_refused(tmp_path, capsys):
+    # |mu|^84 overflows at the largest mode of N=16 (|mu| = 2 (16 pi)^2),
+    # which made every tail fraction NaN; 83 is still finite
+    for k, code in ((83, 1), (84, 3), (90, 3)):
+        cfg = _write(tmp_path / f"k{k}.json", _base_doc(
+            Nx=16, Nz=16, certificates={"tail_k": k}))
+        assert main(["run", str(cfg)]) == code, k
+    err = capsys.readouterr().err
+    assert "certificates.tail_k 90 out of range" in err
+    assert "NaN" not in (tmp_path / "k83.jsonl").read_text()
+    assert not (tmp_path / "k90.jsonl").exists()
+    # with the tail check off the weight is never used
+    cfg = _write(tmp_path / "off.json", _base_doc(
+        Nx=16, Nz=16, certificates={"tail_k": 90, "checks": {"tail": False}}))
+    assert main(["run", str(cfg)]) == 0
+    assert "NaN" not in cfg.with_suffix(".jsonl").read_text()
+    capsys.readouterr()
+
+
+def test_run_builds_one_plan_and_certify_none(tmp_path, capsys, monkeypatch):
+    # the matrices are built once per Domain, lazily: `certify` needs none,
+    # and no kernel hashes the Domain to find them
+    plans, hashes = [], []
+    init, dom_hash = Plan.__init__, Domain.__hash__
+
+    def counted_init(self, dom):
+        plans.append(dom)
+        init(self, dom)
+
+    def counted_hash(self):
+        hashes.append(self)
+        return dom_hash(self)
+
+    monkeypatch.setattr(Plan, "__init__", counted_init)
+    monkeypatch.setattr(Domain, "__hash__", counted_hash)
+    cfg = _write(tmp_path / "case.json", _base_doc(
+        t_end=0.6, output={"snapshot_at": [0.5]}))
+    assert main(["run", str(cfg)]) == 0
+    assert len(plans) == 1 and hashes == []
+    assert main(["certify", str(cfg.with_suffix(".jsonl"))]) == 0
+    capsys.readouterr()
+    assert len(plans) == 1 and hashes == []
+
+
 def test_sweep_empty_values(tmp_path, capsys):
     spec = _write(tmp_path / "empty.json",
                   {"parameter": "Ra", "values": [], "base": _base_doc()})
@@ -417,6 +462,31 @@ def test_sweep_alpha_family(tmp_path, capsys):
         for flag in ("decay_ok", "psi_absorb_ok", "h1_absorb_ok"):
             given = [x[flag] for x in recs if x[flag] is not None]
             assert r[flag] == (str(all(given)) if given else ""), flag
+
+
+def test_sweep_rows_name_plot_and_snapshot_files_after_their_stream(
+        tmp_path, capsys):
+    # a base plot_csv or snapshot_prefix would make every row write the
+    # same file; each row writes next to its own stream instead
+    base = _base_doc(t_end=0.2, output={
+        "plot_csv": "plot.csv", "snapshot_at": [0.1],
+        "snapshot_prefix": "snap"})
+    spec = _write(tmp_path / "sw.json", {"parameter": "Ra",
+                                         "values": [10.0, 20.0],
+                                         "base": base, "output_dir": "rows"})
+    assert main(["sweep", str(spec)]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in (tmp_path / "rows").iterdir()) == [
+        "Ra=10.csv", "Ra=10.jsonl", "Ra=10_t0.1.snap",
+        "Ra=20.csv", "Ra=20.jsonl", "Ra=20_t0.1.snap"]
+    assert not (tmp_path / "plot.csv").exists()
+    assert not list(tmp_path.glob("snap*"))
+    for tag in ("10", "20"):
+        stream = (tmp_path / "rows" / f"Ra={tag}.jsonl").read_text()
+        recs = [json.loads(ln) for ln in stream.splitlines()[1:]]
+        with open(tmp_path / "rows" / f"Ra={tag}.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["E_Y"]) for r in rows] == [r["E_Y"] for r in recs]
 
 
 def test_sweep_records_child_failure_and_continues(tmp_path, capsys):

@@ -3,8 +3,7 @@ import pytest
 from scipy.linalg import eigvals as dense_eigvals
 
 from ltne import (Domain, Params, SpectralField, State, assemble_linear,
-                  eigenvalue_grid, energy_identity_rhs, jacobian, rhs,
-                  spectral_abscissa)
+                  energy_identity_rhs, jacobian, rhs, spectral_abscissa)
 from ltne.dynamics import NORMS, _sq_norms
 from ltne.spectral import _hk_sq
 
@@ -189,7 +188,7 @@ def _energy_pairing(s, p):
     """(1/2) d/dt of E_Y = (Da/Pr)||lap psi||^2 + ||theta||^2 + alpha||phi||^2
     along rhs: (Da/Pr)<lap dpsi, lap psi> + <dtheta, theta>
     + alpha <dphi, phi>, from rhs's arrays."""
-    mu, a4 = eigenvalue_grid(s.dom), s.dom.a / 4.0
+    mu, a4 = s.dom.plan.mu, s.dom.a / 4.0
     dpsi, dth, dph = rhs(s, p)
     return ((p.Da / p.Pr) * a4 * np.sum(mu * dpsi * mu * s.psi.coeffs)
             + a4 * np.sum(dth * s.theta.coeffs)
