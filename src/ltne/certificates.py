@@ -25,7 +25,7 @@ those stored scalars alone, for `run` and `certify` alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -455,8 +455,9 @@ def measured_decay_rate(times, values, t_lo: float = 1.0, t_hi: float = 5.0
 class _Certifier:
     """Stage (b): sets every flag and slack in CERT_FIELDS from the stored
     scalars of one run's records, fed in sample order, so `run` and
-    `certify` derive bit-identical flags.  The constants come from `n0`,
-    the squared norms of the run's first sample."""
+    `certify` derive bit-identical flags, and rolls each record up into
+    `summary`.  The constants come from `n0`, the squared norms of the
+    run's first sample."""
 
     def __init__(self, p: Params, dom: Domain, cfg: CertificateConfig,
                  n0: dict):
@@ -467,6 +468,7 @@ class _Certifier:
         self.init = self.anchor = None
         self.diss = _RunningTrapz()
         self.h1 = _H1Window(cfg.r)
+        self.summary = RecordSummary()
 
     def __call__(self, rec: TrajectoryRecord) -> TrajectoryRecord:
         p, k, on = self.p, self.k, self.cfg.checks
@@ -494,6 +496,7 @@ class _Certifier:
             rec.ebal_ineq_ok = check_energy_balance(rec, k)
         if on["tail"] and rec.tail_frac_k2 is not None:
             rec.tail_ok = rec.tail_frac_k2 <= self.cfg.tail_threshold
+        self.summary.add(rec)
         return rec
 
 
@@ -507,6 +510,7 @@ class CertificateSuite:
     Stage (a) reduces each sample to one TrajectoryRecord, then
     stage (b), shared with `replay_certificates`, sets its flags; replaying
     the records therefore reproduces all flags and slacks bit-identically.
+    `on_sample` returns the record and keeps none: `summary` rolls them up.
     """
 
     def __init__(self, p: Params, dom: Domain, cfg: CertificateConfig,
@@ -514,7 +518,7 @@ class CertificateSuite:
         self.p, self.dom, self.cfg = p, dom, cfg
         self.config_hash = config_hash
         self._certify = _Certifier(p, dom, cfg, state_norms(s0))
-        self.k = self._certify.k
+        self.k, self.summary = self._certify.k, self._certify.summary
         n = min(dom.Nx, dom.Nz)
         self.cutoff = cfg.tail_cutoff or max(1, n // 2)
         if cfg.checks["tail"]:
@@ -527,7 +531,6 @@ class CertificateSuite:
                 raise ValueError(
                     f"certificates.tail_k {cfg.tail_k} out of range: |mu|^k "
                     f"overflows at mode ({dom.Nx}, {dom.Nz})")
-        self.records: list[TrajectoryRecord] = []
         # Stage (a) works in buffers it owns: fresh (7, K) temporaries per
         # sample cost more than the arithmetic from N=64 on.  `_stacks`
         # holds this sample's coefficients and the last one's, used in turn;
@@ -578,66 +581,103 @@ class CertificateSuite:
         if cfg.checks["tail"] and t >= cfg.tail_warmup:
             rec.tail_frac_k2 = max(self._tail_fractions(C, out=C_pre))
         self._stacks, self._last, self._last_EY = (C_pre, C), c, rec.E_Y
-        self.records.append(self._certify(rec))
-        return rec
+        return self._certify(rec)
 
 
 # -- offline re-certification ------------------------------------------------
 
-def replay_certificates(stored: list, p: Params, dom: Domain,
-                        cfg: CertificateConfig
-                        ) -> tuple[list, CertificateConstants]:
+def replay_certificates(stored, p: Params, dom: Domain, cfg: CertificateConfig,
+                        on_record=None
+                        ) -> tuple[RecordSummary, CertificateConstants]:
     """Re-derive every flag and slack in CERT_FIELDS from a stored record
-    stream through the same stage (b) as the online suite.  Returns fresh
-    records (the stored ones are left untouched) plus the constants used."""
-    if not stored:
+    stream through the same stage (b) as the online suite.  `stored` is an
+    iterable of dicts of TrajectoryRecord fields (`vars` of a record, or a
+    typed stream line), read once, in sample order.  Each fresh record is
+    built from its dict with CERT_FIELDS cleared and, once certified,
+    handed to `on_record(stored_dict, fresh)` if given.  Returns the fresh
+    records' summary and the constants used."""
+    certify, cleared = None, dict.fromkeys(CERT_FIELDS)
+    for d in stored:
+        if certify is None:
+            certify = _Certifier(p, dom, cfg, d)
+        rec = certify(TrajectoryRecord(**(d | cleared)))
+        if on_record is not None:
+            on_record(d, rec)
+    if certify is None:
         raise ValueError("empty record stream")
-    certify = _Certifier(p, dom, cfg, vars(stored[0]))
-    cleared = dict.fromkeys(CERT_FIELDS)
-    return [certify(replace(r, **cleared)) for r in stored], certify.k
+    return certify.summary, certify.k
 
 
-def summarize_records(recs: list) -> list[dict]:
-    """Per-certificate roll-up over a record stream: counts, worst sample,
-    and, where slack determines them, the two sides of the inequality at the
-    worst sample.  Slack conventions per certificate:
+class RecordSummary:
+    """Running per-certificate roll-up of one run's records, fed in sample
+    order by `add`, in O(1) memory: `n` records; per check, in `checks`,
+    [checked, passed, worst] with worst the (slack, record) of the lowest
+    slack or, for tail, the highest fraction (the first one on a tie, as
+    `min`/`max` pick); and the largest (ebal_resid, t) in `max_resid`."""
+
+    def __init__(self):
+        self.n, self.max_resid = 0, None
+        self.checks = {name: [0, 0, None] for name in CHECK_NAMES}
+        # per check: its flag, the field its worst sample is ranked by,
+        # whether the highest ranks worst, and its entry in `checks`
+        self._rows = [(flag, "tail_frac_k2" if name == "tail"
+                       else next(iter(derived), None), name == "tail",
+                       self.checks[name])
+                      for name, _, flag, *derived in _CERT_ROWS]
+
+    def add(self, rec: TrajectoryRecord):
+        d = vars(rec)
+        self.n += 1
+        for flag, key, highest, check in self._rows:
+            ok = d[flag]
+            if ok is None:
+                continue
+            check[0] += 1
+            if ok:
+                check[1] += 1
+            if key is not None:
+                v, w = d[key], check[2]
+                if w is None or (v > w[0] if highest else v < w[0]):
+                    check[2] = (v, rec)
+        if d["ebal_resid"] is not None:
+            resid = (d["ebal_resid"], d["t"])
+            if self.max_resid is None or resid > self.max_resid:
+                self.max_resid = resid
+
+
+def summarize_records(summary: RecordSummary) -> list[dict]:
+    """Per-certificate rows of a record stream's summary: counts, worst
+    sample, and, where slack determines them, the two sides of the
+    inequality at the worst sample.  Slack conventions per certificate:
     decay/psi_absorb: (rhs - lhs)/rhs, so rhs = lhs / (1 - slack);
     h1_absorb: log(rhs) - log(lhs); tail: the fraction itself (rhs is the
     threshold); ebal rolls up the max identity residual instead."""
     rows = []
-    for name, ineq, ok_field, *derived in _CERT_ROWS:
-        hits = [r for r in recs if getattr(r, ok_field) is not None]
-        row = {"name": name, "inequality": ineq, "checked": len(hits),
-               "passed": sum(bool(getattr(r, ok_field)) for r in hits),
-               "ok": all(getattr(r, ok_field) for r in hits) if hits else None,
+    for name, ineq, *_ in _CERT_ROWS:
+        checked, passed, worst = summary.checks[name]
+        row = {"name": name, "inequality": ineq, "checked": checked,
+               "passed": passed, "ok": passed == checked if checked else None,
                "worst_t": None, "worst_slack": None, "lhs": None, "rhs": None}
         if name == "ebal":
-            resids = [(r.ebal_resid, r.t) for r in recs
-                      if r.ebal_resid is not None]
-            if resids:
-                row["worst_slack"], row["worst_t"] = max(resids)
-        elif hits:
+            if summary.max_resid is not None:
+                row["worst_slack"], row["worst_t"] = summary.max_resid
+        elif worst is not None:
+            sl, worst = worst
+            row["worst_slack"], row["worst_t"] = sl, worst.t
             if name == "tail":
-                worst = max(hits, key=lambda r: r.tail_frac_k2)
-                row["lhs"], row["rhs"] = worst.tail_frac_k2, None
-                row["worst_slack"] = worst.tail_frac_k2
-            else:
-                worst = min(hits, key=lambda r: getattr(r, derived[0]))
-                sl = getattr(worst, derived[0])
-                row["worst_slack"] = sl
-                if name == "decay":
-                    lhs = worst.theta_sq + worst.phi_sq
-                    row["lhs"] = lhs
-                    if sl < 1.0:
-                        row["rhs"] = lhs / (1.0 - sl)
-                elif name == "psi_absorb":
-                    row["lhs"] = worst.lap_psi_sq
-                    if sl < 1.0:
-                        row["rhs"] = worst.lap_psi_sq / (1.0 - sl)
-                elif name == "h1_absorb":
-                    row["lhs"] = worst.E_half
-                    if worst.E_half > 0 and sl < 700:
-                        row["rhs"] = worst.E_half * math.exp(sl)
-            row["worst_t"] = worst.t
+                row["lhs"] = sl
+            elif name == "decay":
+                lhs = worst.theta_sq + worst.phi_sq
+                row["lhs"] = lhs
+                if sl < 1.0:
+                    row["rhs"] = lhs / (1.0 - sl)
+            elif name == "psi_absorb":
+                row["lhs"] = worst.lap_psi_sq
+                if sl < 1.0:
+                    row["rhs"] = worst.lap_psi_sq / (1.0 - sl)
+            elif name == "h1_absorb":
+                row["lhs"] = worst.E_half
+                if worst.E_half > 0 and sl < 700:
+                    row["rhs"] = worst.E_half * math.exp(sl)
         rows.append(row)
     return rows

@@ -7,8 +7,10 @@ Exit codes: 0 success, 1 certificate violation, 2 blowup, 3 bad input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import math
 import sys
 from dataclasses import replace
 from operator import itemgetter
@@ -16,9 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .certificates import (CERT_FIELDS, CertificateSuite, TrajectoryRecord,
-                           measured_decay_rate, replay_certificates,
-                           summarize_records)
+from .certificates import (CERT_FIELDS, CertificateSuite, measured_decay_rate,
+                           replay_certificates, summarize_records)
 from .config import (_BLOWUP, _DIMENSIONLESS_KEYS, _HEADER, _MARKER, _RECORD,
                      _SWEEP, ConfigError, RunConfig, _read_block, _typed,
                      build_config, build_initial_state, config_hash,
@@ -34,6 +35,13 @@ EXIT_CONFIG = 3
 
 _PLOT_COLS = ("t", "lap_psi_sq", "theta_sq", "phi_sq", "grad_theta_sq",
               "grad_phi_sq", "gradlap_psi_sq", "E_Y", "E_half")
+_plot_row = itemgetter(*_PLOT_COLS)
+# `json.dumps(obj, sort_keys=True)` without building an encoder per line
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+# the record fields that may hold +-inf: a slack is infinite where its
+# bound is trivially met or broken (the h1 slack of a zero state)
+_INF_OK = frozenset(f for f in CERT_FIELDS if f.endswith("_slack"))
 
 _SWEEP_COLS = ("parameter", "value", "status", "t_end", "E_Y_final",
                "theta_sq_final", "phi_sq_final", "lap_psi_sq_final",
@@ -54,17 +62,45 @@ def _resolve(path_str, base_dir: Path) -> Path:
     return p if p.is_absolute() else base_dir / p
 
 
-def _write_jsonl(path: Path, rc: RunConfig, records, failure):
-    with open(path, "w") as fh:
-        fh.write(json.dumps({"meta": rc.resolved,
-                             "config_hash": rc.config_hash},
-                            sort_keys=True) + "\n")
-        for rec in records:
-            fh.write(json.dumps(vars(rec), sort_keys=True) + "\n")
-        if failure is not None:
-            fh.write(json.dumps({"blowup": failure,
-                                 "config_hash": rc.config_hash},
-                                sort_keys=True) + "\n")
+class _Stream:
+    """`integrate`'s monitor for one CLI run: certifies each sample through
+    `suite` and holds the records of at most 64 samples.  `flush` writes
+    them as JSONL lines (and plot-CSV rows, if configured) and hands each to
+    `on_record`; encoding in batches, apart from the integration, keeps
+    `run` as fast as writing every record at the end did.  The files open
+    at the first flush, once `integrate` has accepted the run."""
+
+    def __init__(self, suite, rc: RunConfig, paths: dict, files, on_record):
+        self.suite, self.rc, self.paths, self.files = suite, rc, paths, files
+        self.on_record, self.fh, self.batch = on_record, None, []
+
+    def _open(self):
+        jsonl = self.paths["jsonl"]
+        jsonl.parent.mkdir(parents=True, exist_ok=True)
+        self.fh = self.files.enter_context(open(jsonl, "w"))
+        self.fh.write(_encode({"meta": self.rc.resolved,
+                               "config_hash": self.rc.config_hash}) + "\n")
+        self.plot = None
+        if "plot_csv" in self.paths:
+            self.plot = csv.writer(self.files.enter_context(
+                open(self.paths["plot_csv"], "w", newline="")))
+            self.plot.writerow(_PLOT_COLS)
+
+    def on_sample(self, t, c, c_pre, dt):
+        self.batch.append(self.suite.on_sample(t, c, c_pre, dt))
+        if len(self.batch) == 64:
+            self.flush()
+
+    def flush(self):
+        if self.fh is None:
+            self._open()
+        for rec in self.batch:
+            self.fh.write(_encode(vars(rec)) + "\n")
+            if self.plot is not None:
+                self.plot.writerow(_plot_row(vars(rec)))
+            if self.on_record is not None:
+                self.on_record(rec)
+        self.batch.clear()
 
 
 def _output_paths(rc: RunConfig, jsonl_path: Path, base_dir: Path,
@@ -91,24 +127,25 @@ def _output_paths(rc: RunConfig, jsonl_path: Path, base_dir: Path,
     return {key: path for key, (_, path) in named.items()}
 
 
-def _execute(rc: RunConfig, jsonl_path: Path, base_dir: Path):
-    """Build IC, integrate with the certificate suite attached, write the
-    JSONL stream plus any configured snapshot/plot artifacts."""
+def _execute(rc: RunConfig, jsonl_path: Path, base_dir: Path,
+             on_record=None):
+    """Build the IC and integrate with the certificate suite attached,
+    streaming the records to the JSONL file (and the plot CSV) in batches
+    as they are certified; then append any blowup marker and write the
+    snapshots.  A config refused before the first sample writes no file."""
     s0 = build_initial_state(rc.ic, rc.dom, rc.p)
     paths = _output_paths(rc, jsonl_path, base_dir, s0.t)
     suite = CertificateSuite(rc.p, rc.dom, rc.cert_cfg, s0, rc.config_hash)
-    traj = integrate(s0, rc.p, rc.stepper, monitors=suite,
-                     snapshot_times=tuple(rc.output["snapshot_at"]))
-    jsonl_path.parent.mkdir(parents=True, exist_ok=True)
-    _write_jsonl(jsonl_path, rc, suite.records, traj.failure)
+    with contextlib.ExitStack() as files:
+        stream = _Stream(suite, rc, paths, files, on_record)
+        traj = integrate(s0, rc.p, rc.stepper, monitors=stream,
+                         snapshot_times=tuple(rc.output["snapshot_at"]))
+        stream.flush()
+        if traj.failure is not None:
+            stream.fh.write(_encode({"blowup": traj.failure,
+                                     "config_hash": rc.config_hash}) + "\n")
     for t, st in traj.snapshots:
         write_snapshot(paths[t], st.psi, st.theta, st.phi, t)
-    if "plot_csv" in paths:
-        with open(paths["plot_csv"], "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(_PLOT_COLS)
-            w.writerows(itemgetter(*_PLOT_COLS)(vars(rec))
-                        for rec in suite.records)
     return suite, traj, [paths[t] for t, _ in traj.snapshots]
 
 
@@ -161,28 +198,110 @@ def cmd_run(args) -> int:
     print(f"  constants: M7={k.M7:.6g} M8={k.M8:.6g} M9={k.M9:.6g} "
           f"t0={k.t0:.6g} M1={k.M1:.6g} M2={k.M2:.6g} "
           f"rho0^2={k.rho0_sq:.6g}")
-    print(f"  wrote {jsonl_path} ({len(suite.records)} records)")
+    print(f"  wrote {jsonl_path} ({suite.summary.n} records)")
     for sp in snap_paths:
         print(f"  wrote {sp}")
     if traj.failure is not None:
         print(f"  BLOWUP at t={traj.failure['t']:g} "
               f"({traj.failure['field']}); partial stream retained")
-    return _report(summarize_records(suite.records), traj.failure)
+    return _report(summarize_records(suite.summary), traj.failure)
+
+
+def _scan(path: Path) -> tuple[int, str | None, bool]:
+    """One pass over a text file: its line count, its first line and
+    whether it ends in a newline, lines cut as `str.splitlines` cuts the
+    whole text."""
+    n, first, raw = 0, None, ""
+    try:
+        with open(path) as fh:
+            for raw in fh:
+                lines = raw.splitlines()
+                first = lines[0] if first is None else first
+                n += len(lines)
+    except UnicodeDecodeError:  # a whole-file read names its file offset
+        path.read_text()
+        raise
+    return n, first, raw.endswith("\n")
+
+
+class _Records:
+    """The `n` lines after the header of a JSONL stream, cut as `_scan`
+    cuts them, parsed, typed and checked one at a time as they are
+    iterated; each record is yielded as its dict of TrajectoryRecord
+    fields.  `len()` is `n`, known before any line is parsed.  A blowup
+    marker, allowed only as the last line, is kept in `blowup`.  A refused
+    line raises a ConfigError naming it, as does, when the lines run out, a
+    stream without records or one whose last record falls short of t_end
+    without a blowup."""
+
+    def __init__(self, path: Path, n: int, stored_hash: str, stepper):
+        self.path, self.n, self.hash = path, n, stored_hash
+        self.stepper, self.blowup = stepper, None
+
+    def __len__(self):
+        return self.n
+
+    def __iter__(self):
+        path, first = self.path, None
+        with open(path) as fh:
+            lines = (ln for raw in fh for ln in raw.splitlines())
+            next(lines)     # the header
+            for i, ln in enumerate(lines, start=2):
+                try:
+                    d = json.loads(ln)
+                except ValueError as e:     # JSONDecodeError or huge integer
+                    raise ConfigError(f"{path}:{i}: malformed JSON ({e})")
+                is_marker = isinstance(d, dict) and "blowup" in d
+                if is_marker and i != self.n + 1:
+                    raise ConfigError(f"{path}:{i}: blowup marker before end "
+                                      "of file")
+                try:
+                    if is_marker:
+                        line = _read_block(d, _MARKER, "marker")
+                        self.blowup = _read_block(line["blowup"], _BLOWUP,
+                                                  "blowup")
+                    else:
+                        line = _read_block(d, _RECORD, "record")
+                        for key, v in line.items():
+                            if type(v) is float and not math.isfinite(v) \
+                                    and (v != v or key not in _INF_OK):
+                                raise ConfigError(f"field 'record.{key}': "
+                                                  f"non-finite value {v!r}")
+                except ConfigError as e:
+                    raise ConfigError(f"{path}:{i}: {e}")
+                if line["config_hash"] != self.hash:
+                    raise ConfigError(f"{path}:{i}: mixed config hashes "
+                                      f"({line['config_hash']!r} vs "
+                                      f"{self.hash!r})")
+                if is_marker:
+                    continue
+                if first is None:
+                    first = line["t"]
+                elif not line["t"] > last:
+                    raise ConfigError(f"{path}:{i}: record t={line['t']!r} "
+                                      f"does not follow t={last!r}")
+                last = line["t"]
+                yield line
+        if first is None:
+            raise ConfigError(f"{path}: no trajectory records")
+        dt, t_end = self.stepper.dt, self.stepper.t_end
+        if self.blowup is None and last < first + t_end - 0.5 * dt:
+            raise ConfigError(f"{path}: truncated: last sample t={last:g} "
+                              f"but the run covers t_end={t_end:g}")
 
 
 def cmd_certify(args) -> int:
     path = Path(args.timeseries)
     try:
-        text = path.read_text()
+        n, head, complete = _scan(path)
     except (OSError, UnicodeDecodeError) as e:
         return _fail(f"{path}: {e}")
-    if not text:
+    if not n:
         return _fail(f"{path}: empty file")
-    if not text.endswith("\n"):
+    if not complete:
         return _fail(f"{path}: truncated (no final newline)")
-    lines = text.splitlines()
     try:
-        head = _read_block(json.loads(lines[0]), _HEADER, "header")
+        head = _read_block(json.loads(head), _HEADER, "header")
     except ValueError as e:     # ConfigError, JSONDecodeError, huge integers
         return _fail(f"{path}:1: not a meta line ({e})")
     resolved, stored_hash = head["meta"], head["config_hash"]
@@ -198,65 +317,42 @@ def cmd_certify(args) -> int:
             else replace(rc.cert_cfg, mso=args.mso)
     except ValueError as e:
         return _fail(f"--mso {args.mso:g}: {e}")
-    records, blowup = [], None
-    for i, ln in enumerate(lines[1:], start=2):
-        try:
-            d = json.loads(ln)
-        except ValueError as e:     # JSONDecodeError or a huge integer
-            return _fail(f"{path}:{i}: malformed JSON ({e})")
-        is_marker = isinstance(d, dict) and "blowup" in d
-        if is_marker and i != len(lines):
-            return _fail(f"{path}:{i}: blowup marker before end of file")
-        try:
-            if is_marker:
-                line = _read_block(d, _MARKER, "marker")
-                blowup = _read_block(line["blowup"], _BLOWUP, "blowup")
-            else:
-                line = _read_block(d, _RECORD, "record")
-        except ConfigError as e:
-            return _fail(f"{path}:{i}: {e}")
-        if line["config_hash"] != stored_hash:
-            return _fail(f"{path}:{i}: mixed config hashes "
-                         f"({line['config_hash']!r} vs {stored_hash!r})")
-        if not is_marker:
-            if records and not line["t"] > records[-1].t:
-                return _fail(f"{path}:{i}: record t={line['t']!r} does not "
-                             f"follow t={records[-1].t!r}")
-            records.append(TrajectoryRecord(**line))
-    if not records:
-        return _fail(f"{path}: no trajectory records")
-    dt, t_end = rc.stepper.dt, rc.stepper.t_end
-    if blowup is None and records[-1].t < records[0].t + t_end - 0.5 * dt:
-        return _fail(f"{path}: truncated: last sample t={records[-1].t:g} "
-                     f"but the run covers t_end={t_end:g}")
 
-    replayed, k = replay_certificates(records, rc.p, rc.dom, cert_cfg)
-    if args.mso is None:
-        mismatches = _flag_mismatches(records, replayed)
-        if mismatches:
-            for m in mismatches[:10]:
-                print(f"  {m}", file=sys.stderr)
-            return _fail(f"{path}: {len(mismatches)} stored flags do not "
-                         "reproduce (stream corrupt or version skew)")
+    records = _Records(path, n - 1, stored_hash, rc.stepper)
+    mismatches, count = [], 0   # the first 10 mismatches, and their count
+
+    def compare(stored: dict, fresh):
+        nonlocal count
+        new = vars(fresh)
+        if new != stored:   # else every derived field reproduces
+            for f in CERT_FIELDS:
+                if stored[f] != new[f]:
+                    count += 1
+                    if len(mismatches) < 10:
+                        mismatches.append(f"t={stored['t']:g}: {f} stored "
+                                          f"{stored[f]!r} recomputed "
+                                          f"{new[f]!r}")
+
+    try:
+        summary, k = replay_certificates(
+            records, rc.p, rc.dom, cert_cfg,
+            compare if args.mso is None else None)
+    except ConfigError as e:
+        return _fail(str(e))
+    if count:
+        for m in mismatches:
+            print(f"  {m}", file=sys.stderr)
+        return _fail(f"{path}: {count} stored flags do not "
+                     "reproduce (stream corrupt or version skew)")
     print(f"certify {path.name}  hash {stored_hash}  "
-          f"({len(records)} records)")
+          f"({summary.n} records)")
     print(f"  constants: M7={k.M7:.6g} M8={k.M8:.6g} M9={k.M9:.6g} "
           f"t0={k.t0:.6g} M_so={k.M_so:g}")
     if args.mso is not None:
         print(f"  M_so overridden to {args.mso:g}")
-    if blowup is not None:
-        print(f"  stream ends in BLOWUP at t={blowup['t']}")
-    return _report(summarize_records(replayed), blowup)
-
-
-def _flag_mismatches(stored, replayed) -> list[str]:
-    out = []
-    for rs, rr in zip(stored, replayed):
-        for f in CERT_FIELDS:
-            a, b = getattr(rs, f), getattr(rr, f)
-            if a != b:
-                out.append(f"t={rs.t:g}: {f} stored {a!r} recomputed {b!r}")
-    return out
+    if records.blowup is not None:
+        print(f"  stream ends in BLOWUP at t={records.blowup['t']}")
+    return _report(summarize_records(summary), records.blowup)
 
 
 def _sweep_child(param, value, doc, jsonl_path: Path, base_dir: Path) -> dict:
@@ -268,23 +364,27 @@ def _sweep_child(param, value, doc, jsonl_path: Path, base_dir: Path) -> dict:
         out = dict(rc.output, snapshot_prefix=None)
         if out["plot_csv"]:
             out["plot_csv"] = str(jsonl_path.with_suffix(".csv"))
+        last, decay = None, []      # (t, ||theta||^2 + ||phi||^2) per sample
+
+        def keep(rec):
+            nonlocal last
+            last = rec
+            decay.append((rec.t, rec.theta_sq + rec.phi_sq))
+
         suite, traj, _ = _execute(replace(rc, output=out), jsonl_path,
-                                  base_dir)
-        last = suite.records[-1]
+                                  base_dir, keep)
         row.update(t_end=last.t, E_Y_final=last.E_Y,
                    theta_sq_final=last.theta_sq, phi_sq_final=last.phi_sq,
                    lap_psi_sq_final=last.lap_psi_sq,
                    config_hash=rc.config_hash, M7=suite.k.M7)
-        ts = [r.t for r in suite.records]
         row["decay_rate_measured"] = measured_decay_rate(
-            ts, [r.theta_sq + r.phi_sq for r in suite.records],
-            t_lo=min(1.0, 0.5 * last.t), t_hi=last.t)
+            *zip(*decay), t_lo=min(1.0, 0.5 * last.t), t_hi=last.t)
         try:
             row["spectral_abscissa"] = spectral_abscissa(
                 assemble_linear(rc.p, rc.dom))
         except ValueError:
             pass    # dense spectrum refused at this truncation
-        summary = {s["name"]: s for s in summarize_records(suite.records)}
+        summary = {s["name"]: s for s in summarize_records(suite.summary)}
         for name in ("decay", "psi_absorb", "h1_absorb"):
             if summary[name]["ok"] is not None:
                 row[f"{name}_ok"] = summary[name]["ok"]

@@ -145,10 +145,12 @@ def _read_block(block, table: dict, name: str = "") -> dict:
         missing = [k for k, (_, d) in table.items()
                    if d is _REQUIRED and k not in block]
         _require(not missing, f"missing {name or 'config'} keys: {missing}")
-    return {key: _typed(key, block.get(key, default), kind, default is None,
-                        name)
+    # `_typed`'s commonest case inline: a scalar of its own type, or a null
+    return {key: v if v is None and default is None or type(v) is kind
+            and kind is not dict and kind is not list
+            else _typed(key, v, kind, default is None, name)
             for key, (kind, default) in table.items()
-            if key in block or default is not _ABSENT}
+            if (v := block.get(key, default)) is not _ABSENT}
 
 
 def _build(cls, values: dict):

@@ -1,6 +1,6 @@
 import pytest
 
-from ltne import SpectralField, State
+from ltne import CertificateSuite, SpectralField, State
 
 
 class SampleLog:
@@ -26,3 +26,24 @@ class SampleLog:
 def sample_log():
     """Factory of fresh SampleLog monitors, one per run."""
     return SampleLog
+
+
+class RecordingSuite(CertificateSuite):
+    """CertificateSuite that also keeps every record it certifies, in
+    sample order, in `records`."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.records = []
+
+    def on_sample(self, t, c, c_pre, dt):
+        rec = super().on_sample(t, c, c_pre, dt)
+        self.records.append(rec)
+        return rec
+
+
+@pytest.fixture(scope="session")
+def recording_suite():
+    """The RecordingSuite class, for tests that read every record of a
+    run."""
+    return RecordingSuite

@@ -8,11 +8,10 @@ import math
 import numpy as np
 import pytest
 
-from ltne import (CertificateConfig, CertificateSuite, Domain, Params,
-                  SpectralField, State, StepperConfig, assemble_linear,
-                  build_initial_state, check_continuous_dependence,
-                  compute_constants, energy_y, jacobian,
-                  measured_decay_rate, norm_hk, run, read_snapshot,
+from ltne import (CertificateConfig, Domain, Params, SpectralField, State,
+                  StepperConfig, assemble_linear, build_initial_state,
+                  check_continuous_dependence, compute_constants, energy_y,
+                  jacobian, measured_decay_rate, norm_hk, run, read_snapshot,
                   spectral_abscissa, state_norms, summarize_records,
                   write_snapshot)
 from ltne.cli import main
@@ -45,7 +44,7 @@ def test_01_advection_pairing_vanishes():
 
 
 @pytest.fixture(scope="module")
-def decay_grid():
+def decay_grid(recording_suite):
     # 3x3x3 parameter grid x 3 seeded smooth random states, integrated to
     # t=5 with the full certificate suite attached; shared by the decay and
     # absorbing-set tests below
@@ -61,7 +60,7 @@ def decay_grid():
                     s0 = build_initial_state(
                         {"kind": "random", "seed": seed, "energy": 1.0,
                          "decay": 1.0}, dom, p)
-                    suite = CertificateSuite(p, dom, CertificateConfig(), s0)
+                    suite = recording_suite(p, dom, CertificateConfig(), s0)
                     traj = run(s0, p, cfg, monitors=suite)
                     out.append((p, suite, traj.failure))
     return out
@@ -83,20 +82,20 @@ def test_02_decay_envelope_parameter_grid(decay_grid):
                 viol += 1
             if r.decay_ok is False:
                 viol += 1
-        ok = {s["name"]: s["ok"] for s in summarize_records(suite.records)}
+        ok = {s["name"]: s["ok"] for s in summarize_records(suite.summary)}
         assert ok["decay"] is True
     _report("decay envelope grid", viol == 0,
             f"{viol} violations over {nsamp} samples, {len(decay_grid)} runs")
 
 
-def test_03_slow_mode_decay_rate_matches_block_eigenvalue():
+def test_03_slow_mode_decay_rate_matches_block_eigenvalue(recording_suite):
     # IC on the slowest (1,1) temperature eigenvector: the fitted rate of
     # ||theta||^2 + ||phi||^2 matches the doubled block eigenvalue
     p = _params()
     dom = Domain(a=1.0, Nx=8, Nz=8)
     s0 = build_initial_state(
         {"kind": "named", "name": "eigen_slow", "amplitude": 1e-3}, dom, p)
-    suite = CertificateSuite(p, dom, CertificateConfig(), s0)
+    suite = recording_suite(p, dom, CertificateConfig(), s0)
     run(s0, p, StepperConfig(dt=1e-3, t_end=5.0, scheme="imex_cnab2",
                              sample_every=10), monitors=suite)
     ts = [r.t for r in suite.records]
@@ -119,14 +118,14 @@ def test_04_absorbing_bounds_parameter_grid(decay_grid):
             nsamp += 1
             if r.psi_absorb_ok is False or r.h1_absorb_ok is False:
                 viol += 1
-        ok = {s["name"]: s["ok"] for s in summarize_records(suite.records)}
+        ok = {s["name"]: s["ok"] for s in summarize_records(suite.summary)}
         assert ok["psi_absorb"] is True    # engaged and all-pass
         assert ok["h1_absorb"] is True
     _report("absorbing bounds grid", viol == 0,
             f"{viol} violations over {nsamp} samples, {len(decay_grid)} runs")
 
 
-def test_05_energy_balance_residual_second_order():
+def test_05_energy_balance_residual_second_order(recording_suite):
     # the one-step energy-identity residual quarters when dt halves, on a
     # linear-only and on a full nonlinear run, compared at t=0.25
     p = _params()
@@ -140,7 +139,7 @@ def test_05_energy_balance_residual_second_order():
             cfg = StepperConfig(dt=dt, t_end=0.25, scheme="imex_cnab2",
                                 sample_every=int(round(0.25 / dt)),
                                 linear_only=lin)
-            suite = CertificateSuite(p, dom, CertificateConfig(), s0)
+            suite = recording_suite(p, dom, CertificateConfig(), s0)
             run(s0, p, cfg, monitors=suite)
             rec = suite.records[-1]
             assert rec.t == pytest.approx(0.25, abs=1e-12)

@@ -37,12 +37,21 @@ def _params(**kw):
     return Params(**base)
 
 
-def _suite_run(p, dom, cfg, s0, stepper_cfg, checks=None):
+def _suite_run(suite_cls, p, dom, cfg, s0, stepper_cfg, checks=None):
     if checks is not None:
         cfg = replace(cfg, checks=checks)
-    suite = CertificateSuite(p, dom, cfg, s0)
+    suite = suite_cls(p, dom, cfg, s0)
     traj = run(s0, p, stepper_cfg, monitors=suite)
     return suite, traj
+
+
+def _replay(recs, p, dom, cfg):
+    """`replay_certificates` over the records of a run: the fresh records
+    it hands out, and the constants."""
+    fresh = []
+    _, k = replay_certificates([vars(r) for r in recs], p, dom, cfg,
+                               lambda stored, rec: fresh.append(rec))
+    return fresh, k
 
 
 def _slow_block_state(dom, p, amp=1.0):
@@ -114,15 +123,15 @@ def test_ctilde_validation():
     compute_constants(_params(alpha=2.0), dom, CertificateConfig(ctilde=0.4))
 
 
-def test_zero_state_all_trivially_pass():
+def test_zero_state_all_trivially_pass(recording_suite):
     dom = Domain(a=1.0, Nx=6, Nz=6)
     p = _params()
     cfg = CertificateConfig()
-    suite, traj = _suite_run(p, dom, cfg, State.zero(dom),
+    suite, traj = _suite_run(recording_suite, p, dom, cfg, State.zero(dom),
                              StepperConfig(dt=0.01, t_end=2.0,
                                            sample_every=10))
     assert traj.failure is None
-    ok = {s["name"]: s["ok"] for s in summarize_records(suite.records)}
+    ok = {s["name"]: s["ok"] for s in summarize_records(suite.summary)}
     assert ok["decay"] and ok["diss"] and ok["psi_absorb"]
     assert ok["h1_absorb"] and ok["ebal"] and ok["tail"]
     for r in suite.records:
@@ -130,14 +139,14 @@ def test_zero_state_all_trivially_pass():
         assert r.E_Y == 0.0
 
 
-def test_decay_certificate_and_measured_rate():
+def test_decay_certificate_and_measured_rate(recording_suite):
     dom = Domain(a=1.0, Nx=6, Nz=6)
     p = _params(Ra=10.0)
     s0, sigma = _slow_block_state(dom, p)
     cfg = CertificateConfig()
     st = StepperConfig(dt=0.01, t_end=2.0, scheme="etd1", linear_only=True,
                        sample_every=1)
-    suite, traj = _suite_run(p, dom, cfg, s0, st)
+    suite, traj = _suite_run(recording_suite, p, dom, cfg, s0, st)
     for r in suite.records:
         assert r.decay_ok is True
         assert 0.0 <= r.decay_slack <= 1.0   # exactly 0 at the anchor itself
@@ -149,7 +158,7 @@ def test_decay_certificate_and_measured_rate():
     assert -2.0 * sigma > suite.k.M7   # certified rate is the weaker one
 
 
-def test_dissipation_integral_closed_form():
+def test_dissipation_integral_closed_form(recording_suite):
     # single-block decay gives int ||grad th||^2 + ||grad ph||^2
     #   = |mu_11| rho0^2 / (2 |sigma|) = rho0^2 / 2 at unit parameters,
     # against the certified bound M9 rho0^2 = 2 rho0^2
@@ -160,7 +169,7 @@ def test_dissipation_integral_closed_form():
     cfg = CertificateConfig()
     st = StepperConfig(dt=1e-3, t_end=1.0, scheme="etd1", linear_only=True,
                        sample_every=1)
-    suite, _ = _suite_run(p, dom, cfg, s0, st)
+    suite, _ = _suite_run(recording_suite, p, dom, cfg, s0, st)
     rho0_sq = suite.k.rho0_sq
     recs = suite.records
     ts = np.array([r.t for r in recs])
@@ -171,7 +180,7 @@ def test_dissipation_integral_closed_form():
     assert recs[-1].diss_slack == pytest.approx(0.75, abs=0.01)
 
 
-def test_flags_scale_invariant_for_homogeneous_certs():
+def test_flags_scale_invariant_for_homogeneous_certs(recording_suite):
     rng = np.random.default_rng(61)
     dom = Domain(a=1.0, Nx=6, Nz=6)
     p = _params(Ra=20.0)
@@ -182,8 +191,8 @@ def test_flags_scale_invariant_for_homogeneous_certs():
     s_small = State(*(SpectralField(0.5 * x.coeffs, dom) for x in f))
     cfg = CertificateConfig()
     st = StepperConfig(dt=0.01, t_end=1.0, linear_only=True, sample_every=5)
-    sa, _ = _suite_run(p, dom, cfg, s_big, st)
-    sb, _ = _suite_run(p, dom, cfg, s_small, st)
+    sa, _ = _suite_run(recording_suite, p, dom, cfg, s_big, st)
+    sb, _ = _suite_run(recording_suite, p, dom, cfg, s_small, st)
     for ra, rb in zip(sa.records, sb.records):
         assert ra.decay_ok == rb.decay_ok
         assert ra.diss_ok == rb.diss_ok
@@ -196,7 +205,7 @@ def test_flags_scale_invariant_for_homogeneous_certs():
                                                   abs=1e-12)
 
 
-def test_psi_absorbing_anchor_and_ball_form():
+def test_psi_absorbing_anchor_and_ball_form(recording_suite):
     # psi-only data: rho0 = 0, the Gronwall envelope is pure decay from the
     # anchor and holds, while the transient-free ball has radius zero and
     # correctly fails for a nonzero psi
@@ -209,7 +218,7 @@ def test_psi_absorbing_anchor_and_ball_form():
     cfg = CertificateConfig()
     st = StepperConfig(dt=0.01, t_end=1.0, scheme="etd1", linear_only=True,
                        sample_every=1)
-    suite, _ = _suite_run(p, dom, cfg, s0, st)
+    suite, _ = _suite_run(recording_suite, p, dom, cfg, s0, st)
     t0 = suite.k.t0
     assert t0 > 0.0
     seen_pre = seen_post = False
@@ -269,7 +278,7 @@ def test_continuous_dependence_envelope(sample_log):
         check_continuous_dependence(statesA, logC.states(dom), k, p)
 
 
-def test_energy_balance_residual_is_second_order():
+def test_energy_balance_residual_is_second_order(recording_suite):
     rng = np.random.default_rng(71)
     dom = Domain(a=1.0, Nx=8, Nz=8)
     p = _params(Ra=50.0)
@@ -281,7 +290,7 @@ def test_energy_balance_residual_is_second_order():
     resid = {}
     for dt in (2e-3, 1e-3):
         st = StepperConfig(dt=dt, t_end=0.1, sample_every=1)
-        suite, _ = _suite_run(p, dom, cfg, s0, st)
+        suite, _ = _suite_run(recording_suite, p, dom, cfg, s0, st)
         resid[dt] = max(r.ebal_resid for r in suite.records
                         if r.ebal_resid is not None)
         assert all(r.ebal_ineq_ok for r in suite.records
@@ -289,7 +298,7 @@ def test_energy_balance_residual_is_second_order():
     assert 3.0 < resid[2e-3] / resid[1e-3] < 5.5
 
 
-def test_replay_reproduces_online_flags_exactly():
+def test_replay_reproduces_online_flags_exactly(recording_suite):
     rng = np.random.default_rng(73)
     dom = Domain(a=1.0, Nx=6, Nz=6)
     p = _params(Ra=30.0)
@@ -298,8 +307,8 @@ def test_replay_reproduces_online_flags_exactly():
                  for _ in range(3)))
     cfg = CertificateConfig(r=0.5)
     st = StepperConfig(dt=0.01, t_end=2.0, sample_every=10)
-    suite, _ = _suite_run(p, dom, cfg, s0, st)
-    fresh, k = replay_certificates(suite.records, p, dom, cfg)
+    suite, _ = _suite_run(recording_suite, p, dom, cfg, s0, st)
+    fresh, k = _replay(suite.records, p, dom, cfg)
     assert k.rho0_sq == suite.k.rho0_sq
     # only JSON's own scalars, so a record's stream line is `vars(rec)`
     scalar = (bool, int, float, str, type(None))
@@ -332,7 +341,7 @@ def test_replay_reproduces_online_flags_exactly():
             == (r.h1_absorb_ok, r.h1_absorb_slack)
         checked += 1
     assert checked == 16
-    off, _ = replay_certificates(suite.records, p, dom, replace(
+    off, _ = _replay(suite.records, p, dom, replace(
         cfg, checks={"ebal": False, "tail": False, "decay": False}))
     assert all(r.ebal_ineq_ok is None and r.tail_ok is None
                and r.decay_ok is None for r in off)
@@ -390,7 +399,7 @@ def _h1_reference(ts, fs, r):
                                            float(ts[i] - ts[lo]))
 
 
-def test_h1_window_sums_equal_recomputation_bit_for_bit():
+def test_h1_window_sums_equal_recomputation_bit_for_bit(recording_suite):
     # the stored trapezoid and error terms, reduced per check, are the
     # array an exact recomputation over each window sums: same bits, on
     # runs at four truncations and on non-uniform times, on windows of 1,
@@ -405,8 +414,9 @@ def test_h1_window_sums_equal_recomputation_bit_for_bit():
         taper = np.exp(-0.5 * np.add.outer(np.arange(nx), np.arange(nz)))
         s0 = State(*(SpectralField(rng.uniform(-1, 1, (nx, nz)) * taper, dom)
                      for _ in range(3)))
-        suite, _ = _suite_run(p, dom, CertificateConfig(), s0, StepperConfig(
-            dt=0.01, t_end=1.2, sample_every=1))
+        suite, _ = _suite_run(recording_suite, p, dom, CertificateConfig(),
+                              s0, StepperConfig(dt=0.01, t_end=1.2,
+                                                sample_every=1))
         k, recs = suite.k, suite.records
         series.append((np.array([q.t for q in recs]), (
             k.M10_const + k.M10_lap_coef * np.array(
@@ -424,7 +434,7 @@ def test_h1_window_sums_equal_recomputation_bit_for_bit():
     assert {1, 2, 3} <= sizes and max(sizes) > 16
 
 
-def test_prestate_reuse_gives_the_records_of_fresh_arrays():
+def test_prestate_reuse_gives_the_records_of_fresh_arrays(recording_suite):
     # fed the run's own tuples at sample_every=1, the suite finds each
     # prestate to be the last sample's tuple and reuses that sample's
     # stacked coefficients and E_Y; fed fresh tuples of copied arrays, it
@@ -445,7 +455,7 @@ def test_prestate_reuse_gives_the_records_of_fresh_arrays():
         return State(*(SpectralField(u, dom) for u in c))
 
     for every in (1, 4):
-        own, fresh = (CertificateSuite(p, dom, cfg, s0) for _ in range(2))
+        own, fresh = (recording_suite(p, dom, cfg, s0) for _ in range(2))
         last = []
 
         class Both:
@@ -504,7 +514,7 @@ def test_check_decay_degenerate_cases():
     assert ok2 and slack2 == 1.0
 
 
-def test_suite_check_toggles_and_cutoff_validation():
+def test_suite_check_toggles_and_cutoff_validation(recording_suite):
     dom = Domain(a=1.0, Nx=8, Nz=8)
     p = _params()
     cfg = CertificateConfig()
@@ -513,9 +523,9 @@ def test_suite_check_toggles_and_cutoff_validation():
         CertificateConfig(checks={"nope": True})
     with pytest.raises(ValueError, match="cutoff"):
         CertificateSuite(p, dom, CertificateConfig(tail_cutoff=8), s0)
-    suite, _ = _suite_run(p, dom, cfg, s0,
+    suite, _ = _suite_run(recording_suite, p, dom, cfg, s0,
                           StepperConfig(dt=0.01, t_end=0.5, sample_every=10),
                           checks={"decay": False})
     assert all(r.decay_ok is None for r in suite.records)
-    ok = {s["name"]: s["ok"] for s in summarize_records(suite.records)}
+    ok = {s["name"]: s["ok"] for s in summarize_records(suite.summary)}
     assert ok["decay"] is None

@@ -1,11 +1,17 @@
 import csv
 import json
+import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import eigvals as dense_eigvals
 
+import ltne
 from ltne import (Domain, SpectralField, assemble_linear, config_hash,
                   load_config, write_snapshot)
 from ltne.cli import main
@@ -93,6 +99,87 @@ def test_certify_rejects_tampering(tmp_path, capsys):
         if code != 3 or "do not reproduce" not in capsys.readouterr().err:
             accepted.append((field, code))
     assert accepted == []
+
+
+def test_certify_prints_nothing_until_the_last_line_passes(tmp_path,
+                                                          capsys):
+    # the stream is replayed as it is read, yet a refusal on the last line
+    # leaves stdout empty, and a malformed line anywhere wins over a flag
+    # that does not reproduce on an earlier line
+    code, jsonl = _run_case(tmp_path, capsys)
+    assert code == 0
+    lines = jsonl.read_text().splitlines()
+    last, early = json.loads(lines[-1]), json.loads(lines[2])
+    cases = [
+        (lines[:-1] + ["{bad"], f":{len(lines)}: malformed JSON"),
+        (lines[:-1] + [json.dumps(dict(last, decay_ok=False))],
+         "1 stored flags do not reproduce"),
+        (lines[:2] + [json.dumps(dict(early, decay_ok=False))]
+         + lines[3:-1] + ["{bad"], f":{len(lines)}: malformed JSON"),
+    ]
+    for edited, message in cases:
+        jsonl.write_text("\n".join(edited) + "\n")
+        assert main(["certify", str(jsonl)]) == 3, message
+        out, err = capsys.readouterr()
+        assert out == "" and message in err, err
+    assert "decay_ok stored" not in err     # the last case's early flip
+
+
+def test_certify_refuses_non_finite_record_values(tmp_path, capsys):
+    code, jsonl = _run_case(tmp_path, capsys)
+    assert code == 0
+    lines = jsonl.read_text().splitlines()
+    last = json.loads(lines[-1])
+    for field, value in (("E_Y", float("inf")), ("tail_frac_k2", math.nan),
+                         ("decay_slack", math.nan)):
+        edited = json.dumps(dict(last, **{field: value}))
+        assert "Infinity" in edited or "NaN" in edited
+        jsonl.write_text("\n".join(lines[:-1] + [edited]) + "\n")
+        assert main(["certify", str(jsonl)]) == 3, field
+        out, err = capsys.readouterr()
+        assert out == "", field
+        assert f"{jsonl}:{len(lines)}: field 'record.{field}'" in err, err
+    # an infinite slack is what the certificates write for a zero state
+    code, jsonl = _run_case(tmp_path, capsys, ic={"kind": "zero"})
+    assert code == 0 and "Infinity" in jsonl.read_text()
+    assert main(["certify", str(jsonl)]) == 0
+    capsys.readouterr()
+
+
+# VmHWM, not ru_maxrss: a child's ru_maxrss starts at the peak of the
+# process it was forked from
+_PEAK_RSS = """
+import contextlib, io, json, sys
+from ltne.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["run", sys.argv[1]]), main(["certify", sys.argv[2]])]
+with open("/proc/self/status") as fh:
+    peak = next(int(ln.split()[1]) for ln in fh if ln.startswith("VmHWM:"))
+print(json.dumps([codes, peak]))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads the peak RSS from /proc/self/status")
+def test_run_and_certify_memory_does_not_grow_with_run_length(tmp_path):
+    # records are streamed both ways: four times the records (1000 and
+    # 4000, ~1 KB each) leave the peak RSS of one interpreter running
+    # `run` then `certify` within 1 MiB
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(ltne.__file__).parents[1]))
+    peaks = []
+    for t_end in (1.0, 4.0):
+        cfg = _write(tmp_path / f"t{t_end:g}.json", _base_doc(
+            Nx=4, Nz=4, dt=1e-3, t_end=t_end, sample_every=1))
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS, str(cfg),
+             str(cfg.with_suffix(".jsonl"))],
+            env=env, capture_output=True, text=True, check=True)
+        codes, peak_kib = json.loads(proc.stdout)
+        # at t_end = 4 the tail check fails, and certify agrees
+        assert codes in ([0, 0], [1, 1]), codes
+        peaks.append(peak_kib / 1024.0)
+    assert abs(peaks[1] - peaks[0]) < 1.0, peaks
 
 
 def test_certify_rejects_meta_that_is_not_a_run_document(tmp_path, capsys):
@@ -377,6 +464,21 @@ def test_tail_cutoff_range_applies_only_with_tail_check(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "certificates.tail_cutoff 1 out of range" in err
     assert "min(Nx, Nz) = 1" in err
+
+
+def test_config_refused_before_integration_writes_no_stream(tmp_path,
+                                                           capsys):
+    # refused by the certificate suite, and by `run` (a snapshot time off
+    # the step grid): no file opens before `integrate` accepts the run
+    cases = [(_base_doc(Nx=16, Nz=16, certificates={"tail_cutoff": 40}),
+              "certificates.tail_cutoff 40 out of range"),
+             (_base_doc(output={"snapshot_at": [0.005]}),
+              "snapshot time 0.005 is not step-aligned")]
+    for i, (doc, message) in enumerate(cases):
+        cfg = _write(tmp_path / f"refused{i}.json", doc)
+        assert main(["run", str(cfg)]) == 3, message
+        assert message in capsys.readouterr().err
+        assert not cfg.with_suffix(".jsonl").exists()
 
 
 def test_tail_k_whose_weight_overflows_is_refused(tmp_path, capsys):
