@@ -113,16 +113,12 @@ class CertificateConstants:
     M2: float
     M10_const: float
     M10_lap_coef: float
-    M11: float
-    M12: float
     c_tilde: float
     M_so: float
-    r: float
 
 
 def compute_constants(p: Params, dom: Domain, cfg: CertificateConfig,
-                      *, rho0_sq: float = 0.0,
-                      lap_psi0_sq: float = 0.0) -> CertificateConstants:
+                      *, rho0_sq: float = 0.0) -> CertificateConstants:
     """Evaluate every derived constant.
 
     t0 = ln(M8)/M7 and rho0^2 = ||theta(0)||^2 + ||phi(0)||^2 make the decay
@@ -146,14 +142,10 @@ def compute_constants(p: Params, dom: Domain, cfg: CertificateConfig,
                    lam / (4 * al))
     M10_const = p.Ra ** 2 / (2 * p.C) + 2 * lam + 2.0 + (4 * gam * lam + lam ** 2) / (2 * al)
     M10_lap_coef = 2.0 * cfg.mso   # norm-equivalence constant c = 1 here
-    M11 = M10_lap_coef * rho_R_sq + M10_const
-    M12 = (p.Da ** 2 / (p.Pr ** 2 * p.C)) * lap_psi0_sq + (
-        p.Ra ** 2 * M8 * p.Da * p.Pr / (p.C ** 2 * M7) + (1 + al) * M9) * rho0_sq
     return CertificateConstants(
         M_P=M_P, M7=M7, M8=M8, M9=M9, t0=t0, rho0_sq=rho0_sq,
         rho_R_sq=rho_R_sq, M1=M1, M2=M2, M10_const=M10_const,
-        M10_lap_coef=M10_lap_coef, M11=M11, M12=M12, c_tilde=ct,
-        M_so=cfg.mso, r=cfg.r)
+        M10_lap_coef=M10_lap_coef, c_tilde=ct, M_so=cfg.mso)
 
 
 @dataclass
@@ -462,9 +454,8 @@ class _Certifier:
     def __init__(self, p: Params, dom: Domain, cfg: CertificateConfig,
                  n0: dict):
         self.p, self.cfg = p, cfg
-        self.k = compute_constants(
-            p, dom, cfg, rho0_sq=n0["theta_sq"] + n0["phi_sq"],
-            lap_psi0_sq=n0["lap_psi_sq"])
+        self.k = compute_constants(p, dom, cfg,
+                                   rho0_sq=n0["theta_sq"] + n0["phi_sq"])
         self.init = self.anchor = None
         self.diss = _RunningTrapz()
         self.h1 = _H1Window(cfg.r)
@@ -610,13 +601,14 @@ def replay_certificates(stored, p: Params, dom: Domain, cfg: CertificateConfig,
 
 class RecordSummary:
     """Running per-certificate roll-up of one run's records, fed in sample
-    order by `add`, in O(1) memory: `n` records; per check, in `checks`,
-    [checked, passed, worst] with worst the (slack, record) of the lowest
-    slack or, for tail, the highest fraction (the first one on a tie, as
-    `min`/`max` pick); and the largest (ebal_resid, t) in `max_resid`."""
+    order by `add`, in O(1) memory: `n` records and the `last` one; per
+    check, in `checks`, [checked, passed, worst] with worst the (slack,
+    record) of the lowest slack or, for tail, the highest fraction (the
+    first one on a tie, as `min`/`max` pick); and the largest (ebal_resid,
+    t) in `max_resid`."""
 
     def __init__(self):
-        self.n, self.max_resid = 0, None
+        self.n, self.last, self.max_resid = 0, None, None
         self.checks = {name: [0, 0, None] for name in CHECK_NAMES}
         # per check: its flag, the field its worst sample is ranked by,
         # whether the highest ranks worst, and its entry in `checks`
@@ -626,7 +618,7 @@ class RecordSummary:
                       for name, _, flag, *derived in _CERT_ROWS]
 
     def add(self, rec: TrajectoryRecord):
-        d = vars(rec)
+        d, self.last = vars(rec), rec
         self.n += 1
         for flag, key, highest, check in self._rows:
             ok = d[flag]
@@ -666,15 +658,11 @@ def summarize_records(summary: RecordSummary) -> list[dict]:
             row["worst_slack"], row["worst_t"] = sl, worst.t
             if name == "tail":
                 row["lhs"] = sl
-            elif name == "decay":
-                lhs = worst.theta_sq + worst.phi_sq
-                row["lhs"] = lhs
+            elif name in ("decay", "psi_absorb"):
+                row["lhs"] = lhs = worst.theta_sq + worst.phi_sq \
+                    if name == "decay" else worst.lap_psi_sq
                 if sl < 1.0:
                     row["rhs"] = lhs / (1.0 - sl)
-            elif name == "psi_absorb":
-                row["lhs"] = worst.lap_psi_sq
-                if sl < 1.0:
-                    row["rhs"] = worst.lap_psi_sq / (1.0 - sl)
             elif name == "h1_absorb":
                 row["lhs"] = worst.E_half
                 if worst.E_half > 0 and sl < 700:

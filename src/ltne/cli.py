@@ -25,7 +25,7 @@ from .config import (_BLOWUP, _DIMENSIONLESS_KEYS, _HEADER, _MARKER, _RECORD,
                      build_config, build_initial_state, config_hash,
                      load_config, read_json)
 from .dynamics import assemble_linear, spectral_abscissa
-from .integrator import run as integrate
+from .integrator import _snapshot_step, run as integrate
 from .spectral import write_snapshot
 
 EXIT_OK = 0
@@ -63,27 +63,24 @@ def _resolve(path_str, base_dir: Path) -> Path:
 
 
 class _Stream:
-    """`integrate`'s monitor for one CLI run: certifies each sample through
-    `suite` and holds the records of at most 64 samples.  `flush` writes
-    them as JSONL lines (and plot-CSV rows, if configured) and hands each to
-    `on_record`; encoding in batches, apart from the integration, keeps
-    `run` as fast as writing every record at the end did.  The files open
-    at the first flush, once `integrate` has accepted the run."""
+    """`integrate`'s monitor for one CLI run.  It opens the JSONL file,
+    with its header line, and the plot CSV, if configured, on `files`;
+    then it certifies each sample through `suite` and holds the records of
+    at most 64 samples.  `flush` writes them as JSONL lines (and plot-CSV
+    rows) and hands each to `on_record`; encoding in batches, apart from
+    the integration, keeps `run` as fast as writing every record at the
+    end did."""
 
     def __init__(self, suite, rc: RunConfig, paths: dict, files, on_record):
-        self.suite, self.rc, self.paths, self.files = suite, rc, paths, files
-        self.on_record, self.fh, self.batch = on_record, None, []
-
-    def _open(self):
-        jsonl = self.paths["jsonl"]
-        jsonl.parent.mkdir(parents=True, exist_ok=True)
-        self.fh = self.files.enter_context(open(jsonl, "w"))
-        self.fh.write(_encode({"meta": self.rc.resolved,
-                               "config_hash": self.rc.config_hash}) + "\n")
+        self.suite, self.on_record, self.batch = suite, on_record, []
+        paths["jsonl"].parent.mkdir(parents=True, exist_ok=True)
+        self.fh = files.enter_context(open(paths["jsonl"], "w"))
+        self.fh.write(_encode({"meta": rc.resolved,
+                               "config_hash": rc.config_hash}) + "\n")
         self.plot = None
-        if "plot_csv" in self.paths:
-            self.plot = csv.writer(self.files.enter_context(
-                open(self.paths["plot_csv"], "w", newline="")))
+        if "plot_csv" in paths:
+            self.plot = csv.writer(files.enter_context(
+                open(paths["plot_csv"], "w", newline="")))
             self.plot.writerow(_PLOT_COLS)
 
     def on_sample(self, t, c, c_pre, dt):
@@ -92,8 +89,6 @@ class _Stream:
             self.flush()
 
     def flush(self):
-        if self.fh is None:
-            self._open()
         for rec in self.batch:
             self.fh.write(_encode(vars(rec)) + "\n")
             if self.plot is not None:
@@ -107,8 +102,9 @@ def _output_paths(rc: RunConfig, jsonl_path: Path, base_dir: Path,
                   t0: float) -> dict:
     """Each file a run writes, under its key: "jsonl", "plot_csv" (if
     configured) and, per snapshot, the time `run` stamps it with (t0 plus
-    whole steps).  Outputs that would share a file are refused with a
-    ValueError naming both and the path."""
+    whole steps).  A snapshot time off the step grid is refused with a
+    ValueError, as are outputs that would share a file, naming both and
+    the path."""
     dt, out = rc.stepper.dt, rc.output
     prefix = _resolve(out["snapshot_prefix"], base_dir) \
         if out["snapshot_prefix"] else jsonl_path.with_suffix("")
@@ -116,7 +112,7 @@ def _output_paths(rc: RunConfig, jsonl_path: Path, base_dir: Path,
     if out["plot_csv"]:
         named["plot_csv"] = ("plot_csv", _resolve(out["plot_csv"], base_dir))
     for ts in out["snapshot_at"]:
-        t = t0 + int(round(ts / dt)) * dt
+        t = t0 + _snapshot_step(ts, rc.stepper) * dt
         named.setdefault(t, (f"snapshot_at {ts!r}",
                              Path(f"{prefix}_t{t:g}.snap")))
     owner = {}
@@ -132,7 +128,8 @@ def _execute(rc: RunConfig, jsonl_path: Path, base_dir: Path,
     """Build the IC and integrate with the certificate suite attached,
     streaming the records to the JSONL file (and the plot CSV) in batches
     as they are certified; then append any blowup marker and write the
-    snapshots.  A config refused before the first sample writes no file."""
+    snapshots.  Every refusal of the config (its output paths, then the
+    suite's settings) comes before any file is opened."""
     s0 = build_initial_state(rc.ic, rc.dom, rc.p)
     paths = _output_paths(rc, jsonl_path, base_dir, s0.t)
     suite = CertificateSuite(rc.p, rc.dom, rc.cert_cfg, s0, rc.config_hash)
@@ -207,36 +204,36 @@ def cmd_run(args) -> int:
     return _report(summarize_records(suite.summary), traj.failure)
 
 
-def _scan(path: Path) -> tuple[int, str | None, bool]:
-    """One pass over a text file: its line count, its first line and
-    whether it ends in a newline, lines cut as `str.splitlines` cuts the
-    whole text."""
-    n, first, raw = 0, None, ""
-    try:
-        with open(path) as fh:
-            for raw in fh:
-                lines = raw.splitlines()
-                first = lines[0] if first is None else first
-                n += len(lines)
-    except UnicodeDecodeError:  # a whole-file read names its file offset
-        path.read_text()
-        raise
-    return n, first, raw.endswith("\n")
-
-
 class _Records:
-    """The `n` lines after the header of a JSONL stream, cut as `_scan`
-    cuts them, parsed, typed and checked one at a time as they are
-    iterated; each record is yielded as its dict of TrajectoryRecord
-    fields.  `len()` is `n`, known before any line is parsed.  A blowup
-    marker, allowed only as the last line, is kept in `blowup`.  A refused
-    line raises a ConfigError naming it, as does, when the lines run out, a
+    """A JSONL stream `run` wrote, as `certify` reads it.  Construction
+    makes one pass over the file for what is known before any line is
+    parsed: `head`, the header line (None for an empty file), `complete`,
+    whether the file ends in a newline, and `n`, the number of lines after
+    the header, lines cut as `str.splitlines` cuts the whole text; a file
+    that is not UTF-8 raises the UnicodeDecodeError of a whole-file read,
+    which names its file offset.  `len()` is `n`.  Once `hash` (the
+    header's config hash) and `stepper` are set, iterating parses, types
+    and checks the lines after the header one at a time and yields each
+    record as its dict of TrajectoryRecord fields.  A blowup marker,
+    allowed only as the last line, is kept in `blowup`.  A refused line
+    raises a ConfigError naming it, as does, when the lines run out, a
     stream without records or one whose last record falls short of t_end
     without a blowup."""
 
-    def __init__(self, path: Path, n: int, stored_hash: str, stepper):
-        self.path, self.n, self.hash = path, n, stored_hash
-        self.stepper, self.blowup = stepper, None
+    def __init__(self, path: Path):
+        n, head, raw = 0, None, ""
+        try:
+            with open(path) as fh:
+                for raw in fh:
+                    lines = raw.splitlines()
+                    head = lines[0] if head is None else head
+                    n += len(lines)
+        except UnicodeDecodeError:
+            path.read_text()
+            raise
+        self.path, self.n, self.head = path, n - 1, head
+        self.complete = raw.endswith("\n")
+        self.hash = self.stepper = self.blowup = None
 
     def __len__(self):
         return self.n
@@ -293,15 +290,15 @@ class _Records:
 def cmd_certify(args) -> int:
     path = Path(args.timeseries)
     try:
-        n, head, complete = _scan(path)
+        records = _Records(path)
     except (OSError, UnicodeDecodeError) as e:
         return _fail(f"{path}: {e}")
-    if not n:
+    if records.head is None:
         return _fail(f"{path}: empty file")
-    if not complete:
+    if not records.complete:
         return _fail(f"{path}: truncated (no final newline)")
     try:
-        head = _read_block(json.loads(head), _HEADER, "header")
+        head = _read_block(json.loads(records.head), _HEADER, "header")
     except ValueError as e:     # ConfigError, JSONDecodeError, huge integers
         return _fail(f"{path}:1: not a meta line ({e})")
     resolved, stored_hash = head["meta"], head["config_hash"]
@@ -318,7 +315,7 @@ def cmd_certify(args) -> int:
     except ValueError as e:
         return _fail(f"--mso {args.mso:g}: {e}")
 
-    records = _Records(path, n - 1, stored_hash, rc.stepper)
+    records.hash, records.stepper = stored_hash, rc.stepper
     mismatches, count = [], 0   # the first 10 mismatches, and their count
 
     def compare(stored: dict, fresh):
@@ -339,6 +336,8 @@ def cmd_certify(args) -> int:
             compare if args.mso is None else None)
     except ConfigError as e:
         return _fail(str(e))
+    except ValueError as e:     # constants out of range for the stored config
+        return _fail(f"{path}: {e}")
     if count:
         for m in mismatches:
             print(f"  {m}", file=sys.stderr)
@@ -364,15 +363,11 @@ def _sweep_child(param, value, doc, jsonl_path: Path, base_dir: Path) -> dict:
         out = dict(rc.output, snapshot_prefix=None)
         if out["plot_csv"]:
             out["plot_csv"] = str(jsonl_path.with_suffix(".csv"))
-        last, decay = None, []      # (t, ||theta||^2 + ||phi||^2) per sample
-
-        def keep(rec):
-            nonlocal last
-            last = rec
-            decay.append((rec.t, rec.theta_sq + rec.phi_sq))
-
-        suite, traj, _ = _execute(replace(rc, output=out), jsonl_path,
-                                  base_dir, keep)
+        decay = []      # (t, ||theta||^2 + ||phi||^2) per sample
+        suite, traj, _ = _execute(
+            replace(rc, output=out), jsonl_path, base_dir,
+            lambda rec: decay.append((rec.t, rec.theta_sq + rec.phi_sq)))
+        last = suite.summary.last
         row.update(t_end=last.t, E_Y_final=last.E_Y,
                    theta_sq_final=last.theta_sq, phi_sq_final=last.phi_sq,
                    lap_psi_sq_final=last.lap_psi_sq,

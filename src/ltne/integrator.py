@@ -197,6 +197,16 @@ def _blowup(c, dom: Domain, t: float) -> dict | None:
     return None
 
 
+def _snapshot_step(ts: float, cfg: StepperConfig) -> int:
+    """The step at which snapshot time `ts` falls; a ValueError unless it
+    lies on the step grid in [0, t_end]."""
+    k = int(round(ts / cfg.dt))
+    if abs(k * cfg.dt - ts) > 1e-9 * max(1.0, abs(ts)) or \
+            not 0 <= k <= round(cfg.t_end / cfg.dt):
+        raise ValueError(f"snapshot time {ts} is not step-aligned in [0, t_end]")
+    return k
+
+
 def run(s0: State, p: Params, cfg: StepperConfig, monitors=None,
         snapshot_times: tuple[float, ...] = ()) -> Trajectory:
     """Integrate to t_end, sampling every `sample_every` steps (the final
@@ -209,20 +219,16 @@ def run(s0: State, p: Params, cfg: StepperConfig, monitors=None,
     `Trajectory.final` and the snapshots are the only States `run` builds,
     through the validating constructors, on the arrays handed out.
 
-    Snapshot times must be step-aligned; each one is also an integrator
-    restart barrier (the multistep history is dropped there), so a run
-    resumed from a written snapshot continues bit-identically to the
-    original.  On blowup the partial trajectory is returned with `failure`
+    Snapshot times must lie on the step grid in [0, t_end], as
+    `_snapshot_step` checks (the CLI checks them before it opens any
+    file); each one is also an integrator restart barrier (the multistep
+    history is dropped there), so a run resumed from a written snapshot
+    continues bit-identically to the original.  On blowup the partial trajectory is returned with `failure`
     set instead of raising.
     """
     dom = s0.dom
     nsteps = int(round(cfg.t_end / cfg.dt))
-    snap_steps = set()
-    for ts in snapshot_times:
-        k = int(round(ts / cfg.dt))
-        if abs(k * cfg.dt - ts) > 1e-9 * max(1.0, abs(ts)) or not 0 <= k <= nsteps:
-            raise ValueError(f"snapshot time {ts} is not step-aligned in [0, t_end]")
-        snap_steps.add(k)
+    snap_steps = {_snapshot_step(ts, cfg) for ts in snapshot_times}
 
     stepper = _STEPPERS[cfg.scheme](p, dom, cfg.dt, cfg.linear_only)
 

@@ -197,7 +197,8 @@ def _jacobian_coeffs(cpsi: np.ndarray, cth: np.ndarray, dom: Domain) -> np.ndarr
 
 def _hk_sq(c: np.ndarray, dom: Domain, k: int) -> float:
     """(a/4) sum |mu|^k c^2: the squared H^k-level seminorm of coefficients c.
-    Every stored squared norm goes through here."""
+    `dynamics._sq_norms`, which computes the stored squared norms, gives
+    the same values bit for bit."""
     return float(dom.a / 4.0 * np.sum(dom.plan.weight(k) * c ** 2))
 
 

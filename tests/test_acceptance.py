@@ -184,8 +184,7 @@ def test_07_difference_envelope_ic_pairs(sample_log):
     dom = Domain(a=1.0, Nx=16, Nz=16)
     cfg = StepperConfig(dt=1e-3, t_end=1.0, scheme="imex_cnab2",
                         sample_every=10)
-    k = compute_constants(p, dom, CertificateConfig(mso=1.0),
-                          rho0_sq=1.0, lap_psi0_sq=1.0)
+    k = compute_constants(p, dom, CertificateConfig(mso=1.0), rho0_sq=1.0)
     modes = [(1, 1), (2, 3), (3, 2), (4, 4), (5, 1),
              (1, 5), (2, 2), (3, 4), (4, 1), (2, 5)]
     worst = math.inf

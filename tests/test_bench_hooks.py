@@ -101,6 +101,8 @@ def test_traced_run_and_certify_feed_the_layer_probes(tmp_path, monkeypatch,
     assert names.count("on_sample") == 11
     assert names.count("integrate") == 1
     assert names.count("replay_certificates") == 1
+    assert [span["records"] for span in tracer.spans
+            if span["name"] == "replay_certificates"] == [11]
     probes = child.probe_layers(*tracer.last_run)
     assert (probes["Nx"], probes["Nz"]) == (4, 4)
     timings = [v for k, v in probes.items() if k.endswith("_s")

@@ -101,16 +101,11 @@ def test_constants_asymmetric_alpha():
     assert k2.M_P == pytest.approx(4.0 / (5 * np.pi ** 2), rel=1e-14)
 
 
-def test_constants_m12_hand_value():
+def test_constants_rho_r_sq_hand_value():
     dom = Domain(a=1.0, Nx=4, Nz=4)
     p = _params(Ra=2.0)
-    k = compute_constants(p, dom, CertificateConfig(), rho0_sq=3.0,
-                          lap_psi0_sq=5.0)
-    # Da^2/(Pr^2 C) lap0 + (Ra^2 M8 Da Pr/(C^2 M7) + (1+alpha) M9) rho0^2
-    want = 5.0 + (4.0 / (2 * np.pi ** 2) + 2.0 * 2.0) * 3.0
-    assert k.M12 == pytest.approx(want, rel=1e-13)
+    k = compute_constants(p, dom, CertificateConfig(), rho0_sq=3.0)
     assert k.rho_R_sq == pytest.approx(3.0 * (1 + 4.0 / 4.0), rel=1e-14)
-    assert k.M11 == pytest.approx(2.0 * k.rho_R_sq + k.M10_const, rel=1e-14)
 
 
 def test_ctilde_validation():

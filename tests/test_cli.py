@@ -184,13 +184,22 @@ def test_run_and_certify_memory_does_not_grow_with_run_length(tmp_path):
 
 def test_certify_rejects_meta_that_is_not_a_run_document(tmp_path, capsys):
     code, jsonl = _run_case(tmp_path, capsys)
-    empty_hash = config_hash({})     # the meta line carries its own hash
-    lines = [json.dumps({"meta": {}, "config_hash": empty_hash})]
-    for ln in jsonl.read_text().splitlines()[1:]:
-        lines.append(json.dumps(dict(json.loads(ln), config_hash=empty_hash)))
-    jsonl.write_text("\n".join(lines) + "\n")
-    assert main(["certify", str(jsonl)]) == 3
-    assert "does not rebuild" in capsys.readouterr().err
+    head, *records = jsonl.read_text().splitlines()
+    meta = json.loads(head)["meta"]
+    # the second document builds, but `run` refuses it: its c_tilde * alpha
+    # is not below 1, so the certificate constants do not exist
+    cases = [({}, "does not rebuild"),
+             (dict(meta, alpha=2.0, certificates=dict(
+                 meta["certificates"], ctilde=0.9)),
+              f"{jsonl}: c_tilde=0.9 out of range")]
+    for doc, message in cases:
+        h = config_hash(doc)     # the meta line carries its own hash
+        lines = [json.dumps({"meta": doc, "config_hash": h})]
+        for ln in records:
+            lines.append(json.dumps(dict(json.loads(ln), config_hash=h)))
+        jsonl.write_text("\n".join(lines) + "\n")
+        assert main(["certify", str(jsonl)]) == 3, message
+        assert message in capsys.readouterr().err
 
 
 def test_certify_rejects_mixed_hashes(tmp_path, capsys):
@@ -564,6 +573,9 @@ def test_sweep_alpha_family(tmp_path, capsys):
         for flag in ("decay_ok", "psi_absorb_ok", "h1_absorb_ok"):
             given = [x[flag] for x in recs if x[flag] is not None]
             assert r[flag] == (str(all(given)) if given else ""), flag
+        assert float(r["t_end"]) == recs[-1]["t"]
+        for col in ("E_Y", "theta_sq", "phi_sq", "lap_psi_sq"):
+            assert float(r[f"{col}_final"]) == recs[-1][col], col
 
 
 def test_sweep_rows_name_plot_and_snapshot_files_after_their_stream(
