@@ -2,6 +2,10 @@
 sweeps, and linear-operator spectra.
 
 Exit codes: 0 success, 1 certificate violation, 2 blowup, 3 bad input.
+Every command raises its refusals: a ValueError (ConfigError and
+UnicodeDecodeError among them) for input it will not take, an OSError for
+a file it cannot read or write.  `main` alone turns them into one
+`error: <message>` line on stderr and exit 3.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ import numpy as np
 from .certificates import (CERT_FIELDS, CertificateSuite, measured_decay_rate,
                            replay_certificates, summarize_records)
 from .config import (_BLOWUP, _DIMENSIONLESS_KEYS, _HEADER, _MARKER, _RECORD,
-                     _SWEEP, ConfigError, RunConfig, _read_block, _typed,
-                     build_config, build_initial_state, config_hash,
+                     _SWEEP, ConfigError, RunConfig, _read_block, _require,
+                     _typed, build_config, build_initial_state, config_hash,
                      load_config, read_json)
 from .dynamics import assemble_linear, spectral_abscissa
 from .integrator import _snapshot_step, run as integrate
@@ -50,11 +54,6 @@ _SWEEP_COLS = ("parameter", "value", "status", "t_end", "E_Y_final",
                "config_hash")
 
 _SWEEP_PARAMS = _DIMENSIONLESS_KEYS + ("a",)
-
-
-def _fail(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return EXIT_CONFIG
 
 
 def _resolve(path_str, base_dir: Path) -> Path:
@@ -172,17 +171,11 @@ def _report(rows, failure) -> int:
 
 def cmd_run(args) -> int:
     cfg_path = Path(args.config)
-    try:
-        rc = load_config(cfg_path)
-    except ConfigError as e:
-        return _fail(str(e))
+    rc = load_config(cfg_path)
     base_dir = cfg_path.resolve().parent
     jsonl_path = _resolve(rc.output["jsonl"], base_dir) \
         if rc.output["jsonl"] else cfg_path.with_suffix(".jsonl")
-    try:
-        suite, traj, snap_paths = _execute(rc, jsonl_path, base_dir)
-    except ValueError as e:
-        return _fail(str(e))
+    suite, traj, snap_paths = _execute(rc, jsonl_path, base_dir)
     p, dom, k = rc.p, rc.dom, suite.k
     print(f"run {cfg_path.name}  hash {rc.config_hash}")
     print(f"  Ra={p.Ra:g} Pr={p.Pr:g} Da={p.Da:g} C={p.C:g} "
@@ -206,19 +199,21 @@ def cmd_run(args) -> int:
 
 class _Records:
     """A JSONL stream `run` wrote, as `certify` reads it.  Construction
-    makes one pass over the file for what is known before any line is
-    parsed: `head`, the header line (None for an empty file), `complete`,
-    whether the file ends in a newline, and `n`, the number of lines after
-    the header, lines cut as `str.splitlines` cuts the whole text; a file
-    that is not UTF-8 raises the UnicodeDecodeError of a whole-file read,
-    which names its file offset.  `len()` is `n`.  Once `hash` (the
-    header's config hash) and `stepper` are set, iterating parses, types
-    and checks the lines after the header one at a time and yields each
-    record as its dict of TrajectoryRecord fields.  A blowup marker,
-    allowed only as the last line, is kept in `blowup`.  A refused line
-    raises a ConfigError naming it, as does, when the lines run out, a
-    stream without records or one whose last record falls short of t_end
-    without a blowup."""
+    makes one pass over the file, counting in `n` the lines after the
+    header, lines cut as `str.splitlines` cuts the whole text; a file that
+    is not UTF-8 raises the UnicodeDecodeError of a whole-file read, which
+    names its file offset.  It then checks the header, raising a
+    ConfigError for an empty file, a file without a final newline, a first
+    line that is not a meta line, a config hash that does not match the
+    stored config document, and a stored config that does not rebuild; it
+    keeps that config's `hash` and its RunConfig `rc`.  `len()` is `n`,
+    known before any line after the header is parsed.  Iterating parses,
+    types and checks those lines one at a time and yields each record as
+    its dict of TrajectoryRecord fields.  A blowup marker, allowed only as
+    the last line, is kept in `blowup`.  A refused line raises a
+    ConfigError naming it, as does, when the lines run out, a stream
+    without records or one whose last record falls short of t_end without
+    a blowup."""
 
     def __init__(self, path: Path):
         n, head, raw = 0, None, ""
@@ -231,9 +226,21 @@ class _Records:
         except UnicodeDecodeError:
             path.read_text()
             raise
-        self.path, self.n, self.head = path, n - 1, head
-        self.complete = raw.endswith("\n")
-        self.hash = self.stepper = self.blowup = None
+        _require(head is not None, f"{path}: empty file")
+        _require(raw.endswith("\n"), f"{path}: truncated (no final newline)")
+        try:
+            line = _read_block(json.loads(head), _HEADER, "header")
+        except ValueError as e:     # also JSONDecodeError, huge integers
+            raise ConfigError(f"{path}:1: not a meta line ({e})")
+        resolved, self.hash = line["meta"], line["config_hash"]
+        _require(config_hash(resolved) == self.hash,
+                 f"{path}: config hash {self.hash} does not match its own "
+                 "config document")
+        try:    # IC files need not still exist offline
+            self.rc = build_config(dict(resolved, ic={"kind": "zero"}))
+        except ValueError as e:
+            raise ConfigError(f"{path}: stored config does not rebuild: {e}")
+        self.path, self.n, self.blowup = path, n - 1, None
 
     def __len__(self):
         return self.n
@@ -281,7 +288,7 @@ class _Records:
                 yield line
         if first is None:
             raise ConfigError(f"{path}: no trajectory records")
-        dt, t_end = self.stepper.dt, self.stepper.t_end
+        dt, t_end = self.rc.stepper.dt, self.rc.stepper.t_end
         if self.blowup is None and last < first + t_end - 0.5 * dt:
             raise ConfigError(f"{path}: truncated: last sample t={last:g} "
                               f"but the run covers t_end={t_end:g}")
@@ -292,30 +299,14 @@ def cmd_certify(args) -> int:
     try:
         records = _Records(path)
     except (OSError, UnicodeDecodeError) as e:
-        return _fail(f"{path}: {e}")
-    if records.head is None:
-        return _fail(f"{path}: empty file")
-    if not records.complete:
-        return _fail(f"{path}: truncated (no final newline)")
-    try:
-        head = _read_block(json.loads(records.head), _HEADER, "header")
-    except ValueError as e:     # ConfigError, JSONDecodeError, huge integers
-        return _fail(f"{path}:1: not a meta line ({e})")
-    resolved, stored_hash = head["meta"], head["config_hash"]
-    if config_hash(resolved) != stored_hash:
-        return _fail(f"{path}: config hash {stored_hash} does not match "
-                     "its own config document")
-    try:    # IC files need not still exist offline
-        rc = build_config(dict(resolved, ic={"kind": "zero"}))
-    except ValueError as e:
-        return _fail(f"{path}: stored config does not rebuild: {e}")
+        raise ConfigError(f"{path}: {e}")
+    rc = records.rc
     try:
         cert_cfg = rc.cert_cfg if args.mso is None \
             else replace(rc.cert_cfg, mso=args.mso)
     except ValueError as e:
-        return _fail(f"--mso {args.mso:g}: {e}")
+        raise ConfigError(f"--mso {args.mso:g}: {e}")
 
-    records.hash, records.stepper = stored_hash, rc.stepper
     mismatches, count = [], 0   # the first 10 mismatches, and their count
 
     def compare(stored: dict, fresh):
@@ -334,16 +325,15 @@ def cmd_certify(args) -> int:
         summary, k = replay_certificates(
             records, rc.p, rc.dom, cert_cfg,
             compare if args.mso is None else None)
-    except ConfigError as e:
-        return _fail(str(e))
+    except ConfigError:
+        raise
     except ValueError as e:     # constants out of range for the stored config
-        return _fail(f"{path}: {e}")
-    if count:
-        for m in mismatches:
-            print(f"  {m}", file=sys.stderr)
-        return _fail(f"{path}: {count} stored flags do not "
-                     "reproduce (stream corrupt or version skew)")
-    print(f"certify {path.name}  hash {stored_hash}  "
+        raise ConfigError(f"{path}: {e}")
+    for m in mismatches:
+        print(f"  {m}", file=sys.stderr)
+    _require(not count, f"{path}: {count} stored flags do not reproduce "
+             "(stream corrupt or version skew)")
+    print(f"certify {path.name}  hash {records.hash}  "
           f"({summary.n} records)")
     print(f"  constants: M7={k.M7:.6g} M8={k.M8:.6g} M9={k.M9:.6g} "
           f"t0={k.t0:.6g} M_so={k.M_so:g}")
@@ -395,19 +385,14 @@ def _sweep_child(param, value, doc, jsonl_path: Path, base_dir: Path) -> dict:
 def cmd_sweep(args) -> int:
     spec_path = Path(args.spec)
     base_dir = spec_path.resolve().parent
-    try:
-        spec = _read_block(read_json(spec_path), _SWEEP, "sweep")
-        if ("base" in spec) == ("base_path" in spec):
-            return _fail("sweep needs exactly one of 'base' or 'base_path'")
-        base = spec["base"] if "base" in spec else _typed(
-            "base_path", read_json(_resolve(spec["base_path"], base_dir)),
-            dict)
-    except ConfigError as e:
-        return _fail(str(e))
+    spec = _read_block(read_json(spec_path), _SWEEP, "sweep")
+    _require(("base" in spec) != ("base_path" in spec),
+             "sweep needs exactly one of 'base' or 'base_path'")
+    base = spec["base"] if "base" in spec else _typed(
+        "base_path", read_json(_resolve(spec["base_path"], base_dir)), dict)
     param = spec["parameter"]
-    if param not in _SWEEP_PARAMS:
-        return _fail(f"sweep parameter must be one of {_SWEEP_PARAMS}, "
-                     f"got {param!r}")
+    _require(param in _SWEEP_PARAMS, f"sweep parameter must be one of "
+             f"{_SWEEP_PARAMS}, got {param!r}")
 
     out_dir = _resolve(spec.get("output_dir", spec_path.stem + "_runs"),
                        base_dir)
@@ -420,8 +405,8 @@ def cmd_sweep(args) -> int:
             tag = str(v)
         path = out_dir / f"{param}={tag}.jsonl"
         if path in streams:
-            return _fail(f"sweep values {streams[path]!r} and {v!r} would "
-                         f"both write {path}")
+            raise ConfigError(f"sweep values {streams[path]!r} and {v!r} "
+                              f"would both write {path}")
         streams[path] = v
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -442,15 +427,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_linearize(args) -> int:
     cfg_path = Path(args.config)
-    try:
-        rc = load_config(cfg_path)
-    except ConfigError as e:
-        return _fail(str(e))
+    rc = load_config(cfg_path)
     L = assemble_linear(rc.p, rc.dom)
-    try:
-        absc = spectral_abscissa(L)
-    except ValueError as e:
-        return _fail(str(e))
+    absc = spectral_abscissa(L)
     eigs = L.block_eigenvalues()
     mu = rc.dom.plan.mu
     out = Path(args.out) if args.out else cfg_path.with_suffix(".spectrum.csv")
@@ -507,8 +486,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except OSError as e:    # an output path that cannot be written
-        return _fail(str(e))
+    except (ValueError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

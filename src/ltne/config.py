@@ -249,30 +249,31 @@ def config_hash(resolved: dict) -> str:
 
 
 def build_initial_state(ic: dict, dom: Domain, p: Params) -> State:
-    kind = ic["kind"]
-    if kind == "zero":
-        return State.zero(dom)
+    """The run's initial state.  Each IC kind fills one zero (3, Nx, Nz)
+    stack of psi, theta and phi coefficients (a random IC replaces it with
+    its own unless its energy is 0), and the State is built from it once:
+    at t=0, or at the snapshot's time."""
+    C, t, kind = np.zeros((3, dom.Nx, dom.Nz)), 0.0, ic["kind"]
     if kind == "snapshot":
-        psi, theta, phi, t = read_snapshot(ic["path"])
-        _require(psi.dom.Nx == dom.Nx and psi.dom.Nz == dom.Nz
-                 and psi.dom.a == dom.a,
-                 f"snapshot domain ({psi.dom.Nx}, {psi.dom.Nz}, a={psi.dom.a}) "
+        *fields, t = read_snapshot(ic["path"])
+        sd = fields[0].dom
+        _require(sd.Nx == dom.Nx and sd.Nz == dom.Nz and sd.a == dom.a,
+                 f"snapshot domain ({sd.Nx}, {sd.Nz}, a={sd.a}) "
                  f"does not match config ({dom.Nx}, {dom.Nz}, a={dom.a})")
-        rebase = lambda f: SpectralField(f.coeffs, dom)
-        return State(rebase(psi), rebase(theta), rebase(phi), t)
-    if kind == "random":
-        return _random_state(ic, dom, p)
-    return _named_state(ic, dom, p)
+        C[:] = [f.coeffs for f in fields]
+    elif kind == "random":
+        C = _random_stack(ic, dom, p) if float(ic["energy"]) != 0.0 else C
+    elif kind != "zero":
+        _fill_named(C, ic, dom, p)
+    return State(*(SpectralField(c, dom) for c in C), t)
 
 
-def _random_state(ic: dict, dom: Domain, p: Params) -> State:
+def _random_stack(ic: dict, dom: Domain, p: Params) -> np.ndarray:
     """Seeded smooth random field: uniform(-1, 1) coefficients damped by
-    e^{-decay (m+n)}, the whole state rescaled to the requested E_Y.  A
+    e^{-decay (m+n)}, the whole stack rescaled to the requested E_Y.  A
     decay that underflows the field to zero or overflows it is refused."""
     decay = float(ic["decay"])
     energy = float(ic["energy"])
-    if energy == 0.0:
-        return State.zero(dom)
     rng = np.random.default_rng(ic["seed"])
     m = np.arange(1, dom.Nx + 1)[:, None]
     n = np.arange(1, dom.Nz + 1)[None, :]
@@ -285,11 +286,11 @@ def _random_state(ic: dict, dom: Domain, p: Params) -> State:
              f"ic.decay {decay:g} gives a random field with E_Y {e_raw:g} "
              f"before scaling, which cannot be scaled to ic.energy "
              f"{energy:g}")
-    scale = np.sqrt(energy / e_raw)
-    return State(*[SpectralField(scale * c, dom) for c in C], 0.0)
+    return np.sqrt(energy / e_raw) * C
 
 
-def _named_state(ic: dict, dom: Domain, p: Params) -> State:
+def _fill_named(C: np.ndarray, ic: dict, dom: Domain, p: Params):
+    """Write the named IC's coefficients into the zero stack C."""
     name = ic.get("name")
     if name == "single_mode":
         field = ic.get("field", "theta")
@@ -298,26 +299,17 @@ def _named_state(ic: dict, dom: Domain, p: Params) -> State:
         m, n = int(ic.get("m", 1)), int(ic.get("n", 1))
         _require(1 <= m <= dom.Nx and 1 <= n <= dom.Nz,
                  f"single_mode ({m}, {n}) outside truncation")
-        amp = float(ic.get("amplitude", 1.0))
-        c = np.zeros((dom.Nx, dom.Nz))
-        c[m - 1, n - 1] = amp
-        parts = {f: SpectralField.zero(dom) for f in ("psi", "theta", "phi")}
-        parts[field] = SpectralField(c, dom)
-        return State(parts["psi"], parts["theta"], parts["phi"], 0.0)
-    if name == "eigen_slow":
+        C[("psi", "theta", "phi").index(field), m - 1, n - 1] = \
+            float(ic.get("amplitude", 1.0))
+    elif name == "eigen_slow":
         # slowest-decaying eigenvector of the (1,1) theta-phi block
         amp = float(ic.get("amplitude", 1.0))
         L = assemble_linear(p, dom)
         A = np.array([[L.b11[0, 0], L.b12], [L.b21, L.b22[0, 0]]])
         w, V = np.linalg.eig(A)
         v = V[:, int(np.argmax(w.real))].real
-        v = amp * v / np.linalg.norm(v)
-        cth = np.zeros((dom.Nx, dom.Nz))
-        cph = np.zeros((dom.Nx, dom.Nz))
-        cth[0, 0], cph[0, 0] = v
-        return State(SpectralField.zero(dom), SpectralField(cth, dom),
-                     SpectralField(cph, dom), 0.0)
-    if name == "smooth_bump":
+        C[1:, 0, 0] = amp * v / np.linalg.norm(v)
+    elif name == "smooth_bump":
         band = int(ic.get("band", 8))
         _require(1 <= band <= min(dom.Nx, dom.Nz),
                  f"smooth_bump band {band} outside truncation")
@@ -325,8 +317,8 @@ def _named_state(ic: dict, dom: Domain, p: Params) -> State:
         n = np.arange(1, dom.Nz + 1)[None, :]
         prof = np.exp(-(m + n).astype(float))
         prof[(m > band) | (n > band)] = 0.0
-        mk = lambda amp: SpectralField(float(amp) * prof, dom)
-        return State(mk(ic.get("amp_psi", 1.0)), mk(ic.get("amp_theta", 1.0)),
-                     mk(ic.get("amp_phi", 1.0)), 0.0)
-    raise ConfigError(
-        f"unknown named ic {name!r}; choose single_mode|eigen_slow|smooth_bump")
+        C[:] = [float(ic.get(f"amp_{f}", 1.0)) * prof
+                for f in ("psi", "theta", "phi")]
+    else:
+        raise ConfigError(f"unknown named ic {name!r}; choose "
+                          "single_mode|eigen_slow|smooth_bump")

@@ -252,7 +252,8 @@ def write_snapshot(path, psi: SpectralField, theta: SpectralField,
 
 def read_snapshot(path):
     """Returns (psi, theta, phi, t) on a Domain with the default collocation
-    sizes, which the file does not store."""
+    sizes, which the file does not store.  A header whose `a` or `t` is not
+    finite is refused like one that does not parse."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines:
@@ -263,6 +264,8 @@ def read_snapshot(path):
             raise ValueError
         Nx, Nz = int(head[2]), int(head[3])
         a, t = float(head[4]), float(head[5])
+        if not np.isfinite((a, t)).all():
+            raise ValueError
     except ValueError:
         raise ValueError(
             f"{path}: not a v1 snapshot (header {lines[0]!r})") from None

@@ -477,17 +477,59 @@ def test_tail_cutoff_range_applies_only_with_tail_check(tmp_path, capsys):
 
 def test_config_refused_before_integration_writes_no_stream(tmp_path,
                                                            capsys):
-    # refused by the certificate suite, and by `run` (a snapshot time off
-    # the step grid): no file opens before `integrate` accepts the run
+    # refused by the certificate suite, by `run` (a snapshot time off the
+    # step grid) and by the IC builder (a snapshot whose header time is
+    # NaN): no file opens before `integrate` accepts the run
+    snap = tmp_path / "nan.snap"
+    z = SpectralField.zero(Domain(a=1.0, Nx=8, Nz=8))
+    write_snapshot(snap, z, z, z, 0.0)
+    head, rest = snap.read_text().split("\n", 1)
+    snap.write_text(head.rsplit(" ", 1)[0] + " nan\n" + rest)
     cases = [(_base_doc(Nx=16, Nz=16, certificates={"tail_cutoff": 40}),
               "certificates.tail_cutoff 40 out of range"),
              (_base_doc(output={"snapshot_at": [0.005]}),
-              "snapshot time 0.005 is not step-aligned")]
+              "snapshot time 0.005 is not step-aligned"),
+             (_base_doc(ic={"kind": "snapshot", "path": "nan.snap"}),
+              f"{snap}: not a v1 snapshot (header 'LTNE-SNAP v1 8 8 1 nan')")]
     for i, (doc, message) in enumerate(cases):
         cfg = _write(tmp_path / f"refused{i}.json", doc)
         assert main(["run", str(cfg)]) == 3, message
         assert message in capsys.readouterr().err
         assert not cfg.with_suffix(".jsonl").exists()
+
+
+def test_linearize_refusals_exit_3_with_one_error_line(tmp_path, capsys):
+    cases = [(_base_doc(Nx=4, Nz=4, wavenumber=3),
+              "unknown config keys: ['wavenumber']"),
+             (_base_doc(Nx=16, Nz=17, conduction_coupling=True),
+              "refusing at Nx*Nz = 272 > 256")]
+    for i, (doc, message) in enumerate(cases):
+        cfg = _write(tmp_path / f"lin{i}.json", doc)
+        out_csv = tmp_path / f"lin{i}.csv"
+        assert main(["linearize", str(cfg), "--out", str(out_csv)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "", message
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert message in err
+        assert not out_csv.exists()
+        assert not cfg.with_suffix(".spectrum.csv").exists()
+
+
+def test_output_paths_with_a_null_byte_exit_3(tmp_path, capsys):
+    # `open` and `mkdir` refuse such a path with a ValueError
+    base = _base_doc(t_end=0.1)
+    cases = [
+        ["sweep", _write(tmp_path / "s1.json", {
+            "parameter": "Ra", "values": [1.0], "base": base,
+            "output_dir": "a\0b"})],
+        ["sweep", _write(tmp_path / "s2.json", {
+            "parameter": "Ra", "values": [1.0], "base": base,
+            "csv": "a\0b.csv"})],
+        ["linearize", _write(tmp_path / "lin.json", base), "--out", "a\0b"],
+    ]
+    for argv in cases:
+        assert main([str(a) for a in argv]) == 3, argv
+        assert capsys.readouterr().err == "error: embedded null byte\n"
 
 
 def test_tail_k_whose_weight_overflows_is_refused(tmp_path, capsys):

@@ -260,6 +260,13 @@ def test_snapshot_malformed_lines_name_line_numbers(tmp_path):
     hdr.write_text("LTNE-SNAP v1 2 junk 1.0 0.0\n" + "\n".join(lines[1:]) + "\n")
     with pytest.raises(ValueError, match="not a v1 snapshot"):
         read_snapshot(hdr)
+    # a header that parses but whose aspect ratio or time is not finite
+    for a, t in (("nan", "0.0"), ("inf", "0.0"), ("1.0", "nan"),
+                 ("1.0", "inf"), ("1.0", "-inf")):
+        hdr.write_text(f"LTNE-SNAP v1 2 2 {a} {t}\n"
+                       + "\n".join(lines[1:]) + "\n")
+        with pytest.raises(ValueError, match="not a v1 snapshot"):
+            read_snapshot(hdr)
     trunc = tmp_path / "trunc.snap"
     trunc.write_text("\n".join(lines[:-2]) + "\n")
     with pytest.raises(ValueError):
