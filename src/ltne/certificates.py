@@ -494,10 +494,11 @@ class _Certifier:
 class CertificateSuite:
     """Stateful per-run evaluator handed to the integrator as `monitors`.
 
-    `on_sample(t, c, c_pre, dt)` takes the tuples of coefficient arrays
-    (psi, theta, phi) that `run` hands out.  A prestate that is the last
-    sample's tuple (the same object, as at sample_every=1) reuses that
-    sample's stacked coefficients and E_Y; any other is read afresh.
+    `on_sample(t, c, c_pre, dt)` takes the (3, Nx, Nz) arrays of the
+    coefficients [psi, theta, phi] that `run` hands out and reads them in
+    place, never writing into them.  A prestate that is the last sample's
+    array (the same object, as at sample_every=1) reuses that sample's E_Y;
+    any other is read afresh.
     Stage (a) reduces each sample to one TrajectoryRecord, then
     stage (b), shared with `replay_certificates`, sets its flags; replaying
     the records therefore reproduces all flags and slacks bit-identically.
@@ -523,11 +524,10 @@ class CertificateSuite:
                     f"certificates.tail_k {cfg.tail_k} out of range: |mu|^k "
                     f"overflows at mode ({dom.Nx}, {dom.Nz})")
         # Stage (a) works in buffers it owns: fresh (7, K) temporaries per
-        # sample cost more than the arithmetic from N=64 on.  `_stacks`
-        # holds this sample's coefficients and the last one's, used in turn;
-        # once the prestate is read, the last one's is scratch space.
-        shape, K = (3, dom.Nx, dom.Nz), dom.Nx * dom.Nz
-        self._stacks = (np.empty(shape), np.empty(shape))
+        # sample cost more than the arithmetic from N=64 on.  `_scratch`
+        # holds the midpoint state, then the tail products.
+        K = dom.Nx * dom.Nz
+        self._scratch = np.empty((3, dom.Nx, dom.Nz))
         self._work = (np.empty((3, K)), np.empty((len(NORMS), K)))
         self._last = self._last_EY = None
 
@@ -543,26 +543,23 @@ class CertificateSuite:
             P.reshape(3, -1).sum(axis=1).tolist(),
             head.sum(axis=1).tolist())]
 
-    def on_sample(self, t: float, c: tuple, c_pre: tuple | None,
+    def on_sample(self, t: float, c: np.ndarray, c_pre: np.ndarray | None,
                   dt: float) -> TrajectoryRecord:
         p, cfg = self.p, self.cfg
-        C, C_pre = self._stacks
-        C[0], C[1], C[2] = c
-        n = _sq_norms(C, self.dom, self._work)
+        n = _sq_norms(c, self.dom, self._work)
         rec = TrajectoryRecord(
             t=t, E_Y=energy_y(n, p), E_half=energy_half(n, p),
             config_hash=self.config_hash, **{f: n[f] for f in NORMS[1:]})
         if c_pre is not None:
-            # at sample_every=1 the prestate is the last sample's tuple:
-            # C_pre is its stack and its E_Y is kept
+            # at sample_every=1 the prestate is the last sample's array,
+            # whose E_Y is kept
             E_Y_pre = self._last_EY
             if c_pre is not self._last:
-                C_pre[0], C_pre[1], C_pre[2] = c_pre
-                E_Y_pre = energy_y(_sq_norms(C_pre, self.dom, self._work), p)
+                E_Y_pre = energy_y(_sq_norms(c_pre, self.dom, self._work), p)
             dE = rec.E_Y - E_Y_pre
             rec.dEY_dt_disc = dE / dt
             if cfg.checks["ebal"]:
-                mid = np.add(C_pre, C, out=C_pre)
+                mid = np.add(c_pre, c, out=self._scratch)
                 mid *= 0.5
                 n_mid = _sq_norms(mid, self.dom, self._work)
                 rec.R_mid = _energy_identity_rhs(mid, p, self.dom, n_mid)
@@ -570,8 +567,8 @@ class CertificateSuite:
                 rec.E_half_mid = energy_half(n_mid, p)
                 rec.E_Y_mid = energy_y(n_mid, p)
         if cfg.checks["tail"] and t >= cfg.tail_warmup:
-            rec.tail_frac_k2 = max(self._tail_fractions(C, out=C_pre))
-        self._stacks, self._last, self._last_EY = (C_pre, C), c, rec.E_Y
+            rec.tail_frac_k2 = max(self._tail_fractions(c, self._scratch))
+        self._last, self._last_EY = c, rec.E_Y
         return self._certify(rec)
 
 

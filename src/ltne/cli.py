@@ -4,7 +4,8 @@ sweeps, and linear-operator spectra.
 Exit codes: 0 success, 1 certificate violation, 2 blowup, 3 bad input.
 Every command raises its refusals: a ValueError (ConfigError and
 UnicodeDecodeError among them) for input it will not take, an OSError for
-a file it cannot read or write.  `main` alone turns them into one
+a file it cannot read or write.  So does the argument parser, for a
+missing or malformed argument.  `main` alone turns them into one
 `error: <message>` line on stderr and exit 3.
 """
 
@@ -459,8 +460,13 @@ def cmd_linearize(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ltne",
         description="Sine-Galerkin simulator for couple-stress two-"
                     "temperature porous convection with runtime certificate "
@@ -483,8 +489,8 @@ def main(argv=None) -> int:
     pl.add_argument("config", help="JSON run configuration")
     pl.add_argument("--out", default=None, help="output CSV path")
     pl.set_defaults(func=cmd_linearize)
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -81,27 +81,44 @@ def _check(p: Params, dom: Domain):
         raise ValueError(f"aspect mismatch: Params a={p.a}, Domain a={dom.a}")
 
 
-def _rhs_arrays(cpsi: np.ndarray, cth: np.ndarray, cph: np.ndarray,
-                p: Params, dom: Domain, include_jacobian: bool = True):
+def _explicit(c: np.ndarray, p: Params, dom: Domain,
+              include_jacobian: bool = True) -> np.ndarray:
+    """The terms the linear-implicit schemes treat explicitly, of the
+    stacked coefficients c = [psi, theta, phi]: the Ra coupling of the psi
+    equation, then -J(psi, theta) and the conduction source D psi of the
+    theta equation; shape (2, Nx, Nz).  The only definition of all three."""
     mu, D = dom.plan.mu, dom.plan.D
-    dpsi = (p.Pr / p.Da) * ((p.C * mu - 1.0) * cpsi + p.Ra * (D @ cth) / mu)
-    dth = mu * cth + p.lam * (cph - cth)
+    n = np.zeros((2,) + c.shape[1:])
+    n[0] = p.Pr / p.Da * p.Ra * (D @ c[1]) / mu
     if include_jacobian:
-        dth = dth - _jacobian_coeffs(cpsi, cth, dom)
+        np.negative(_jacobian_coeffs(c[:2], dom, out=n[1]), out=n[1])
     if p.conduction_coupling:
-        dth = dth + D @ cpsi
-    dph = (mu * cph + p.gamma * p.lam * (cth - cph)) / p.alpha
-    return dpsi, dth, dph
+        n[1] += D @ c[0]
+    return n
 
 
-def rhs(s: State, p: Params, include_jacobian: bool = True
-        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Time derivative of a state, as the coefficient arrays (dpsi, dtheta,
-    dphi).  `include_jacobian=False` drops the nonlinearity, leaving exactly
-    the assembled linear operator's action."""
+def _rhs_arrays(c: np.ndarray, p: Params, dom: Domain,
+                include_jacobian: bool = True) -> np.ndarray:
+    """Time derivative of the stacked coefficients c = [psi, theta, phi]
+    (leading axis 3; further leading axes batch): the per-mode linear
+    terms plus `_explicit`."""
+    mu = dom.plan.mu
+    cpsi, cth, cph = c
+    out = np.empty(c.shape)
+    np.multiply((p.Pr / p.Da) * (p.C * mu - 1.0), cpsi, out=out[0])
+    out[1] = mu * cth + p.lam * (cph - cth)
+    out[2] = (mu * cph + p.gamma * p.lam * (cth - cph)) / p.alpha
+    out[:2] += _explicit(c, p, dom, include_jacobian)
+    return out
+
+
+def rhs(s: State, p: Params, include_jacobian: bool = True) -> np.ndarray:
+    """Time derivative of a state, as one (3, Nx, Nz) array of the
+    coefficients [dpsi, dtheta, dphi].  `include_jacobian=False` drops the
+    nonlinearity, leaving exactly the assembled linear operator's
+    action."""
     _check(p, s.dom)
-    return _rhs_arrays(s.psi.coeffs, s.theta.coeffs, s.phi.coeffs, p, s.dom,
-                       include_jacobian)
+    return _rhs_arrays(_stack(s), p, s.dom, include_jacobian)
 
 
 @dataclass(frozen=True)
@@ -140,8 +157,8 @@ class LinearOperator:
         to the j-th unit state.  For small-N spectrum checks."""
         dom, K = self.dom, self.dom.Nx * self.dom.Nz
         E = np.eye(3 * K).reshape(3 * K, 3, dom.Nx, dom.Nz)
-        cols = _rhs_arrays(E[:, 0], E[:, 1], E[:, 2], self.p, dom, False)
-        return np.stack(cols, axis=1).reshape(3 * K, 3 * K).T
+        cols = _rhs_arrays(np.moveaxis(E, 1, 0), self.p, dom, False)
+        return np.moveaxis(cols, 0, 1).reshape(3 * K, 3 * K).T
 
 
 def assemble_linear(p: Params, dom: Domain) -> LinearOperator:

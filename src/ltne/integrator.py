@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .params import Params
-from .spectral import Domain, SpectralField, _jacobian_coeffs
-from .dynamics import State, _rhs_arrays, assemble_linear
+from .spectral import Domain, SpectralField
+from .dynamics import State, _explicit, _rhs_arrays, assemble_linear
 
 BLOWUP_NORM = 1e12
 
@@ -66,93 +66,80 @@ def _sinhc(x: np.ndarray) -> np.ndarray:
 
 
 class _LinearImplicit:
-    """What the linear-implicit schemes share: the assembled linear
-    operator and the explicit part (Ra coupling, Jacobian, conduction)."""
+    """What the linear-implicit schemes share: one per-mode update on
+    stacks c = [psi, theta, phi] of shape (3, Nx, Nz),
+
+        new = diag c + cross [theta, phi] swapped + b [n_psi, n_th, n_th],
+
+    from the coefficients each scheme precombines: `diag` (3, Nx, Nz),
+    `cross` (2, Nx, Nz) for the off-diagonal entries of the theta-phi
+    blocks, and `b` (3, Nx, Nz) for the explicit terms n."""
 
     def __init__(self, p: Params, dom: Domain, dt: float, linear_only: bool):
         self.p, self.dom, self.dt = p, dom, dt
-        self.linear_only = linear_only
-        self.mu, self.D = dom.plan.mu, dom.plan.D
-        self.L = assemble_linear(p, dom)
+        self.nonlinear = not linear_only
 
-    def _explicit(self, cpsi, cth):
-        p = self.p
-        # grouped unlike `_rhs_arrays`; regrouping moves every CN/AB2 step
-        n_psi = (p.Pr / p.Da) * p.Ra * (self.D @ cth) / self.mu
-        n_th = np.zeros_like(cth)
-        if not self.linear_only:
-            n_th = n_th - _jacobian_coeffs(cpsi, cth, self.dom)
-        if p.conduction_coupling:
-            n_th = n_th + self.D @ cpsi
-        return n_psi, n_th
+    def _update(self, c, n):
+        new = self.diag * c
+        new[1:] += self.cross * c[:0:-1]
+        new[0] += self.b[0] * n[0]
+        new[1:] += self.b[1:] * n[1]
+        return new
 
 
 class _Cnab2(_LinearImplicit):
+    """Crank-Nicolson on the linear part, (I - hL)^{-1} (I + hL) with
+    h = dt/2, and AB2 on the explicit part, 1.5 n - 0.5 n_prev taken as
+    0.5 (3 n - n_prev) through dt (I - hL)^{-1}."""
+
     def __init__(self, p: Params, dom: Domain, dt: float, linear_only: bool):
         super().__init__(p, dom, dt, linear_only)
-        L, h = self.L, dt / 2.0
+        L, h = assemble_linear(p, dom), dt / 2.0
         b11, b12, b21, b22 = L.b11, L.b12, L.b21, L.b22
-        self.psi_num = 1.0 + h * L.lpsi
-        self.psi_den = 1.0 - h * L.lpsi
         gdet = (1.0 - h * b11) * (1.0 - h * b22) - h * h * b12 * b21
-        self.gi11 = (1.0 - h * b22) / gdet
-        self.gi12 = h * b12 / gdet
-        self.gi21 = h * b21 / gdet
-        self.gi22 = (1.0 - h * b11) / gdet
-        self.f11 = 1.0 + h * b11
-        self.f12 = h * b12
-        self.f21 = h * b21
-        self.f22 = 1.0 + h * b22
+        # (I - hL)^{-1}: its diagonal, then the blocks' off-diagonal entries
+        inv = np.stack((1.0 / (1.0 - h * L.lpsi), (1.0 - h * b22) / gdet,
+                        (1.0 - h * b11) / gdet))
+        off = np.stack((h * b12 / gdet, h * b21 / gdet))
+        # (I - hL)^{-1} (I + hL) = 2 (I - hL)^{-1} - I
+        self.diag, self.cross = 2.0 * inv - 1.0, 2.0 * off
+        self.b = h * np.stack((inv[0], inv[1], off[1]))
 
     def _heun(self, c):
-        f0 = _rhs_arrays(*c, self.p, self.dom, not self.linear_only)
-        c1 = tuple(u + self.dt * du for u, du in zip(c, f0))
-        f1 = _rhs_arrays(*c1, self.p, self.dom, not self.linear_only)
-        return tuple(u + 0.5 * self.dt * (d0 + d1)
-                     for u, d0, d1 in zip(c, f0, f1))
+        f0 = _rhs_arrays(c, self.p, self.dom, self.nonlinear)
+        f1 = _rhs_arrays(c + self.dt * f0, self.p, self.dom, self.nonlinear)
+        return c + 0.5 * self.dt * (f0 + f1)
 
     def advance(self, c, hist):
-        n_cur = self._explicit(c[0], c[1])
+        n = _explicit(c, self.p, self.dom, self.nonlinear)
         if hist is None:
-            return self._heun(c), n_cur
-        ex_psi = 1.5 * n_cur[0] - 0.5 * hist[0]
-        ex_th = 1.5 * n_cur[1] - 0.5 * hist[1]
-        cpsi, cth, cph = c
-        psi_new = (self.psi_num * cpsi + self.dt * ex_psi) / self.psi_den
-        r_th = self.f11 * cth + self.f12 * cph + self.dt * ex_th
-        r_ph = self.f21 * cth + self.f22 * cph
-        th_new = self.gi11 * r_th + self.gi12 * r_ph
-        ph_new = self.gi21 * r_th + self.gi22 * r_ph
-        return (psi_new, th_new, ph_new), n_cur
+            return self._heun(c), n
+        return self._update(c, 3.0 * n - hist), n
 
 
 class _Etd1(_LinearImplicit):
     def __init__(self, p: Params, dom: Domain, dt: float, linear_only: bool):
         super().__init__(p, dom, dt, linear_only)
-        L = self.L
+        L = assemble_linear(p, dom)
         b11, b12, b21, b22 = L.b11, L.b12, L.b21, L.b22
-        self.epsi = np.exp(dt * L.lpsi)
-        self.phi1_psi = np.expm1(dt * L.lpsi) / L.lpsi
         m = (b11 + b22) / 2.0
         d = np.sqrt(((b11 - b22) / 2.0) ** 2 + b12 * b21)  # >= 0, real here
         emh = np.exp(m * dt)
         ch = np.cosh(d * dt)
         sc = dt * _sinhc(d * dt)
-        self.E11 = emh * (ch + (b11 - m) * sc)
-        self.E12 = emh * b12 * sc
-        self.E21 = emh * b21 * sc
-        self.E22 = emh * (ch + (b22 - m) * sc)
+        E11 = emh * (ch + (b11 - m) * sc)
+        E21 = emh * b21 * sc
+        self.diag = np.stack((np.exp(dt * L.lpsi), E11,
+                              emh * (ch + (b22 - m) * sc)))
+        self.cross = np.stack((emh * b12 * sc, E21))
         det = b11 * b22 - b12 * b21
-        self.P11 = (b22 * (self.E11 - 1.0) - b12 * self.E21) / det
-        self.P21 = (-b21 * (self.E11 - 1.0) + b11 * self.E21) / det
+        self.b = np.stack((np.expm1(dt * L.lpsi) / L.lpsi,
+                           (b22 * (E11 - 1.0) - b12 * E21) / det,
+                           (-b21 * (E11 - 1.0) + b11 * E21) / det))
 
     def advance(self, c, hist):
-        n_psi, n_th = self._explicit(c[0], c[1])
-        cpsi, cth, cph = c
-        psi_new = self.epsi * cpsi + self.phi1_psi * n_psi
-        th_new = self.E11 * cth + self.E12 * cph + self.P11 * n_th
-        ph_new = self.E21 * cth + self.E22 * cph + self.P21 * n_th
-        return (psi_new, th_new, ph_new), None
+        return self._update(
+            c, _explicit(c, self.p, self.dom, self.nonlinear)), None
 
 
 class _Rk4:
@@ -161,15 +148,13 @@ class _Rk4:
         self.nonlinear = not linear_only
 
     def advance(self, c, hist):
-        f = lambda u: _rhs_arrays(*u, self.p, self.dom, self.nonlinear)
+        f = lambda u: _rhs_arrays(u, self.p, self.dom, self.nonlinear)
         h = self.dt
         k1 = f(c)
-        k2 = f(tuple(u + 0.5 * h * k for u, k in zip(c, k1)))
-        k3 = f(tuple(u + 0.5 * h * k for u, k in zip(c, k2)))
-        k4 = f(tuple(u + h * k for u, k in zip(c, k3)))
-        new = tuple(u + h / 6.0 * (a + 2 * b + 2 * cc + d)
-                    for u, a, b, cc, d in zip(c, k1, k2, k3, k4))
-        return new, None
+        k2 = f(c + 0.5 * h * k1)
+        k3 = f(c + 0.5 * h * k2)
+        k4 = f(c + h * k3)
+        return c + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), None
 
 
 _STEPPERS = {"imex_cnab2": _Cnab2, "etd1": _Etd1, "rk4_explicit": _Rk4}
@@ -182,7 +167,7 @@ def _blowup(c, dom: Domain, t: float) -> dict | None:
     BLOWUP_NORM), or None.  The summed squared norms bound each field's and
     are NaN or inf with any of them, so one comparison clears a sound state;
     only a failing one is searched for the field to name."""
-    if dom.a / 4.0 * sum(np.vdot(u, u) for u in c) <= BLOWUP_NORM ** 2:
+    if dom.a / 4.0 * np.vdot(c, c) <= BLOWUP_NORM ** 2:
         return None
     for name, arr in zip(("psi", "theta", "phi"), c):
         ss = float(np.sum(arr * arr))
@@ -211,13 +196,14 @@ def run(s0: State, p: Params, cfg: StepperConfig, monitors=None,
         snapshot_times: tuple[float, ...] = ()) -> Trajectory:
     """Integrate to t_end, sampling every `sample_every` steps (the final
     state is always sampled) and calling `monitors.on_sample(t, c, c_pre,
-    dt)` per sample: c is the stepper's tuple of coefficient arrays (psi,
-    theta, phi) at time t, c_pre the tuple one step earlier (None at the
-    initial sample).  Nothing else keeps the samples.  `run` never writes
-    into an array once handed out, so a monitor may keep the arrays or key
-    on their identity; at sample_every=1 each c_pre is the last sample's c.
-    `Trajectory.final` and the snapshots are the only States `run` builds,
-    through the validating constructors, on the arrays handed out.
+    dt)` per sample: c is the stepper's (3, Nx, Nz) array of the
+    coefficients [psi, theta, phi] at time t, c_pre the array one step
+    earlier (None at the initial sample).  Nothing else keeps the samples.
+    `run` never writes into an array once handed out, so a monitor may keep
+    the arrays or key on their identity; at sample_every=1 each c_pre is
+    the last sample's c.  `Trajectory.final` and the snapshots are the
+    only States `run` builds, through the validating constructors, on the
+    rows of the arrays handed out.
 
     Snapshot times must lie on the step grid in [0, t_end], as
     `_snapshot_step` checks (the CLI checks them before it opens any
@@ -237,7 +223,7 @@ def run(s0: State, p: Params, cfg: StepperConfig, monitors=None,
             monitors.on_sample(t, c, c_pre, cfg.dt)
         return t, c
 
-    c = (s0.psi.coeffs.copy(), s0.theta.coeffs.copy(), s0.phi.coeffs.copy())
+    c = np.stack((s0.psi.coeffs, s0.theta.coeffs, s0.phi.coeffs))
     last = sample(s0.t, c, None)
     snaps = [last] if 0 in snap_steps else []
     hist = failure = None

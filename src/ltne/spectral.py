@@ -19,9 +19,13 @@ Conventions and the two exactness facts everything else leans on:
   sum_{j=1}^{P-1} sin(pi m j / P) sin(pi m' j / P) = (P/2) delta_mm'
   holds for 1 <= m, m' <= P - 1, so analysis of any function that *is* a sine
   polynomial of band <= P - 1 recovers its coefficients exactly.  Quadratic
-  products of retained modes have band <= 2N, hence with M >= 2N + 1 interior
-  points the pseudo-spectral Jacobian below is the exact Galerkin projection
-  (no aliasing, and the skew-symmetry identity holds to roundoff).
+  products of retained modes have band <= 2N.  On P points a mode k with
+  P < k < 2P analyses onto mode 2P - k, which is retained (<= N) for some
+  k <= 2N only if 2P <= 3N.  Hence with 2(M + 1) > 3N, the 3/2 rule
+  (Orszag's 2/3 rule), the pseudo-spectral Jacobian below is the exact
+  Galerkin projection: the retained modes see no aliasing, and the
+  skew-symmetry identity holds to roundoff.  From M >= 2N + 1 on no mode
+  aliases at all.
 
 A cosine series (an x-derivative) sampled on this grid is *not* recovered
 exactly by sine analysis; the exact projection of d/dx is `Plan.D` instead.
@@ -40,10 +44,10 @@ class Domain:
     """Spectral truncation and collocation sizes on (0, a) x (0, 1).
 
     Nx, Nz: retained sine modes per direction.  Mx, Mz: interior collocation
-    points; Mx >= 2*Nx + 1 (and likewise in z) makes the quadrature of
-    quadratic products exact, which the dealiasing contract relies on.
-    Defaults are Mx = 2*Nx + 2 for even transform sizes.  `plan` holds the
-    truncation's matrices, built on first use.
+    points; 2 (Mx + 1) > 3 Nx (and likewise in z) makes the projection of
+    quadratic products onto the retained modes exact, which the dealiasing
+    contract relies on.  0 means the smallest such grid, Mx = 3 Nx // 2.
+    `plan` holds the truncation's matrices, built on first use.
     """
 
     a: float
@@ -58,12 +62,13 @@ class Domain:
         if self.Nx < 1 or self.Nz < 1:
             raise ValueError("Nx and Nz must be >= 1")
         if self.Mx == 0:
-            object.__setattr__(self, "Mx", 2 * self.Nx + 2)
+            object.__setattr__(self, "Mx", 3 * self.Nx // 2)
         if self.Mz == 0:
-            object.__setattr__(self, "Mz", 2 * self.Nz + 2)
-        if self.Mx < 2 * self.Nx + 1 or self.Mz < 2 * self.Nz + 1:
+            object.__setattr__(self, "Mz", 3 * self.Nz // 2)
+        if 2 * (self.Mx + 1) <= 3 * self.Nx \
+                or 2 * (self.Mz + 1) <= 3 * self.Nz:
             raise ValueError(
-                "collocation sizes must satisfy Mx >= 2*Nx+1, Mz >= 2*Nz+1 "
+                "collocation sizes must satisfy 2(Mx+1) > 3Nx, 2(Mz+1) > 3Nz "
                 f"(got Mx={self.Mx}, Nx={self.Nx}, Mz={self.Mz}, Nz={self.Nz})")
 
     @cached_property
@@ -82,6 +87,11 @@ class Plan:
     (D @ c)[m'-1, :] are the coefficients of the projection of du/dx; it
     couples only modes of opposite parity.  hk: |mu|^k for k = 0..3, shape
     (4, Nx, Nz); hk_rows: its (4, Nx Nz) reshape.
+
+    The Jacobian multiplies by contiguous copies of the transposes (SxT,
+    SzT, CzT) and writes every intermediate into work arrays the Plan
+    owns, so a call allocates only its result.  Those buffers make one
+    Domain's `jacobian` unsafe to call from two threads at once.
     """
 
     def __init__(self, dom: Domain):
@@ -107,6 +117,13 @@ class Plan:
         self.D[(mp + ms) % 2 == 0] = 0.0
         self.hk = np.stack([(-self.mu) ** k for k in range(4)])
         self.hk_rows = self.hk.reshape(4, -1)
+        self.SxT, self.SzT, self.CzT = (np.ascontiguousarray(m.T)
+                                        for m in (self.Sx, self.Sz, self.Cz))
+        # [psi, theta] times SzT, then CzT; their x and z derivatives on
+        # the grid; the analysis's half step
+        self._zs = np.empty((2, 2, Nx, Mz))
+        self._grid = np.empty((2, 2, Mx, Mz))
+        self._half = np.empty((Nx, Mz))
 
     def weight(self, k: int) -> np.ndarray:
         """|mu|^k on the (Nx, Nz) mode grid."""
@@ -177,22 +194,33 @@ def jacobian(psi: SpectralField, theta: SpectralField) -> SpectralField:
     """Galerkin projection of J(psi, theta) = psi_x theta_z - psi_z theta_x.
 
     Each product is odd x odd in both directions, i.e. a sine polynomial of
-    band <= 2N, so with the Domain invariant M >= 2N + 1 the grid analysis
-    returns the exact projection onto the retained modes.
+    band <= 2N, so with the Domain invariant 2(M + 1) > 3N the grid
+    analysis returns the exact projection onto the retained modes.  The
+    result is a fresh array: no later call writes into it.
     """
     _check_same_domain(psi, theta)
-    return SpectralField(_jacobian_coeffs(psi.coeffs, theta.coeffs, psi.dom),
-                         psi.dom)
+    return SpectralField(_jacobian_coeffs(
+        np.stack((psi.coeffs, theta.coeffs)), psi.dom), psi.dom)
 
 
-def _jacobian_coeffs(cpsi: np.ndarray, cth: np.ndarray, dom: Domain) -> np.ndarray:
-    """`jacobian` on bare coefficient arrays: the product of the grid
-    derivatives, analysed back to sine coefficients."""
+def _jacobian_coeffs(c: np.ndarray, dom: Domain, out=None) -> np.ndarray:
+    """`jacobian` on the stacked coefficients c = [psi, theta], shape
+    (2, Nx, Nz): the product of the grid derivatives, analysed back to sine
+    coefficients, written into `out` if given, else into a fresh array.
+    Every intermediate goes into the Plan's work arrays through `out=`."""
     p = dom.plan
-    Sx, Sz, Cx, Cz = p.Sx, p.Sz, p.Cx, p.Cz
-    psi_x, psi_z = Cx @ cpsi @ Sz.T, Sx @ cpsi @ Cz.T
-    th_x, th_z = Cx @ cth @ Sz.T, Sx @ cth @ Cz.T
-    return p.scale * (Sx.T @ (psi_x * th_z - psi_z * th_x) @ Sz)
+    rows = c.reshape(2 * dom.Nx, dom.Nz)
+    zs, g = p._zs, p._grid
+    np.matmul(rows, p.SzT, out=zs[0].reshape(2 * dom.Nx, dom.Mz))
+    np.matmul(rows, p.CzT, out=zs[1].reshape(2 * dom.Nx, dom.Mz))
+    np.matmul(p.Cx, zs[0], out=g[0])    # psi_x, theta_x
+    np.matmul(p.Sx, zs[1], out=g[1])    # psi_z, theta_z
+    prod = np.multiply(g[0, 0], g[1, 1], out=g[0, 0])
+    prod -= np.multiply(g[1, 0], g[0, 1], out=g[1, 0])
+    np.matmul(p.SxT, prod, out=p._half)
+    out = np.matmul(p._half, p.Sz, out=out)
+    out *= p.scale
+    return out
 
 
 def _hk_sq(c: np.ndarray, dom: Domain, k: int) -> float:

@@ -5,7 +5,7 @@ from ltne import CertificateSuite, SpectralField, State
 
 class SampleLog:
     """Monitor for `run` that keeps what it is handed at each sample: the
-    time, the tuple of coefficient arrays and the prestate's tuple."""
+    time, the (3, Nx, Nz) coefficient array and the prestate's array."""
 
     def __init__(self):
         self.times, self.samples, self.prestates = [], [], []

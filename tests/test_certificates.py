@@ -430,11 +430,10 @@ def test_h1_window_sums_equal_recomputation_bit_for_bit(recording_suite):
 
 
 def test_prestate_reuse_gives_the_records_of_fresh_arrays(recording_suite):
-    # fed the run's own tuples at sample_every=1, the suite finds each
-    # prestate to be the last sample's tuple and reuses that sample's
-    # stacked coefficients and E_Y; fed fresh tuples of copied arrays, it
-    # recomputes both.  Either way the prestate's scalars are those of the
-    # public functions.
+    # fed the run's own arrays at sample_every=1, the suite finds each
+    # prestate to be the last sample's array and reuses that sample's E_Y;
+    # fed fresh copies, it recomputes it.  Either way the prestate's
+    # scalars are those of the public functions.
     rng = np.random.default_rng(103)
     dom = Domain(a=1.3, Nx=12, Nz=8)
     p = _params(Ra=30.0, a=1.3)
@@ -444,7 +443,7 @@ def test_prestate_reuse_gives_the_records_of_fresh_arrays(recording_suite):
     cfg = CertificateConfig(r=0.1, tail_k=3, tail_warmup=0.0)
 
     def copied(c):
-        return None if c is None else tuple(u.copy() for u in c)
+        return None if c is None else c.copy()
 
     def state(c):
         return State(*(SpectralField(u, dom) for u in c))

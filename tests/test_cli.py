@@ -85,6 +85,34 @@ _TAMPER = {
 }
 
 
+def test_stream_on_the_earlier_default_grid_certifies(tmp_path, capsys):
+    # earlier versions resolved Mx = Mz = 2N + 2 by default; a stream stores
+    # its grid, so one written on that grid keeps that version's hash (the
+    # literal) and certifies
+    cfg = _write(tmp_path / "old.json", _base_doc(
+        Nx=4, Nz=4, Mx=10, Mz=10, output={"jsonl": "old.jsonl"}))
+    assert main(["run", str(cfg)]) == 0
+    capsys.readouterr()
+    head = json.loads((tmp_path / "old.jsonl").read_text().splitlines()[0])
+    assert head["config_hash"] == "c90789bc6c32ff4e"
+    assert (head["meta"]["Mx"], head["meta"]["Mz"]) == (10, 10)
+    assert main(["certify", str(tmp_path / "old.jsonl")]) == 0
+    assert "hash c90789bc6c32ff4e" in capsys.readouterr().out
+
+
+def test_usage_errors_exit_3_with_one_error_line(capsys):
+    # exit 2 means a blowup; a missing or malformed argument is bad input
+    for argv, said in ((["certify"], "required: timeseries"),
+                       (["certify", "x.jsonl", "--mso", "abc"],
+                        "invalid float value: 'abc'"),
+                       ([], "required: command")):
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ltne") and said in err
+        assert len(err.splitlines()) == 1
+
+
 def test_certify_rejects_tampering(tmp_path, capsys):
     code, jsonl = _run_case(tmp_path, capsys)
     assert code == 0

@@ -24,7 +24,7 @@ _PHYS = dict(rho0=1.0, eps=0.5, K=1.0, mu_f=1.0, mu_c=1.0, beta=1.0, g=1.0,
 def test_defaults_resolved():
     rc = build_config(_doc())
     assert (rc.dom.Nx, rc.dom.Nz) == (32, 32)
-    assert (rc.dom.Mx, rc.dom.Mz) == (66, 66)
+    assert (rc.dom.Mx, rc.dom.Mz) == (48, 48)     # the 3/2 rule's 3N // 2
     assert rc.stepper.dt == 1e-3 and rc.stepper.t_end == 5.0
     assert rc.stepper.scheme == "imex_cnab2"
     assert rc.stepper.sample_every == 10
@@ -131,20 +131,28 @@ def test_certificates_disabled_turns_every_check_off():
 
 def test_config_hash_pinned():
     # literal hashes: a stream written by an earlier version must still
-    # verify, so the resolved document may not change shape or values
-    assert build_config(_doc()).config_hash == "c5957fdd85be2300"
+    # verify, so the resolved document may not change shape or values.
+    # Each document is hashed on the default grid and on the one given
+    # explicitly that earlier versions resolved by default (Mx = 2N + 2):
+    # a stream stores its grid, so an old stream keeps its hash.
+    def hashes(doc, old_grid):
+        return (build_config(doc).config_hash,
+                build_config({**doc, **old_grid}).config_hash)
+
+    old_32 = {"Mx": 66, "Mz": 66}
+    assert hashes(_doc(), old_32) == ("aba14c6bec4cc17b", "c5957fdd85be2300")
     every_key = {"enabled": False, "mso": 2.5, "ctilde": 0.25, "r": 0.75,
                  "tail_k": 3, "tail_cutoff": 4, "tail_threshold": 0.01,
                  "tail_warmup": 0.2,
                  "checks": {"decay": False, "tail": False}}
-    rc = build_config(_doc(certificates=every_key))
-    assert rc.config_hash == "cba5bba2f97de53e"
+    assert hashes(_doc(certificates=every_key), old_32) == (
+        "b56f4a4fe8ee1225", "cba5bba2f97de53e")
     # integral floats for int keys and ints for float keys resolve as before
-    rc = build_config(_doc(Ra=100, Pr=1, Nx=16.0, Nz=8, sample_every=5.0,
-                           t_end=2))
-    assert rc.config_hash == "5a673cb957fad7a6"
-    assert build_config({"physical": _PHYS, "Ra": 7.0}).config_hash \
-        == "e77938fce9da0e3e"
+    doc = _doc(Ra=100, Pr=1, Nx=16.0, Nz=8, sample_every=5.0, t_end=2)
+    assert hashes(doc, {"Mx": 34.0, "Mz": 18}) == (
+        "0e8372953d8475dc", "5a673cb957fad7a6")
+    assert hashes({"physical": _PHYS, "Ra": 7.0}, old_32) == (
+        "e0727a07effd4d97", "e77938fce9da0e3e")
 
 
 _INF, _NAN = float("inf"), float("nan")

@@ -8,7 +8,9 @@ from scipy.linalg import expm
 from ltne import (CertificateConfig, CertificateSuite, Domain, Params,
                   SpectralField, State, StepperConfig, assemble_linear, run,
                   write_snapshot)
-from ltne.integrator import _blowup
+from ltne.integrator import SCHEMES
+from ltne.dynamics import _stack
+from ltne.integrator import _STEPPERS, _blowup
 
 
 def _params(**kw):
@@ -26,13 +28,20 @@ def _decaying_state(dom, rng, scale=0.5):
 
 
 def _fields(s):
-    """The coefficient arrays of a State, as `run` hands them out."""
+    """The coefficient arrays of a State."""
     return s.psi.coeffs, s.theta.coeffs, s.phi.coeffs
 
 
 def _same(xs, ys):
     """Whether two sequences hold the same objects, in order."""
     return len(xs) == len(ys) and all(map(operator.is_, xs, ys))
+
+
+def _rows_of(s, c):
+    """Whether the fields of State s are the rows of the (3, Nx, Nz) array
+    c that `run` handed out, in order, as views (no copies)."""
+    return all(u.base is c and np.shares_memory(u, row)
+               for u, row in zip(_fields(s), c))
 
 
 def _maxdiff(a, b):
@@ -183,7 +192,7 @@ def test_blowup_returns_partial_trajectory(sample_log):
     assert set(tr.failure) == {"t", "field", "error"}
     assert tr.failure["t"] <= 20.0
     assert len(log.times) >= 1   # the initial sample was handed out
-    assert _same(_fields(tr.final), log.samples[-1])
+    assert _rows_of(tr.final, log.samples[-1])
     assert tr.final.t == log.times[-1]
     assert log.times[-1] < tr.failure["t"]
     assert "blew up" in tr.failure["error"]
@@ -278,8 +287,28 @@ def test_sampling_cadence_and_prestates(sample_log):
         before = run(s0, p, StepperConfig(dt=dt, t_end=(k - 1) * dt)).final
         assert all(map(np.array_equal, pre, _fields(before)))
     assert log.prestates[4] is log.samples[3]
-    assert _same(_fields(tr.final), log.samples[-1])
+    assert _rows_of(tr.final, log.samples[-1])
     assert tr.final.t == log.times[-1]
+
+
+def test_two_domains_stepped_in_alternation_match_each_alone():
+    # each Domain's Plan owns its Jacobian work arrays: stepping two
+    # Domains of the same sizes in turn gives the bits of each run alone
+    rng = np.random.default_rng(47)
+    cases = [(_params(a=a), _decaying_state(Domain(a=a, Nx=6, Nz=6), rng))
+             for a in (1.0, 1.4)]
+    for scheme in SCHEMES:
+        cfg = StepperConfig(dt=0.002, t_end=0.04, scheme=scheme)
+        alone = [_stack(run(s0, p, cfg).final) for p, s0 in cases]
+        steppers = [_STEPPERS[scheme](p, s0.dom, cfg.dt, False)
+                    for p, s0 in cases]
+        c = [_stack(s0) for _, s0 in cases]
+        hist = [None, None]
+        for _ in range(20):
+            for i, st in enumerate(steppers):
+                c[i], hist[i] = st.advance(c[i], hist[i])
+        for got, want in zip(c, alone):
+            assert np.isfinite(want).all() and np.array_equal(got, want)
 
 
 def test_memory_flat_in_t_end():
@@ -319,24 +348,24 @@ def test_run_never_writes_into_arrays_it_handed_out():
 
         class Copier:
             def on_sample(self, t, c, pre, dt):
-                for arrays in (c, pre) if pre is not None else (c,):
-                    handed.extend((u, u.copy()) for u in arrays)
+                handed.extend((a, a.copy()) for a in (c, pre)
+                              if a is not None)
                 suite.on_sample(t, c, pre, dt)
 
         traj = run(s0, p, StepperConfig(dt=0.01, t_end=0.5, scheme=scheme,
                                         sample_every=every),
                    monitors=Copier(), snapshot_times=(0.2,))
-        assert len(handed) > 100
-        for u in (traj.final.psi, traj.snapshots[0][1].theta):
-            assert any(u.coeffs is a for a, _ in handed)
+        assert 3 * len(handed) > 100     # three rows per array
+        for st in (traj.final, traj.snapshots[0][1]):
+            assert any(_rows_of(st, a) for a, _ in handed)
         for a, copy in handed:
             assert np.array_equal(a, copy)
 
 
 def test_run_hands_out_arrays_and_builds_validated_states(monkeypatch):
-    # monitors get the stepper's tuples of arrays; `run` builds States only
-    # for `final` and the snapshots, each through the validating
-    # constructors, on the very arrays the monitor was handed
+    # monitors get the stepper's (3, Nx, Nz) arrays; `run` builds States
+    # only for `final` and the snapshots, each through the validating
+    # constructors, on the rows of the very arrays the monitor was handed
     built = {State: [], SpectralField: []}
     for cls, made in built.items():
         def counted(self, check=cls.__post_init__, made=made):
@@ -352,8 +381,8 @@ def test_run_hands_out_arrays_and_builds_validated_states(monkeypatch):
     class Check:
         def on_sample(self, t, c, pre, dt):
             for arrays in (c, pre) if pre is not None else (c,):
-                assert type(arrays) is tuple and len(arrays) == 3
-                assert all(type(u) is np.ndarray for u in arrays)
+                assert type(arrays) is np.ndarray
+                assert arrays.shape == (3, 4, 4) and arrays.dtype == float
             handed.append(c)
 
     cases = ((_params(), StepperConfig(dt=0.01, t_end=0.3), (0.0, 0.1, 0.3)),
@@ -371,7 +400,7 @@ def test_run_hands_out_arrays_and_builds_validated_states(monkeypatch):
         assert _same(built[State], states)
         assert _same(built[SpectralField],
                      [u for st in states for u in (st.psi, st.theta, st.phi)])
-        assert _same(_fields(tr.final), handed[-1])
+        assert _rows_of(tr.final, handed[-1])
         assert all(u.dom is dom for u in built[SpectralField])
     assert tr.failure is not None     # the second case blew up
     with pytest.raises(ValueError, match="non-finite"):

@@ -83,12 +83,15 @@ def test_params_validation():
 
 
 def test_domain_padding_default_and_floor():
-    dom = Domain(a=1.0, Nx=8, Nz=8)
-    assert dom.Mx >= 2 * dom.Nx + 1 and dom.Mz >= 2 * dom.Nz + 1
-    dom17 = Domain(a=1.0, Nx=8, Nz=8, Mx=17, Mz=17)   # exactly 2N+1 allowed
-    assert dom17.Mx == 17
+    # the default is the 3/2 rule's smallest grid, 2(M + 1) > 3N
+    dom = Domain(a=1.0, Nx=8, Nz=7)
+    assert (dom.Mx, dom.Mz) == (12, 10)
+    assert Domain(a=1.0, Nx=8, Nz=8, Mx=17, Mz=17).Mx == 17   # 2N+1 allowed
+    assert Domain(a=1.0, Nx=8, Nz=7, Mx=12, Mz=10) == dom
+    with pytest.raises(ValueError, match="2\\(Mx\\+1\\) > 3Nx"):
+        Domain(a=1.0, Nx=8, Nz=8, Mx=11, Mz=12)
     with pytest.raises(ValueError):
-        Domain(a=1.0, Nx=8, Nz=8, Mx=16, Mz=17)
+        Domain(a=1.0, Nx=8, Nz=7, Mx=12, Mz=9)
     with pytest.raises(ValueError):
         Domain(a=1.0, Nx=0, Nz=8)
 

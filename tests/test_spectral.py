@@ -131,7 +131,8 @@ def test_jacobian_hand_derived_mode_pair():
 
 def test_jacobian_coeffs_match_quadrature_oracle():
     # fine-grid 2-D quadrature of J(psi,theta) sin(m pi x/a) sin(n pi z)
-    # against the pseudo-spectral projection, for a small random pair
+    # against the pseudo-spectral projection, for a small random pair, on
+    # the default grid and on M = 2N + 1
     rng = np.random.default_rng(11)
     dom = Domain(a=1.4, Nx=3, Nz=3)
     psi, theta = _rand_field(dom, rng), _rand_field(dom, rng)
@@ -151,8 +152,10 @@ def test_jacobian_coeffs_match_quadrature_oracle():
     Jg = px * tz - pz * tx
     # projection coefficients via the (trig-exact) discrete sine quadrature
     proj = (4.0 / (M * M)) * sx.T @ Jg @ sz
-    J = jacobian(psi, theta)
-    assert np.max(np.abs(J.coeffs - proj)) < 1e-10
+    padded = Domain(a=1.4, Nx=3, Nz=3, Mx=7, Mz=7)
+    for d in (dom, padded):
+        J = jacobian(*(SpectralField(u.coeffs, d) for u in (psi, theta)))
+        assert np.max(np.abs(J.coeffs - proj)) < 1e-10
 
 
 def test_jacobian_skew_symmetry_random_pairs():
@@ -163,6 +166,71 @@ def test_jacobian_skew_symmetry_random_pairs():
         pairing = _inner(jacobian(psi, theta), theta)
         scale = norm_hk(psi, 1) * norm_hk(theta, 0) * norm_hk(theta, 1)
         assert abs(pairing) <= 1e-10 * scale
+
+
+def _grid_jacobian(cpsi, cth, a, M):
+    """The pseudo-spectral Jacobian on M x M interior points, built here
+    from its definition so that a grid the Domain refuses can be tried."""
+    N = cpsi.shape[0]
+    j, k = np.arange(1, M + 1), np.arange(1, N + 1)
+    sx, sz = (np.sin(np.pi * np.outer(j, k) / (M + 1)) for _ in range(2))
+    cx = np.cos(np.pi * np.outer(j, k) / (M + 1)) * (k * np.pi / a)
+    cz = np.cos(np.pi * np.outer(j, k) / (M + 1)) * (k * np.pi)
+    grid = (cx @ cpsi @ sz.T) * (sx @ cth @ cz.T) \
+        - (sx @ cpsi @ cz.T) * (cx @ cth @ sz.T)
+    return 4.0 / (M + 1) ** 2 * (sx.T @ grid @ sz)
+
+
+def test_domain_floor_is_the_three_halves_rule():
+    # 2(M + 1) > 3N holds from M = 3N // 2 on, the default; one point fewer
+    # is refused in either direction.  At N = 1, M = 0 means the default.
+    assert (Domain(a=1.0, Nx=1, Nz=1).Mx, Domain(a=1.0, Nx=1, Nz=1).Mz) \
+        == (1, 1)
+    for N in range(2, 10):
+        M = 3 * N // 2
+        dom = Domain(a=1.0, Nx=N, Nz=N, Mx=M, Mz=M)
+        assert dom == Domain(a=1.0, Nx=N, Nz=N)
+        for Mx, Mz in ((M - 1, M), (M, M - 1)):
+            with pytest.raises(ValueError, match="collocation sizes"):
+                Domain(a=1.0, Nx=N, Nz=N, Mx=Mx, Mz=Mz)
+
+
+def test_jacobian_exact_at_the_minimal_grid_and_aliased_one_point_below():
+    # at M = 3N // 2 the Jacobian equals the one on the padded grid
+    # M = 2N + 2 to roundoff and stays skew-symmetric; at M = 3N // 2 - 1
+    # the top product modes alias onto retained ones, by O(1)
+    rng = np.random.default_rng(29)
+    a = 1.3
+    for N in range(2, 17):
+        dom = Domain(a=a, Nx=N, Nz=N)
+        psi, theta = _rand_field(dom, rng), _rand_field(dom, rng)
+        J = jacobian(psi, theta)
+        wide = Domain(a=a, Nx=N, Nz=N, Mx=2 * N + 2, Mz=2 * N + 2)
+        padded = jacobian(*(SpectralField(u.coeffs, wide)
+                            for u in (psi, theta)))
+        scale = np.max(np.abs(padded.coeffs))
+        assert np.max(np.abs(J.coeffs - padded.coeffs)) <= 1e-13 * scale
+        pairing = _inner(J, theta)
+        assert abs(pairing) <= 1e-12 * (
+            norm_hk(psi, 1) * norm_hk(theta, 0) * norm_hk(theta, 1))
+        aliased = _grid_jacobian(psi.coeffs, theta.coeffs, a, dom.Mx - 1)
+        assert np.max(np.abs(aliased - padded.coeffs)) > 0.1 * scale
+
+
+def test_jacobian_result_is_never_overwritten():
+    # the Plan's work arrays hold every intermediate; a result is fresh
+    rng = np.random.default_rng(31)
+    dom = Domain(a=1.2, Nx=9, Nz=7)
+    fields = [_rand_field(dom, rng) for _ in range(4)]
+    J1 = jacobian(fields[0], fields[1])
+    kept = J1.coeffs.copy()
+    J2 = jacobian(fields[2], fields[3])
+    assert np.array_equal(J1.coeffs, kept)
+    assert not np.array_equal(J2.coeffs, kept)
+    p = dom.plan
+    for buf in (p._zs, p._grid, p._half):
+        assert not np.shares_memory(J1.coeffs, buf)
+        assert not np.shares_memory(J2.coeffs, buf)
 
 
 def test_jacobian_bilinearity():
