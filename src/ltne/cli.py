@@ -23,11 +23,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .certificates import (CERT_FIELDS, CertificateSuite, measured_decay_rate,
-                           replay_certificates, summarize_records)
-from .config import (_BLOWUP, _DIMENSIONLESS_KEYS, _HEADER, _MARKER, _RECORD,
-                     _SWEEP, ConfigError, RunConfig, _read_block, _require,
-                     _typed, build_config, build_initial_state, config_hash,
+from .certificates import (CERT_FIELDS, CertificateSuite, TrajectoryRecord,
+                           measured_decay_rate, replay_certificates,
+                           summarize_records)
+from .config import (_ABSENT, _DIMENSIONLESS_KEYS, _REQUIRED, ConfigError,
+                     RunConfig, _read_block, _require, _table, _typed,
+                     build_config, build_initial_state, config_hash,
                      load_config, read_json)
 from .dynamics import assemble_linear, spectral_abscissa
 from .integrator import _snapshot_step, run as integrate
@@ -44,6 +45,15 @@ _plot_row = itemgetter(*_PLOT_COLS)
 # `json.dumps(obj, sort_keys=True)` without building an encoder per line
 _encode = json.JSONEncoder(sort_keys=True).encode
 
+# The lines of a JSONL stream, each one JSON value ended by "\n": the
+# header, one TrajectoryRecord per sample, and an optional final blowup
+# marker with its payload.  `_Stream` writes them; `_Records` reads them.
+_HEADER = {"meta": (dict, _REQUIRED), "config_hash": (str, _REQUIRED)}
+_RECORD = _table(TrajectoryRecord)
+_MARKER = {"blowup": (dict, _REQUIRED), "config_hash": (str, _REQUIRED)}
+_BLOWUP = {"t": (float, _REQUIRED), "field": (str, _REQUIRED),
+           "error": (str, _REQUIRED)}
+
 # the record fields that may hold +-inf: a slack is infinite where its
 # bound is trivially met or broken (the h1 slack of a zero state)
 _INF_OK = frozenset(f for f in CERT_FIELDS if f.endswith("_slack"))
@@ -56,6 +66,11 @@ _SWEEP_COLS = ("parameter", "value", "status", "t_end", "E_Y_final",
 
 _SWEEP_PARAMS = _DIMENSIONLESS_KEYS + ("a",)
 
+# `output_dir` and `csv` default to names derived from the spec's file name.
+_SWEEP = {"parameter": (str, _REQUIRED), "values": (list, _REQUIRED),
+          "base": (dict, _ABSENT), "base_path": (str, _ABSENT),
+          "output_dir": (str, _ABSENT), "csv": (str, _ABSENT)}
+
 
 def _resolve(path_str, base_dir: Path) -> Path:
     p = Path(path_str)
@@ -63,13 +78,14 @@ def _resolve(path_str, base_dir: Path) -> Path:
 
 
 class _Stream:
-    """`integrate`'s monitor for one CLI run.  It opens the JSONL file,
-    with its header line, and the plot CSV, if configured, on `files`;
-    then it certifies each sample through `suite` and holds the records of
-    at most 64 samples.  `flush` writes them as JSONL lines (and plot-CSV
-    rows) and hands each to `on_record`; encoding in batches, apart from
-    the integration, keeps `run` as fast as writing every record at the
-    end did."""
+    """`integrate`'s monitor for one CLI run, and the only writer of its
+    JSONL stream.  It opens the JSONL file, with its header line, and the
+    plot CSV, if configured, on `files`; then it certifies each sample
+    through `suite` and holds the records of at most 64 samples.  `flush`
+    writes them as JSONL lines (and plot-CSV rows) and hands each to
+    `on_record`; encoding in batches, apart from the integration, keeps
+    `run` as fast as writing every record at the end did.  `close` flushes
+    and, for a run that failed, ends the stream with the blowup marker."""
 
     def __init__(self, suite, rc: RunConfig, paths: dict, files, on_record):
         self.suite, self.on_record, self.batch = suite, on_record, []
@@ -96,6 +112,12 @@ class _Stream:
             if self.on_record is not None:
                 self.on_record(rec)
         self.batch.clear()
+
+    def close(self, failure: dict | None):
+        self.flush()
+        if failure is not None:
+            self.fh.write(_encode({"blowup": failure, "config_hash":
+                                   self.suite.config_hash}) + "\n")
 
 
 def _output_paths(rc: RunConfig, jsonl_path: Path, base_dir: Path,
@@ -125,11 +147,12 @@ def _output_paths(rc: RunConfig, jsonl_path: Path, base_dir: Path,
 
 def _execute(rc: RunConfig, jsonl_path: Path, base_dir: Path,
              on_record=None):
-    """Build the IC and integrate with the certificate suite attached,
-    streaming the records to the JSONL file (and the plot CSV) in batches
-    as they are certified; then append any blowup marker and write the
-    snapshots.  Every refusal of the config (its output paths, then the
-    suite's settings) comes before any file is opened."""
+    """Build the IC and integrate with the certificate suite attached
+    and a `_Stream` as the monitor, which writes the records to the JSONL
+    file (and the plot CSV) in batches as they are certified and, once the
+    integration returns, any blowup marker; then write the snapshots.
+    Every refusal of the config (its output paths, then the suite's
+    settings) comes before any file is opened."""
     s0 = build_initial_state(rc.ic, rc.dom, rc.p)
     paths = _output_paths(rc, jsonl_path, base_dir, s0.t)
     suite = CertificateSuite(rc.p, rc.dom, rc.cert_cfg, s0, rc.config_hash)
@@ -137,10 +160,7 @@ def _execute(rc: RunConfig, jsonl_path: Path, base_dir: Path,
         stream = _Stream(suite, rc, paths, files, on_record)
         traj = integrate(s0, rc.p, rc.stepper, monitors=stream,
                          snapshot_times=tuple(rc.output["snapshot_at"]))
-        stream.flush()
-        if traj.failure is not None:
-            stream.fh.write(_encode({"blowup": traj.failure,
-                                     "config_hash": rc.config_hash}) + "\n")
+        stream.close(traj.failure)
     for t, st in traj.snapshots:
         write_snapshot(paths[t], st.psi, st.theta, st.phi, t)
     return suite, traj, [paths[t] for t, _ in traj.snapshots]
@@ -199,11 +219,11 @@ def cmd_run(args) -> int:
 
 
 class _Records:
-    """A JSONL stream `run` wrote, as `certify` reads it.  Construction
-    makes one pass over the file, counting in `n` the lines after the
-    header, lines cut as `str.splitlines` cuts the whole text; a file that
-    is not UTF-8 raises the UnicodeDecodeError of a whole-file read, which
-    names its file offset.  It then checks the header, raising a
+    """A JSONL stream `run` wrote, as `certify` reads it: lines cut at
+    "\\n" only, where `_Stream` ends them, each one JSON value.
+    Construction makes one pass over the file, counting in `n` the lines
+    after the header; a file that is not UTF-8 raises its
+    UnicodeDecodeError there.  It then checks the header, raising a
     ConfigError for an empty file, a file without a final newline, a first
     line that is not a meta line, a config hash that does not match the
     stored config document, and a stored config that does not rebuild; it
@@ -217,20 +237,15 @@ class _Records:
     a blowup."""
 
     def __init__(self, path: Path):
-        n, head, raw = 0, None, ""
-        try:
-            with open(path) as fh:
-                for raw in fh:
-                    lines = raw.splitlines()
-                    head = lines[0] if head is None else head
-                    n += len(lines)
-        except UnicodeDecodeError:
-            path.read_text()
-            raise
-        _require(head is not None, f"{path}: empty file")
+        n = 0
+        with open(path, newline="\n") as fh:
+            head = raw = fh.readline()
+            for raw in fh:
+                n += 1
+        _require(head, f"{path}: empty file")
         _require(raw.endswith("\n"), f"{path}: truncated (no final newline)")
-        try:
-            line = _read_block(json.loads(head), _HEADER, "header")
+        try:    # each line parsed without its "\n"
+            line = _read_block(json.loads(head[:-1]), _HEADER, "header")
         except ValueError as e:     # also JSONDecodeError, huge integers
             raise ConfigError(f"{path}:1: not a meta line ({e})")
         resolved, self.hash = line["meta"], line["config_hash"]
@@ -241,19 +256,18 @@ class _Records:
             self.rc = build_config(dict(resolved, ic={"kind": "zero"}))
         except ValueError as e:
             raise ConfigError(f"{path}: stored config does not rebuild: {e}")
-        self.path, self.n, self.blowup = path, n - 1, None
+        self.path, self.n, self.blowup = path, n, None
 
     def __len__(self):
         return self.n
 
     def __iter__(self):
         path, first = self.path, None
-        with open(path) as fh:
-            lines = (ln for raw in fh for ln in raw.splitlines())
-            next(lines)     # the header
-            for i, ln in enumerate(lines, start=2):
+        with open(path, newline="\n") as fh:
+            next(fh)    # the header
+            for i, ln in enumerate(fh, start=2):
                 try:
-                    d = json.loads(ln)
+                    d = json.loads(ln[:-1])
                 except ValueError as e:     # JSONDecodeError or huge integer
                     raise ConfigError(f"{path}:{i}: malformed JSON ({e})")
                 is_marker = isinstance(d, dict) and "blowup" in d

@@ -8,8 +8,9 @@ condition source must be given under `ic`.  The fully resolved document
 (defaults filled in) is what gets hashed and embedded in output streams, so a
 stream is self-describing and re-certifiable offline.
 
-The other JSON objects the command line reads, the sweep spec and each
-line of a JSONL stream, are typed by the same kind of key table.
+Each block of the document is typed by a key table; `cli` types the sweep
+spec and the lines of a JSONL stream with tables of the same kind, read by
+the same `_read_block`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .params import Params, PhysicalParams, nondimensionalize
 from .spectral import Domain, SpectralField, read_snapshot
 from .dynamics import State, _sq_norms, assemble_linear
 from .integrator import StepperConfig
-from .certificates import CertificateConfig, TrajectoryRecord, energy_y
+from .certificates import CertificateConfig, energy_y
 
 # In the order of the Params fields (`lambda` is `Params.lam`).
 _DIMENSIONLESS_KEYS = ("Ra", "Pr", "Da", "C", "lambda", "gamma", "alpha")
@@ -65,30 +66,22 @@ _CERTIFICATES = {"enabled": (bool, True), **_table(CertificateConfig),
 _OUTPUT = {"jsonl": (str, None), "snapshot_at": (list, []),
            "snapshot_prefix": (str, None), "plot_csv": (str, None)}
 
-# `_named_state` applies the named-IC defaults; they are not hashed.
+# The keys of each IC kind.  A named IC also reads the keys `_NAMED` lists
+# under its `name` (all of them while the name is unknown, which
+# `build_initial_state` refuses); `_fill_named` applies their defaults,
+# which are not hashed.
 _IC = {
     "zero": {},
     "random": {"seed": (int, _REQUIRED), "energy": (float, 1.0),
                "decay": (float, 0.5)},
     "snapshot": {"path": (str, _REQUIRED)},
-    "named": {"name": (str, _ABSENT), "field": (str, _ABSENT),
-              **dict.fromkeys(("m", "n", "band"), (int, _ABSENT)),
-              **dict.fromkeys(("amplitude", "amp_psi", "amp_theta",
-                               "amp_phi"), (float, _ABSENT))},
+    "named": {"name": (str, _ABSENT)},
 }
-
-# `output_dir` and `csv` default to names derived from the spec's file name.
-_SWEEP = {"parameter": (str, _REQUIRED), "values": (list, _REQUIRED),
-          "base": (dict, _ABSENT), "base_path": (str, _ABSENT),
-          "output_dir": (str, _ABSENT), "csv": (str, _ABSENT)}
-
-# The lines of a JSONL stream: the header, one TrajectoryRecord per sample,
-# and an optional final blowup marker with its payload.
-_HEADER = {"meta": (dict, _REQUIRED), "config_hash": (str, _REQUIRED)}
-_RECORD = _table(TrajectoryRecord)
-_MARKER = {"blowup": (dict, _REQUIRED), "config_hash": (str, _REQUIRED)}
-_BLOWUP = {"t": (float, _REQUIRED), "field": (str, _REQUIRED),
-           "error": (str, _REQUIRED)}
+_NAMED = {"single_mode": {"field": (str, _ABSENT), "m": (int, _ABSENT),
+                          "n": (int, _ABSENT), "amplitude": (float, _ABSENT)},
+          "eigen_slow": {"amplitude": (float, _ABSENT)},
+          "smooth_bump": {"band": (int, _ABSENT), **dict.fromkeys(
+              ("amp_psi", "amp_theta", "amp_phi"), (float, _ABSENT))}}
 
 
 class ConfigError(ValueError):
@@ -184,16 +177,20 @@ def build_config(doc: dict, base_dir: Path | str = ".") -> RunConfig:
     kind = top["ic"].get("kind")
     _require(isinstance(kind, str) and kind in _IC,
              f"ic.kind must be one of {tuple(_IC)}, got {kind!r}")
+    keys = {"kind": (str, _ABSENT), **_IC[kind]}
+    if kind == "named":
+        name = top["ic"].get("name")
+        keys.update(_NAMED[name] if isinstance(name, str) and name in _NAMED
+                    else {k: v for t in _NAMED.values() for k, v in t.items()})
     # the resolved ic, hence the hash, keeps each given value as written
-    ic = {**_read_block(top["ic"], {"kind": (str, _ABSENT), **_IC[kind]},
-                        "ic"), **top["ic"]}
+    ic = {**_read_block(top["ic"], keys, "ic"), **top["ic"]}
     if kind == "snapshot":
         path = Path(base_dir) / ic["path"]     # an absolute path stays as is
         _require(path.exists(), f"ic snapshot path {path} does not exist")
         ic["path"] = str(path)
     if kind == "random":
         ic["seed"] = int(ic["seed"]) & (2 ** 64 - 1)
-    for key, (typ, _) in _IC[kind].items():
+    for key, (typ, _) in keys.items():
         _require(typ is not float or math.isfinite(ic.get(key, 0.0)),
                  f"ic.{key} must be finite, got {ic.get(key)}")
     _require(ic.get("energy", 0.0) >= 0,

@@ -65,19 +65,26 @@ def _sinhc(x: np.ndarray) -> np.ndarray:
     return np.where(small, 1.0 + x * x / 6.0, np.sinh(safe) / safe)
 
 
-class _LinearImplicit:
-    """What the linear-implicit schemes share: one per-mode update on
-    stacks c = [psi, theta, phi] of shape (3, Nx, Nz),
+class _Stepper:
+    """One scheme: `advance(c, hist)` steps a stack c = [psi, theta, phi]
+    of shape (3, Nx, Nz) by dt and returns it with the scheme's history.
+    A linear-implicit scheme has one per-mode update,
 
         new = diag c + cross [theta, phi] swapped + b [n_psi, n_th, n_th],
 
-    from the coefficients each scheme precombines: `diag` (3, Nx, Nz),
-    `cross` (2, Nx, Nz) for the off-diagonal entries of the theta-phi
-    blocks, and `b` (3, Nx, Nz) for the explicit terms n."""
+    whose coefficients its `_precombine(dt, lpsi, b11, b12, b21, b22)`
+    sets from the linear operator's: `diag` (3, Nx, Nz), `cross`
+    (2, Nx, Nz) for the off-diagonal entries of the theta-phi blocks, and
+    `b` (3, Nx, Nz) for the explicit terms n."""
+
+    _precombine = None      # an explicit scheme
 
     def __init__(self, p: Params, dom: Domain, dt: float, linear_only: bool):
         self.p, self.dom, self.dt = p, dom, dt
         self.nonlinear = not linear_only
+        if self._precombine is not None:
+            L = assemble_linear(p, dom)
+            self._precombine(dt, L.lpsi, L.b11, L.b12, L.b21, L.b22)
 
     def _update(self, c, n):
         new = self.diag * c
@@ -87,18 +94,16 @@ class _LinearImplicit:
         return new
 
 
-class _Cnab2(_LinearImplicit):
+class _Cnab2(_Stepper):
     """Crank-Nicolson on the linear part, (I - hL)^{-1} (I + hL) with
     h = dt/2, and AB2 on the explicit part, 1.5 n - 0.5 n_prev taken as
     0.5 (3 n - n_prev) through dt (I - hL)^{-1}."""
 
-    def __init__(self, p: Params, dom: Domain, dt: float, linear_only: bool):
-        super().__init__(p, dom, dt, linear_only)
-        L, h = assemble_linear(p, dom), dt / 2.0
-        b11, b12, b21, b22 = L.b11, L.b12, L.b21, L.b22
+    def _precombine(self, dt, lpsi, b11, b12, b21, b22):
+        h = dt / 2.0
         gdet = (1.0 - h * b11) * (1.0 - h * b22) - h * h * b12 * b21
         # (I - hL)^{-1}: its diagonal, then the blocks' off-diagonal entries
-        inv = np.stack((1.0 / (1.0 - h * L.lpsi), (1.0 - h * b22) / gdet,
+        inv = np.stack((1.0 / (1.0 - h * lpsi), (1.0 - h * b22) / gdet,
                         (1.0 - h * b11) / gdet))
         off = np.stack((h * b12 / gdet, h * b21 / gdet))
         # (I - hL)^{-1} (I + hL) = 2 (I - hL)^{-1} - I
@@ -117,11 +122,8 @@ class _Cnab2(_LinearImplicit):
         return self._update(c, 3.0 * n - hist), n
 
 
-class _Etd1(_LinearImplicit):
-    def __init__(self, p: Params, dom: Domain, dt: float, linear_only: bool):
-        super().__init__(p, dom, dt, linear_only)
-        L = assemble_linear(p, dom)
-        b11, b12, b21, b22 = L.b11, L.b12, L.b21, L.b22
+class _Etd1(_Stepper):
+    def _precombine(self, dt, lpsi, b11, b12, b21, b22):
         m = (b11 + b22) / 2.0
         d = np.sqrt(((b11 - b22) / 2.0) ** 2 + b12 * b21)  # >= 0, real here
         emh = np.exp(m * dt)
@@ -129,11 +131,11 @@ class _Etd1(_LinearImplicit):
         sc = dt * _sinhc(d * dt)
         E11 = emh * (ch + (b11 - m) * sc)
         E21 = emh * b21 * sc
-        self.diag = np.stack((np.exp(dt * L.lpsi), E11,
+        self.diag = np.stack((np.exp(dt * lpsi), E11,
                               emh * (ch + (b22 - m) * sc)))
         self.cross = np.stack((emh * b12 * sc, E21))
         det = b11 * b22 - b12 * b21
-        self.b = np.stack((np.expm1(dt * L.lpsi) / L.lpsi,
+        self.b = np.stack((np.expm1(dt * lpsi) / lpsi,
                            (b22 * (E11 - 1.0) - b12 * E21) / det,
                            (-b21 * (E11 - 1.0) + b11 * E21) / det))
 
@@ -142,11 +144,7 @@ class _Etd1(_LinearImplicit):
             c, _explicit(c, self.p, self.dom, self.nonlinear)), None
 
 
-class _Rk4:
-    def __init__(self, p: Params, dom: Domain, dt: float, linear_only: bool):
-        self.p, self.dom, self.dt = p, dom, dt
-        self.nonlinear = not linear_only
-
+class _Rk4(_Stepper):
     def advance(self, c, hist):
         f = lambda u: _rhs_arrays(u, self.p, self.dom, self.nonlinear)
         h = self.dt

@@ -3,8 +3,10 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -262,6 +264,52 @@ def test_certify_rejects_truncation(tmp_path, capsys):
     jsonl.write_text("\n".join(lines[:2] + [huge] + lines[3:]) + "\n")
     assert main(["certify", str(jsonl)]) == 3
     assert f"{jsonl}:3: malformed JSON" in capsys.readouterr().err
+
+
+def test_certify_cuts_lines_only_at_newline(tmp_path, capsys):
+    # `run` ends each line with "\n" and nothing else; two records joined
+    # by another line break `str.splitlines` knows are one malformed line
+    code, jsonl = _run_case(tmp_path, capsys)
+    assert code == 0
+    lines = jsonl.read_text().splitlines()
+    for sep in ("\f", "\v", "\x1c", "\x85", "\u2028"):
+        joined = lines[:2] + [lines[2] + sep + lines[3]] + lines[4:]
+        jsonl.write_text("\n".join(joined) + "\n", encoding="utf-8")
+        assert main(["certify", str(jsonl)]) == 3, repr(sep)
+        out, err = capsys.readouterr()
+        assert out == "" and f"{jsonl}:3: malformed JSON" in err, err
+
+
+def test_sigkilled_run_leaves_a_prefix_certify_calls_truncated(tmp_path):
+    # a killed run leaves the header and the batches flushed so far, the
+    # last line possibly cut; certify refuses that prefix as truncated
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(ltne.__file__).parents[1]))
+    cfg = _write(tmp_path / "long.json", _base_doc(
+        dt=1e-3, t_end=100.0, sample_every=1))
+    jsonl = cfg.with_suffix(".jsonl")
+    proc = subprocess.Popen([sys.executable, "-m", "ltne.cli", "run",
+                             str(cfg)], env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 120.0
+        # more than the header and one 64-record batch on disk
+        while not jsonl.exists() or jsonl.read_bytes().count(b"\n") <= 65:
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.005)
+    finally:
+        proc.send_signal(signal.SIGKILL)
+        proc.wait()
+    assert proc.returncode == -signal.SIGKILL
+    head, *records = jsonl.read_text().split("\n")[:-1]   # whole lines
+    assert set(json.loads(head)) == {"meta", "config_hash"}
+    times = [json.loads(ln)["t"] for ln in records]
+    assert len(times) > 64 and all(b > a for a, b in zip(times, times[1:]))
+    code = subprocess.run([sys.executable, "-m", "ltne.cli", "certify",
+                           str(jsonl)], env=env, capture_output=True,
+                          text=True)
+    assert code.returncode == 3 and code.stdout == ""
+    assert "truncated" in code.stderr, code.stderr
 
 
 def test_certify_mso_override_loosens_only(tmp_path, capsys):

@@ -201,6 +201,31 @@ def test_malformed_block_exits_3(tmp_path, capsys, doc, field):
     assert field in capsys.readouterr().err
 
 
+# each named IC with a key that only another named IC reads
+_FOREIGN_NAMED_KEYS = [("single_mode", "band"), ("single_mode", "amp_psi"),
+                       ("eigen_slow", "m"), ("eigen_slow", "field"),
+                       ("smooth_bump", "amplitude"), ("smooth_bump", "n")]
+
+
+@pytest.mark.parametrize("name,key", _FOREIGN_NAMED_KEYS,
+                         ids=[f"{n}-{k}" for n, k in _FOREIGN_NAMED_KEYS])
+def test_named_ic_refuses_keys_it_does_not_read(tmp_path, capsys, name,
+                                                key):
+    ic = {"kind": "named", "name": name, key: "psi" if key == "field" else 3}
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(_doc(Nx=8, Nz=8, t_end=0.1, ic=ic)))
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert f"unknown ic keys: [{key!r}]" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]     # before any file opens
+    # a sweep records it as that row's error
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps({"parameter": "Ra", "values": [10.0],
+                                "base": json.loads(cfg.read_text())}))
+    assert main(["sweep", str(spec)]) == 0
+    assert f"Ra=10.0: error: unknown ic keys: [{key!r}]" in \
+        capsys.readouterr().out
+
+
 def test_random_ic_normalization_and_reproducibility():
     rc = build_config(_doc(Nx=8, Nz=8,
                            ic={"kind": "random", "seed": 42, "energy": 2.5}))
@@ -245,6 +270,11 @@ def test_named_single_mode():
     with pytest.raises(ConfigError, match="unknown named ic"):
         build_initial_state({"kind": "named", "name": "wavelet"},
                             bad.dom, bad.p)
+    # while the name is unknown, every named IC's keys are admitted, so
+    # the refusal names the name, not a key
+    rc = build_config(_doc(ic={"kind": "named", "name": "wavelet", "m": 2}))
+    with pytest.raises(ConfigError, match="unknown named ic 'wavelet'"):
+        build_initial_state(rc.ic, rc.dom, rc.p)
 
 
 def test_named_eigen_slow_is_block_eigenvector():
