@@ -11,11 +11,12 @@ smoothing.
 Envelope comparisons are done in log space: the Gronwall exponents reach
 ~1e5 at large Ra and overflow float64 if exponentiated.  Time integrals use
 trapezoid quadrature at the sample cadence with a second-difference error
-estimate added on the bound side.  Trapezoid overestimates convex decaying
-integrands, so an under-resolved fast transient can only flag a spurious
-FAIL, never hide a violation larger than the reported allowance; sample
-densely enough to resolve the fastest retained decay rate if the
-dissipation integral matters.
+estimate added on the bound side.  That makes `diss` and `h1_absorb` (whose
+window integrals are on the bound side too) not one-sided in the cadence:
+at a coarser one their bounds can be looser, so a violation a dense cadence
+flags can pass; `decay` was never looser (ROADMAP item 4 gives the
+measurements).  Sample densely enough to resolve the fastest retained
+decay rate if the integral certificates matter.
 
 Certification has two stages: (a) reduces each sampled state to the scalars
 of a TrajectoryRecord, online only; (b) derives every flag and slack from
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .params import Params, poincare_constant
-from .spectral import Domain
+from .spectral import Domain, _tail_fractions
 from .dynamics import (NORMS, State, _energy_identity_rhs, _sq_norms,
                        _stack, state_norms)
 
@@ -336,10 +337,12 @@ def check_dissipation_integral(integral: float, qerr: float,
     cumulatively with the quadrature error credited to the bound side;
     `integral` and `qerr` are the trapezoid sum and its error estimate.
 
-    The integrand is convex once the fast modes dominate, so trapezoid
-    overestimates it and a FAIL on a coarse sample cadence is conservative:
-    rough initial data whose gradient norm collapses inside one sampling
-    interval can fail here even though the exact integral is within bound.
+    The check is not one-sided in the sample cadence.  `qerr` can grow at
+    a coarser cadence and loosen the bound, so a violation a dense cadence
+    flags can pass.  Trapezoid overestimates the integrand where it is
+    convex, so rough initial data whose gradient norm collapses inside one
+    sampling interval can fail here though the exact integral is within
+    bound.
     """
     bound = k.M9 * (init.theta_sq + init.phi_sq)
     rhs = bound + qerr
@@ -491,26 +494,24 @@ class _Certifier:
         return rec
 
 
-class CertificateSuite:
-    """Stateful per-run evaluator handed to the integrator as `monitors`.
+class CertificateSuite(_Certifier):
+    """Stateful per-run evaluator handed to the integrator as `monitors`:
+    stage (a) in `on_sample`, then stage (b) as the `_Certifier` it is,
+    the one `replay_certificates` uses, so replaying the records
+    reproduces all flags and slacks bit-identically.
 
     `on_sample(t, c, c_pre, dt)` takes the (3, Nx, Nz) arrays of the
     coefficients [psi, theta, phi] that `run` hands out and reads them in
     place, never writing into them.  A prestate that is the last sample's
     array (the same object, as at sample_every=1) reuses that sample's E_Y;
-    any other is read afresh.
-    Stage (a) reduces each sample to one TrajectoryRecord, then
-    stage (b), shared with `replay_certificates`, sets its flags; replaying
-    the records therefore reproduces all flags and slacks bit-identically.
-    `on_sample` returns the record and keeps none: `summary` rolls them up.
+    any other is read afresh.  `on_sample` returns the record and keeps
+    none: `summary` rolls them up.
     """
 
     def __init__(self, p: Params, dom: Domain, cfg: CertificateConfig,
                  s0: State, config_hash: str = ""):
-        self.p, self.dom, self.cfg = p, dom, cfg
-        self.config_hash = config_hash
-        self._certify = _Certifier(p, dom, cfg, state_norms(s0))
-        self.k, self.summary = self._certify.k, self._certify.summary
+        super().__init__(p, dom, cfg, state_norms(s0))
+        self.dom, self.config_hash = dom, config_hash
         n = min(dom.Nx, dom.Nz)
         self.cutoff = cfg.tail_cutoff or max(1, n // 2)
         if cfg.checks["tail"]:
@@ -530,18 +531,6 @@ class CertificateSuite:
         self._scratch = np.empty((3, dom.Nx, dom.Nz))
         self._work = (np.empty((3, K)), np.empty((len(NORMS), K)))
         self._last = self._last_EY = None
-
-    def _tail_fractions(self, C: np.ndarray, out: np.ndarray) -> list[float]:
-        """`tail_fraction` of each field of the stacked coefficients C in one
-        pass, through the buffer `out`: the same products w * c * c, and the
-        head block copied to contiguous memory (by the reshape) before it is
-        summed, so every sum is the same pairwise sum."""
-        P = np.multiply(self._tail_w, C, out=out)
-        P *= C
-        head = P[:, :self.cutoff, :self.cutoff].reshape(3, -1)
-        return [(tot - hd) / tot if tot != 0.0 else 0.0 for tot, hd in zip(
-            P.reshape(3, -1).sum(axis=1).tolist(),
-            head.sum(axis=1).tolist())]
 
     def on_sample(self, t: float, c: np.ndarray, c_pre: np.ndarray | None,
                   dt: float) -> TrajectoryRecord:
@@ -567,9 +556,10 @@ class CertificateSuite:
                 rec.E_half_mid = energy_half(n_mid, p)
                 rec.E_Y_mid = energy_y(n_mid, p)
         if cfg.checks["tail"] and t >= cfg.tail_warmup:
-            rec.tail_frac_k2 = max(self._tail_fractions(c, self._scratch))
+            rec.tail_frac_k2 = max(_tail_fractions(
+                c, self._tail_w, self.cutoff, self._scratch))
         self._last, self._last_EY = c, rec.E_Y
-        return self._certify(rec)
+        return self(rec)
 
 
 # -- offline re-certification ------------------------------------------------

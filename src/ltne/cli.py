@@ -26,9 +26,9 @@ import numpy as np
 from .certificates import (CERT_FIELDS, CertificateSuite, TrajectoryRecord,
                            measured_decay_rate, replay_certificates,
                            summarize_records)
-from .config import (_ABSENT, _DIMENSIONLESS_KEYS, _REQUIRED, ConfigError,
-                     RunConfig, _read_block, _require, _table, _typed,
-                     build_config, build_initial_state, config_hash,
+from .config import (_ABSENT, _DIMENSIONLESS_KEYS, _OUTPUT, _REQUIRED,
+                     ConfigError, RunConfig, _read_block, _require, _table,
+                     _typed, build_config, build_initial_state, config_hash,
                      load_config, read_json)
 from .dynamics import assemble_linear, spectral_abscissa
 from .integrator import _snapshot_step, run as integrate
@@ -363,14 +363,15 @@ def _sweep_child(param, value, doc, jsonl_path: Path, base_dir: Path) -> dict:
     row = {c: "" for c in _SWEEP_COLS}
     row["parameter"], row["value"] = param, value
     try:
+        if isinstance(doc.get("output"), dict):     # else build_config refuses
+            # each row names its own plot CSV and snapshots in its header
+            out = _read_block(doc["output"], _OUTPUT, "output")
+            doc = dict(doc, output=dict(out, snapshot_prefix=None, plot_csv=(
+                out["plot_csv"] and str(jsonl_path.with_suffix(".csv")))))
         rc = build_config(doc, base_dir)
-        # every row would share the base's plot and snapshot names
-        out = dict(rc.output, snapshot_prefix=None)
-        if out["plot_csv"]:
-            out["plot_csv"] = str(jsonl_path.with_suffix(".csv"))
         decay = []      # (t, ||theta||^2 + ||phi||^2) per sample
         suite, traj, _ = _execute(
-            replace(rc, output=out), jsonl_path, base_dir,
+            rc, jsonl_path, base_dir,
             lambda rec: decay.append((rec.t, rec.theta_sq + rec.phi_sq)))
         last = suite.summary.last
         row.update(t_end=last.t, E_Y_final=last.E_Y,

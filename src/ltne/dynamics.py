@@ -59,10 +59,10 @@ def _stack(s: State) -> np.ndarray:
 def _sq_norms(C: np.ndarray, dom: Domain, work=None) -> dict:
     """The NORMS of the stacked coefficients C = [psi, theta, phi] of shape
     (3, Nx, Nz): one np.square, then each field's |mu|^k rows times its
-    squares, summed by row.  The element order w * c**2 and numpy's pairwise
-    row sums make each value equal `_hk_sq` bit for bit.  `work` is a pair
-    of buffers of shapes (3, K) and (7, K), K = Nx Nz, for callers that
-    must not allocate them per call."""
+    squares, summed by row: each value is (a/4) sum |mu|^k c^2 of one
+    field, in the element order w * c**2 and with numpy's pairwise sum
+    over its K = Nx Nz modes.  `work` is a pair of buffers of shapes
+    (3, K) and (7, K) for callers that must not allocate them per call."""
     sq, prod = work or (None, np.empty((len(NORMS), C[0].size)))
     sq = np.square(C.reshape(3, -1), out=sq)
     w = dom.plan.hk_rows

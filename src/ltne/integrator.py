@@ -18,7 +18,8 @@ import numpy as np
 
 from .params import Params
 from .spectral import Domain, SpectralField
-from .dynamics import State, _explicit, _rhs_arrays, assemble_linear
+from .dynamics import (State, _explicit, _rhs_arrays, _stack,
+                       assemble_linear)
 
 BLOWUP_NORM = 1e12
 
@@ -221,7 +222,7 @@ def run(s0: State, p: Params, cfg: StepperConfig, monitors=None,
             monitors.on_sample(t, c, c_pre, cfg.dt)
         return t, c
 
-    c = np.stack((s0.psi.coeffs, s0.theta.coeffs, s0.phi.coeffs))
+    c = _stack(s0)
     last = sample(s0.t, c, None)
     snaps = [last] if 0 in snap_steps else []
     hist = failure = None

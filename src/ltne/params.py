@@ -12,7 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-GAMMA_CAP_DEFAULT = 1e6
+# Derived numbers above this are refused: they signal degenerate inputs
+# (porosity near 1, vanishing conductivities) rather than a regime the
+# solver should attempt.
+_SANITY_CAP = 1e6
 
 
 @dataclass(frozen=True)
@@ -78,14 +81,9 @@ class Params:
                 raise ValueError(f"parameter {name} must be finite and > 0")
 
 
-def nondimensionalize(ph: PhysicalParams, a: float = 1.0,
-                      gamma_cap: float = GAMMA_CAP_DEFAULT) -> Params:
-    """Map physical constants to the seven dimensionless numbers.
-
-    Derived values above `gamma_cap` are rejected: they signal degenerate
-    inputs (porosity near 1, vanishing conductivities) rather than a regime
-    the solver should attempt.
-    """
+def nondimensionalize(ph: PhysicalParams, a: float = 1.0) -> Params:
+    """Map physical constants to the seven dimensionless numbers; a derived
+    value above `_SANITY_CAP` is refused with a ValueError naming it."""
     Ra = (ph.rho0 * ph.g * ph.beta * (ph.T_l - ph.T_u) * ph.rhoc_f * ph.K
           / (ph.eps * ph.mu_f * ph.kappa_f))
     lam = ph.h / (ph.eps * ph.kappa_f)
@@ -96,10 +94,10 @@ def nondimensionalize(ph: PhysicalParams, a: float = 1.0,
     C = ph.mu_c / ph.mu_f
     for name, val in (("Ra", Ra), ("lambda", lam), ("gamma", gamma),
                       ("alpha", alpha), ("Da", Da), ("Pr", Pr), ("C", C)):
-        if val > gamma_cap:
+        if val > _SANITY_CAP:
             raise ValueError(
                 f"derived number {name} = {val:.3g} exceeds the sanity cap "
-                f"{gamma_cap:.3g}; check the physical inputs")
+                f"{_SANITY_CAP:.3g}; check the physical inputs")
     return Params(Ra=Ra, Pr=Pr, Da=Da, C=C, lam=lam, gamma=gamma,
                   alpha=alpha, a=a)
 

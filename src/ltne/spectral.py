@@ -85,8 +85,8 @@ class Plan:
     factor folded in.  mu: the (Nx, Nz) Laplacian eigenvalues mu_mn.  D: the
     (Nx, Nx) exact sine projection of d/dx acting on the m-index, so
     (D @ c)[m'-1, :] are the coefficients of the projection of du/dx; it
-    couples only modes of opposite parity.  hk: |mu|^k for k = 0..3, shape
-    (4, Nx, Nz); hk_rows: its (4, Nx Nz) reshape.
+    couples only modes of opposite parity.  hk_rows: |mu|^k for k = 0..3
+    on the flattened modes, shape (4, Nx Nz).
 
     The Jacobian multiplies by contiguous copies of the transposes (SxT,
     SzT, CzT) and writes every intermediate into work arrays the Plan
@@ -115,8 +115,7 @@ class Plan:
         with np.errstate(divide="ignore", invalid="ignore"):
             self.D = 4.0 * ms * mp / (a * (mp ** 2 - ms ** 2))
         self.D[(mp + ms) % 2 == 0] = 0.0
-        self.hk = np.stack([(-self.mu) ** k for k in range(4)])
-        self.hk_rows = self.hk.reshape(4, -1)
+        self.hk_rows = np.stack([self.weight(k).ravel() for k in range(4)])
         self.SxT, self.SzT, self.CzT = (np.ascontiguousarray(m.T)
                                         for m in (self.Sx, self.Sz, self.Cz))
         # [psi, theta] times SzT, then CzT; their x and z derivatives on
@@ -127,7 +126,7 @@ class Plan:
 
     def weight(self, k: int) -> np.ndarray:
         """|mu|^k on the (Nx, Nz) mode grid."""
-        return self.hk[k] if 0 <= k < len(self.hk) else (-self.mu) ** k
+        return (-self.mu) ** k
 
 
 @dataclass(frozen=True)
@@ -223,34 +222,36 @@ def _jacobian_coeffs(c: np.ndarray, dom: Domain, out=None) -> np.ndarray:
     return out
 
 
-def _hk_sq(c: np.ndarray, dom: Domain, k: int) -> float:
-    """(a/4) sum |mu|^k c^2: the squared H^k-level seminorm of coefficients c.
-    `dynamics._sq_norms`, which computes the stored squared norms, gives
-    the same values bit for bit."""
-    return float(dom.a / 4.0 * np.sum(dom.plan.weight(k) * c ** 2))
-
-
 def norm_hk(u: SpectralField, k: int) -> float:
     """Spectral H^k seminorm: ((a/4) sum |mu|^k u_mn^2)^(1/2); k = 0, 1, 2, 3
     give the L2, gradient, Laplacian and gradient-Laplacian norms."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return np.sqrt(_hk_sq(u.coeffs, u.dom, k))
+    dom = u.dom
+    return np.sqrt(dom.a / 4.0 * np.sum(dom.plan.weight(k) * u.coeffs ** 2))
+
+
+def _tail_fractions(C: np.ndarray, w: np.ndarray, cutoff: int,
+                    out=None) -> list[float]:
+    """The tail fraction of each field of the stack C, shape (F, Nx, Nz),
+    under the weights w: the share of sum w c^2 in the modes outside the
+    leading cutoff x cutoff block, 0 for a zero field.  The products
+    (w * c) * c go into `out` if given, and the head block is copied to
+    contiguous memory (by the reshape) before it is summed, so a field's
+    fraction does not depend on the stack it is in."""
+    P = np.multiply(w, C, out=out)
+    P *= C
+    total = P.reshape(len(C), -1).sum(axis=1).tolist()
+    head = P[:, :cutoff, :cutoff].reshape(len(C), -1).sum(axis=1).tolist()
+    return [(t - h) / t if t != 0.0 else 0.0 for t, h in zip(total, head)]
 
 
 def tail_fraction(u: SpectralField, k: int, cutoff: int) -> float:
     """Share of the |mu|^k-weighted energy in modes with m > cutoff or
     n > cutoff; 0 for the zero field."""
-    dom = u.dom
-    if not 1 <= cutoff < min(dom.Nx, dom.Nz):
+    if not 1 <= cutoff < min(u.dom.Nx, u.dom.Nz):
         raise ValueError("need 1 <= cutoff < min(Nx, Nz)")
-    w, c = dom.plan.weight(k), u.coeffs
-    total = float(np.sum(w * c * c))
-    if total == 0.0:
-        return 0.0
-    w, c = w[:cutoff, :cutoff], c[:cutoff, :cutoff]
-    head = float(np.sum(w * c * c))
-    return (total - head) / total
+    return _tail_fractions(u.coeffs[None], u.dom.plan.weight(k), cutoff)[0]
 
 
 # -- snapshot files ----------------------------------------------------------

@@ -12,6 +12,7 @@ from ltne import (CertificateConfig, CertificateSuite, Domain, Params,
                   replay_certificates, run, state_norms, summarize_records,
                   tail_fraction)
 from ltne.certificates import TrajectoryRecord, _H1Window, _RunningTrapz
+from ltne.spectral import _tail_fractions
 
 
 def _trapz_with_err(h: np.ndarray, fs: np.ndarray) -> tuple[float, float]:
@@ -366,6 +367,8 @@ def test_trapz_error_estimate_bounds_true_error():
 @pytest.mark.parametrize("nx, nz, a", [(4, 4, 1.0), (12, 8, 1.3),
                                        (16, 16, 1.0), (64, 64, 1.0)])
 def test_one_pass_tail_fractions_equal_tail_fraction(nx, nz, a):
+    # the kernel on a stack, through a buffer as `on_sample` calls it, gives
+    # each field's `tail_fraction`, and `on_sample` stores their maximum
     rng = np.random.default_rng(97)
     dom = Domain(a=a, Nx=nx, Nz=nz)
     taper = np.exp(-0.3 * np.add.outer(np.arange(nx), np.arange(nz)))
@@ -376,10 +379,14 @@ def test_one_pass_tail_fractions_equal_tail_fraction(nx, nz, a):
     for k in (0, 2, 3, 5):
         for cutoff in (None, 1, min(nx, nz) - 1):
             suite = CertificateSuite(_params(a=a), dom, CertificateConfig(
-                tail_k=k, tail_cutoff=cutoff), s)
-            assert suite._tail_fractions(C, np.empty_like(C)) == [
-                tail_fraction(u, k, suite.cutoff)
-                for u in (s.psi, s.theta, s.phi)]
+                tail_k=k, tail_cutoff=cutoff, tail_warmup=0.0), s)
+            want = [tail_fraction(u, k, suite.cutoff)
+                    for u in (s.psi, s.theta, s.phi)]
+            assert want[1] == 0.0
+            assert _tail_fractions(C, dom.plan.weight(k), suite.cutoff,
+                                   np.empty_like(C)) == want
+            assert suite.on_sample(0.0, C, None, 1e-3).tail_frac_k2 \
+                == max(want)
 
 
 def _h1_reference(ts, fs, r):

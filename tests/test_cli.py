@@ -14,8 +14,8 @@ import pytest
 from scipy.linalg import eigvals as dense_eigvals
 
 import ltne
-from ltne import (Domain, SpectralField, assemble_linear, config_hash,
-                  load_config, write_snapshot)
+from ltne import (ConfigError, Domain, SpectralField, assemble_linear,
+                  build_config, config_hash, load_config, write_snapshot)
 from ltne.cli import main
 from ltne.spectral import Plan
 
@@ -719,6 +719,44 @@ def test_sweep_rows_name_plot_and_snapshot_files_after_their_stream(
         with open(tmp_path / "rows" / f"Ra={tag}.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert [float(r["E_Y"]) for r in rows] == [r["E_Y"] for r in recs]
+
+
+def test_sweep_row_headers_name_the_files_the_row_writes(tmp_path, capsys):
+    # a row's header names its own plot CSV and no base snapshot prefix; a
+    # base output block that names neither is stored as the base gives it,
+    # and a malformed one fails the row with the message `run` would give
+    named = _base_doc(t_end=0.2, output={"plot_csv": "plot.csv",
+                                         "snapshot_prefix": "snap"})
+    plain = _base_doc(t_end=0.2, output={"snapshot_at": [0.1]})
+    bad = [_base_doc(t_end=0.2, output=out)
+           for out in (5, {"plot_csv": 5}, {"snapshot_prefix": ["snap"]})]
+    for name, base, values in (("named", named, [10.0, 20.0]),
+                               ("plain", plain, [10.0]),
+                               *((f"bad{i}", b, [10.0])
+                                 for i, b in enumerate(bad))):
+        spec = _write(tmp_path / f"{name}.json", {
+            "parameter": "Ra", "values": values, "base": base,
+            "output_dir": name})
+        assert main(["sweep", str(spec)]) == 0
+    capsys.readouterr()
+
+    def header(path):
+        return json.loads(path.read_text().splitlines()[0])["meta"]
+
+    rows = tmp_path.resolve() / "named"
+    for tag in ("10", "20"):
+        out = header(rows / f"Ra={tag}.jsonl")["output"]
+        assert out["plot_csv"] == str(rows / f"Ra={tag}.csv")
+        assert out["snapshot_prefix"] is None
+        assert main(["certify", str(rows / f"Ra={tag}.jsonl")]) == 0
+    assert header(tmp_path / "plain" / "Ra=10.jsonl")["output"] == \
+        build_config(plain).resolved["output"]
+    for i, base in enumerate(bad):
+        with pytest.raises(ConfigError) as refused:
+            build_config(base)
+        with open(tmp_path / f"bad{i}.csv") as fh:
+            row, = csv.DictReader(fh)
+        assert row["status"] == f"error: {refused.value}"
 
 
 def test_sweep_records_child_failure_and_continues(tmp_path, capsys):

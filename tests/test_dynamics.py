@@ -3,9 +3,9 @@ import pytest
 from scipy.linalg import eigvals as dense_eigvals
 
 from ltne import (Domain, Params, SpectralField, State, assemble_linear,
-                  energy_identity_rhs, jacobian, rhs, spectral_abscissa)
+                  energy_identity_rhs, jacobian, norm_hk, rhs,
+                  spectral_abscissa)
 from ltne.dynamics import NORMS, _sq_norms
-from ltne.spectral import _hk_sq
 
 
 def _params(**kw):
@@ -238,7 +238,8 @@ def test_mode_coupling_structure_preserves_parity():
                                        (16, 16, 1.0), (64, 64, 1.0)])
 def test_norm_kernel_equals_hk_sq_bit_for_bit(nx, nz, a):
     # one square and one weighted row sum per field, with or without the
-    # caller's buffers, give exactly the per-norm sums
+    # caller's buffers, give exactly the per-norm sums (a/4) sum |mu|^k c^2,
+    # and `norm_hk` is the square root of the same sum
     rng = np.random.default_rng(89)
     dom = Domain(a=a, Nx=nx, Nz=nz)
     taper = np.exp(-0.2 * np.add.outer(np.arange(nx), np.arange(nz)))
@@ -249,6 +250,9 @@ def test_norm_kernel_equals_hk_sq_bit_for_bit(nx, nz, a):
     work = (np.empty((3, nx * nz)), np.empty((len(NORMS), nx * nz)))
     for _ in range(5):
         C = rng.standard_normal((3, nx, nz)) * taper
+        want = {name: float(a / 4.0 * np.sum(dom.plan.weight(k) * C[f] ** 2))
+                for name, (f, k) in ks.items()}
         for got in (_sq_norms(C, dom), _sq_norms(C, dom, work)):
-            assert got == {name: _hk_sq(C[f], dom, k)
-                           for name, (f, k) in ks.items()}
+            assert got == want
+        for name, (f, k) in ks.items():
+            assert norm_hk(SpectralField(C[f], dom), k) == np.sqrt(want[name])
