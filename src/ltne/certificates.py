@@ -518,12 +518,7 @@ class CertificateSuite(_Certifier):
             if self.cutoff >= n:
                 raise ValueError(f"certificates.tail_cutoff {self.cutoff} out "
                                  f"of range: need < min(Nx, Nz) = {n}")
-            with np.errstate(over="ignore"):
-                self._tail_w = dom.plan.weight(cfg.tail_k)
-            if not np.isfinite(self._tail_w[-1, -1]):
-                raise ValueError(
-                    f"certificates.tail_k {cfg.tail_k} out of range: |mu|^k "
-                    f"overflows at mode ({dom.Nx}, {dom.Nz})")
+            self._tail_w = dom.plan.weight(cfg.tail_k, "certificates.tail_k")
         # Stage (a) works in buffers it owns: fresh (7, K) temporaries per
         # sample cost more than the arithmetic from N=64 on.  `_scratch`
         # holds the midpoint state, then the tail products.

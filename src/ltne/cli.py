@@ -16,6 +16,8 @@ import contextlib
 import csv
 import json
 import math
+import os
+import pickle
 import sys
 from dataclasses import replace
 from operator import itemgetter
@@ -398,6 +400,56 @@ def _sweep_child(param, value, doc, jsonl_path: Path, base_dir: Path) -> dict:
     return row
 
 
+def _fan_out(fn, tasks: list, lost):
+    """Yield `fn(*task)` for each task, in order, running the tasks on every
+    CPU this process may use.  With n the smaller of len(tasks) and that
+    count, task i runs in this process when i % n == 0; otherwise forked
+    child i % n runs it, as one of its share tasks[i % n::n], and pickles
+    the result down a pipe of its own.  A child closes every pipe end it
+    inherits but its own write end and leaves by `os._exit` whatever
+    happens, so it never unwinds into its caller's stack (no atexit
+    handlers, no flush of the buffers it inherited); should this process
+    die, the child's next write fails and ends it.  Each task of a child
+    that ended before sending its result yields `lost(*task, reason)`
+    instead.  Without `os.sched_getaffinity`, every task runs here.  Every
+    child is reaped before the generator ends, killed first if the
+    generator ends early (this process raised, or stopped iterating)."""
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    n = min(len(tasks), len(cpus) or 1)
+    kids, ended = [], set()     # (pid, read end) of child k at k - 1
+    try:
+        for k in range(1, n):
+            r, w = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    for fd in [r] + [fh.fileno() for _, fh in kids]:
+                        os.close(fd)
+                    out = open(w, "wb")
+                    for task in tasks[k::n]:
+                        pickle.dump(fn(*task), out)
+                        out.flush()
+                finally:
+                    os._exit(0)
+            os.close(w)
+            kids.append((pid, open(r, "rb")))
+        for i, task in enumerate(tasks):
+            if i % n == 0:
+                yield fn(*task)
+                continue
+            pid, fh = kids[i % n - 1]
+            if pid not in ended:
+                try:
+                    result = pickle.load(fh)
+                except (EOFError, pickle.UnpicklingError):   # it died
+                    ended.add(pid)
+            yield result if pid not in ended else lost(*task, "worker died")
+    finally:    # a child still running is mid-task: this process ended early
+        for pid, fh in kids:
+            fh.close()
+            os.kill(pid, 9)     # SIGKILL; `signal` costs ~1 ms to import
+            os.waitpid(pid, 0)
+
+
 def cmd_sweep(args) -> int:
     spec_path = Path(args.spec)
     base_dir = spec_path.resolve().parent
@@ -421,19 +473,23 @@ def cmd_sweep(args) -> int:
             tag = str(v)
         path = out_dir / f"{param}={tag}.jsonl"
         if path in streams:
-            raise ConfigError(f"sweep values {streams[path]!r} and {v!r} "
+            raise ConfigError(f"sweep values {streams[path][1]!r} and {v!r} "
                               f"would both write {path}")
-        streams[path] = v
+        streams[path] = (param, v, {**json.loads(json.dumps(base)), param: v},
+                         path, base_dir)    # the arguments of its row
     out_dir.mkdir(parents=True, exist_ok=True)
+
+    def lost(param, v, doc, path, base_dir, reason) -> dict:
+        return dict.fromkeys(_SWEEP_COLS, "") | {
+            "parameter": param, "value": v, "status": f"error: {reason}"}
 
     rows = []
     with open(csv_path, "w", newline="") as fh:    # before any row runs
         w = csv.DictWriter(fh, fieldnames=_SWEEP_COLS)
         w.writeheader()
-        for path, v in streams.items():
-            doc = {**json.loads(json.dumps(base)), param: v}
-            rows.append(_sweep_child(param, v, doc, path, base_dir))
-            w.writerow(rows[-1])
+        for row in _fan_out(_sweep_child, list(streams.values()), lost):
+            rows.append(row)
+            w.writerow(row)
     bad = [r for r in rows if str(r["status"]) != "ok"]
     print(f"sweep {param} over {len(rows)} values -> {csv_path}")
     for r in bad:

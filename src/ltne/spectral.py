@@ -124,9 +124,15 @@ class Plan:
         self._grid = np.empty((2, 2, Mx, Mz))
         self._half = np.empty((Nx, Mz))
 
-    def weight(self, k: int) -> np.ndarray:
-        """|mu|^k on the (Nx, Nz) mode grid."""
-        return (-self.mu) ** k
+    def weight(self, k: int, name: str = "k") -> np.ndarray:
+        """|mu|^k on the (Nx, Nz) mode grid.  A k for which it overflows at
+        the largest mode is refused with a ValueError naming it `name`."""
+        with np.errstate(over="ignore"):
+            w = (-self.mu) ** k
+        if not np.isfinite(w[-1, -1]):
+            raise ValueError(f"{name} {k} out of range: |mu|^k overflows at "
+                             f"mode {w.shape}")
+        return w
 
 
 @dataclass(frozen=True)

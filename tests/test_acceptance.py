@@ -4,6 +4,7 @@ tolerance it is held to (run with -s to see the lines for passing tests).
 """
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from ltne import (CertificateConfig, Domain, Params, SpectralField, State,
                   jacobian, measured_decay_rate, norm_hk, run, read_snapshot,
                   spectral_abscissa, state_norms, summarize_records,
                   write_snapshot)
-from ltne.cli import main
+from ltne.cli import _fan_out, main
 
 
 def _report(label, ok, detail):
@@ -47,23 +48,28 @@ def test_01_advection_pairing_vanishes():
 def decay_grid(recording_suite):
     # 3x3x3 parameter grid x 3 seeded smooth random states, integrated to
     # t=5 with the full certificate suite attached; shared by the decay and
-    # absorbing-set tests below
+    # absorbing-set tests below.  The 81 runs go through the sweep's runner,
+    # so they run on every CPU this process may use.
     dom = Domain(a=1.0, Nx=32, Nz=32)
     cfg = StepperConfig(dt=1e-3, t_end=5.0, scheme="imex_cnab2",
                         sample_every=50)
-    out = []
-    for Ra in (10.0, 100.0, 1000.0):
-        for alpha in (0.5, 1.0, 2.0):
-            for lam in (0.5, 1.0, 2.0):
-                p = _params(Ra=Ra, alpha=alpha, lam=lam)
-                for seed in (1, 2, 3):
-                    s0 = build_initial_state(
-                        {"kind": "random", "seed": seed, "energy": 1.0,
-                         "decay": 1.0}, dom, p)
-                    suite = recording_suite(p, dom, CertificateConfig(), s0)
-                    traj = run(s0, p, cfg, monitors=suite)
-                    out.append((p, suite, traj.failure))
-    return out
+
+    def one(p, seed):
+        s0 = build_initial_state({"kind": "random", "seed": seed,
+                                  "energy": 1.0, "decay": 1.0}, dom, p)
+        suite = recording_suite(p, dom, CertificateConfig(), s0)
+        traj = run(s0, p, cfg, monitors=suite)
+        # what the tests read; a whole suite would carry the Domain's Plan
+        return p, SimpleNamespace(k=suite.k, records=suite.records,
+                                  summary=suite.summary), traj.failure
+
+    def lost(p, seed, reason):
+        raise RuntimeError(f"grid run {p} seed {seed}: {reason}")
+
+    return list(_fan_out(one, [
+        (_params(Ra=Ra, alpha=alpha, lam=lam), seed)
+        for Ra in (10.0, 100.0, 1000.0) for alpha in (0.5, 1.0, 2.0)
+        for lam in (0.5, 1.0, 2.0) for seed in (1, 2, 3)], lost))
 
 
 def test_02_decay_envelope_parameter_grid(decay_grid):

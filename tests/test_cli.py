@@ -16,7 +16,7 @@ from scipy.linalg import eigvals as dense_eigvals
 import ltne
 from ltne import (ConfigError, Domain, SpectralField, assemble_linear,
                   build_config, config_hash, load_config, write_snapshot)
-from ltne.cli import main
+from ltne.cli import _sweep_child, main
 from ltne.spectral import Plan
 
 
@@ -773,6 +773,159 @@ def test_sweep_records_child_failure_and_continues(tmp_path, capsys):
     assert rows[1]["E_Y_final"] == ""
     # an integer no float can hold is a malformed value like any other
     assert rows[2]["status"].startswith("error: field 'alpha'")
+
+
+def _cpus(monkeypatch, n):
+    """Make the sweep see n CPUs, so it forks even on a 1-CPU host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_sweep_on_three_cpus_writes_what_one_cpu_writes(
+        tmp_path, capsys, monkeypatch):
+    # an ok row, an error row and a blowup row (RK4 beyond its stability
+    # limit at Da 0.1); at 3 CPUs two rows run here and the rest in two
+    # forked workers, one of them running two rows
+    spec = _write(tmp_path / "par.json", {
+        "parameter": "Da", "values": [1.0, -2.0, 0.1, 2.0, 0.5],
+        "base": _base_doc(Nx=2, Nz=2, t_end=0.5, scheme="rk4_explicit",
+                          output={"plot_csv": "p.csv", "snapshot_at": [0.2]}),
+        "output_dir": "rows"})
+    outputs = []
+    for n in (1, 3):
+        _cpus(monkeypatch, n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["sweep", str(spec)]) == 0
+        files = {p.name: p.read_bytes() for p in (tmp_path / "rows").iterdir()}
+        files["csv"] = (tmp_path / "par.csv").read_bytes()
+        outputs.append((capsys.readouterr(), files))
+        for p in (tmp_path / "rows").iterdir():
+            p.unlink()
+        _no_child_left()
+    (serial, one), (forked, three) = outputs
+    assert forked == serial and three == one
+    statuses = [r["status"] for r in csv.DictReader(
+        one["csv"].decode().splitlines())]
+    assert statuses[0] == "ok" and statuses[1].startswith("error: ")
+    assert statuses[2].startswith("blowup t=")
+    assert "Da=2.jsonl" in one and "Da=0.1_t0.2.snap" not in one
+
+
+def test_sweep_rows_of_a_dead_worker_read_error(tmp_path, capsys,
+                                                monkeypatch):
+    # a worker that dies (by os._exit here; a signal or a kill for memory
+    # looks the same to this process) leaves an error row for each row it
+    # had not sent, and the sweep goes on; no worker outlives `main`
+    def dies_at_20(param, value, *args):
+        if value == 20.0:
+            os._exit(5)
+        return _sweep_child(param, value, *args)
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr("ltne.cli._sweep_child", dies_at_20)
+    spec = _write(tmp_path / "die.json", {
+        "parameter": "Ra", "values": [10.0, 20.0, 30.0, 40.0],
+        "base": _base_doc(t_end=0.2)})
+    assert main(["sweep", str(spec)]) == 0
+    _no_child_left()
+    out = capsys.readouterr().out
+    assert "Ra=20.0: error: worker died" in out
+    with open(tmp_path / "die.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    # rows 1 and 3 were the worker's; 0 and 2 ran here
+    assert [r["status"] for r in rows] == [
+        "ok", "error: worker died", "ok", "error: worker died"]
+    assert rows[3]["parameter"] == "Ra" and rows[3]["value"] == "40.0"
+    assert rows[3]["config_hash"] == ""
+
+
+@pytest.mark.parametrize("where", ["row", "csv"])
+def test_sweep_that_raises_kills_its_workers(tmp_path, capsys, monkeypatch,
+                                             where):
+    # the row run here, or the CSV write of its result, raises: the sweep
+    # ends with exit 3, and the worker, still mid-row, is killed and
+    # reaped before `main` returns
+    def sleeps_but_at_10(param, value, *args):
+        if value != 10.0:
+            time.sleep(600)
+        elif where == "row":
+            raise OSError("disk full")
+        return _sweep_child(param, value, *args)
+
+    def writerow(self, r, header=csv.DictWriter.writerow):
+        if r["parameter"] != "parameter":     # the header goes through
+            raise OSError("disk full")
+        return header(self, r)
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr("ltne.cli._sweep_child", sleeps_but_at_10)
+    if where == "csv":
+        monkeypatch.setattr(csv.DictWriter, "writerow", writerow)
+    spec = _write(tmp_path / "raise.json", {
+        "parameter": "Ra", "values": [10.0, 20.0],
+        "base": _base_doc(t_end=0.2)})
+    t0 = time.monotonic()
+    assert main(["sweep", str(spec)]) == 3
+    assert time.monotonic() - t0 < 300.0     # not the worker's 600 s
+    assert "error: disk full" in capsys.readouterr().err
+    _no_child_left()
+
+
+def _running(pid) -> bool:
+    """Whether process `pid` exists and is not a zombie, from /proc."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="reads process states from /proc")
+def test_sigkilled_sweep_leaves_no_worker(tmp_path):
+    # the worker runs rows 1 and 3; the sweep is killed while the worker is
+    # in row 1, so the worker's send of that row fails and it exits before
+    # row 3 starts
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(ltne.__file__).parents[1]))
+    spec = _write(tmp_path / "kill.json", {
+        "parameter": "Ra", "values": [10.0, 20.0, 30.0, 40.0],
+        "base": _base_doc(dt=1e-3, t_end=10.0), "output_dir": "rows"})
+    script = (
+        "import os, sys\n"
+        "from pathlib import Path\n"
+        "import ltne.cli as cli\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "row = cli._sweep_child\n"
+        "def announced(param, value, doc, path, base_dir):\n"
+        "    Path(f'{path}.pid').write_text(str(os.getpid()))\n"
+        "    return row(param, value, doc, path, base_dir)\n"
+        "cli._sweep_child = announced\n"
+        "raise SystemExit(cli.main(['sweep', sys.argv[1]]))\n")
+    proc = subprocess.Popen([sys.executable, "-c", script, str(spec)],
+                            env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    pid_file = tmp_path / "rows" / "Ra=20.jsonl.pid"
+    try:
+        deadline = time.monotonic() + 120.0
+        while not pid_file.exists() or not pid_file.read_text():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.005)
+    finally:
+        proc.send_signal(signal.SIGKILL)
+        proc.wait()
+    worker = int(pid_file.read_text())
+    assert worker != proc.pid
+    deadline = time.monotonic() + 120.0
+    while _running(worker):
+        assert time.monotonic() < deadline, "worker outlived its sweep"
+        time.sleep(0.01)
+    assert not (tmp_path / "rows" / "Ra=40.jsonl").exists()
 
 
 def test_sweep_refuses_values_that_share_a_stream_file(tmp_path, capsys):

@@ -300,6 +300,25 @@ def test_tail_fraction_direct_summation():
         tail_fraction(u, 2, 8)
 
 
+def test_weight_that_overflows_is_refused():
+    # |mu|^84 overflows at mode (16, 16) of N=16 (|mu| = 2 (16 pi)^2), which
+    # made the tail fraction NaN and the H^k norm inf; each refuses such a
+    # k as the certificate suite does, and 83 is still finite
+    rng = np.random.default_rng(5)
+    dom = Domain(a=1.0, Nx=16, Nz=16)
+    u = _rand_field(dom, rng)
+    for call in (lambda: tail_fraction(u, 84, 4),
+                 lambda: tail_fraction(u, 200, 4), lambda: norm_hk(u, 200)):
+        with pytest.raises(ValueError, match=r"^k \d+ out of range: "
+                           r"\|mu\|\^k overflows at mode \(16, 16\)$"):
+            call()
+    assert np.isfinite(dom.plan.weight(83)).all()
+    smooth = SpectralField(u.coeffs * np.exp(-np.add.outer(
+        np.arange(16), np.arange(16)) * 10.0), dom)
+    assert 0.0 <= tail_fraction(smooth, 83, 4) <= 1.0
+    assert np.isfinite(norm_hk(smooth, 83))
+
+
 def test_snapshot_round_trip_exact(tmp_path):
     rng = np.random.default_rng(23)
     dom = Domain(a=1.25, Nx=5, Nz=7)
