@@ -223,29 +223,27 @@ def cmd_run(args) -> int:
 class _Records:
     """A JSONL stream `run` wrote, as `certify` reads it: lines cut at
     "\\n" only, where `_Stream` ends them, each one JSON value.
-    Construction makes one pass over the file, counting in `n` the lines
-    after the header; a file that is not UTF-8 raises its
-    UnicodeDecodeError there.  It then checks the header, raising a
-    ConfigError for an empty file, a file without a final newline, a first
-    line that is not a meta line, a config hash that does not match the
-    stored config document, and a stored config that does not rebuild; it
-    keeps that config's `hash` and its RunConfig `rc`.  `len()` is `n`,
-    known before any line after the header is parsed.  Iterating parses,
-    types and checks those lines one at a time and yields each record as
-    its dict of TrajectoryRecord fields.  A blowup marker, allowed only as
-    the last line, is kept in `blowup`.  A refused line raises a
-    ConfigError naming it, as does, when the lines run out, a stream
-    without records or one whose last record falls short of t_end without
-    a blowup."""
+    Construction reads the header alone and checks it, raising a
+    ConfigError for an empty file, a first line that is cut short or is
+    not a meta line, a config hash that does not match the stored config
+    document, and a stored config that does not rebuild; it keeps that
+    config's `hash` and its RunConfig `rc`.  Iterating reads each later
+    line once, in file order, and parses, types and checks it before it
+    yields the record as its dict of TrajectoryRecord fields, so of two
+    bad lines the earlier one is refused.  A blowup marker is kept in
+    `blowup`, and a line after it is refused naming the marker's line.  A
+    refused line raises a ConfigError naming it, as do a cut line (one
+    without its final newline, refused when the reader reaches it) and,
+    when the lines run out, a stream without records or one whose last
+    record falls short of t_end without a blowup.  Bytes that are not
+    UTF-8 raise their UnicodeDecodeError where the reader decodes them,
+    which may be at construction."""
 
     def __init__(self, path: Path):
-        n = 0
         with open(path, newline="\n") as fh:
-            head = raw = fh.readline()
-            for raw in fh:
-                n += 1
+            head = fh.readline()
         _require(head, f"{path}: empty file")
-        _require(raw.endswith("\n"), f"{path}: truncated (no final newline)")
+        _require(head.endswith("\n"), f"{path}: truncated (no final newline)")
         try:    # each line parsed without its "\n"
             line = _read_block(json.loads(head[:-1]), _HEADER, "header")
         except ValueError as e:     # also JSONDecodeError, huge integers
@@ -258,24 +256,30 @@ class _Records:
             self.rc = build_config(dict(resolved, ic={"kind": "zero"}))
         except ValueError as e:
             raise ConfigError(f"{path}: stored config does not rebuild: {e}")
-        self.path, self.n, self.blowup = path, n, None
+        self.path, self.blowup = path, None
 
     def __len__(self):
-        return self.n
+        # the lines after the header, in a pass of their own: only the
+        # benchmark tracer counts them, until ROADMAP item 1 takes its
+        # count on the span's exit
+        with open(self.path, newline="\n") as fh:
+            return sum(1 for _ in fh) - 1
 
     def __iter__(self):
-        path, first = self.path, None
+        path, first, self.blowup = self.path, None, None
         with open(path, newline="\n") as fh:
             next(fh)    # the header
             for i, ln in enumerate(fh, start=2):
+                if self.blowup is not None:
+                    raise ConfigError(f"{path}:{i - 1}: blowup marker before "
+                                      "end of file")
+                if not ln.endswith("\n"):
+                    raise ConfigError(f"{path}: truncated (no final newline)")
                 try:
                     d = json.loads(ln[:-1])
                 except ValueError as e:     # JSONDecodeError or huge integer
                     raise ConfigError(f"{path}:{i}: malformed JSON ({e})")
                 is_marker = isinstance(d, dict) and "blowup" in d
-                if is_marker and i != self.n + 1:
-                    raise ConfigError(f"{path}:{i}: blowup marker before end "
-                                      "of file")
                 try:
                     if is_marker:
                         line = _read_block(d, _MARKER, "marker")
@@ -303,8 +307,7 @@ class _Records:
                                       f"does not follow t={last!r}")
                 last = line["t"]
                 yield line
-        if first is None:
-            raise ConfigError(f"{path}: no trajectory records")
+        _require(first is not None, f"{path}: no trajectory records")
         dt, t_end = self.rc.stepper.dt, self.rc.stepper.t_end
         if self.blowup is None and last < first + t_end - 0.5 * dt:
             raise ConfigError(f"{path}: truncated: last sample t={last:g} "
@@ -344,8 +347,8 @@ def cmd_certify(args) -> int:
             compare if args.mso is None else None)
     except ConfigError:
         raise
-    except ValueError as e:     # constants out of range for the stored config
-        raise ConfigError(f"{path}: {e}")
+    except ValueError as e:     # constants out of range for the stored
+        raise ConfigError(f"{path}: {e}")   # config, or a line not UTF-8
     for m in mismatches:
         print(f"  {m}", file=sys.stderr)
     _require(not count, f"{path}: {count} stored flags do not reproduce "

@@ -305,27 +305,23 @@ def read_snapshot(path):
         raise ValueError(
             f"{path}: not a v1 snapshot (header {lines[0]!r})") from None
     dom = Domain(a=a, Nx=Nx, Nz=Nz)
-    fields = {}
-    pos = 1
-    for name in _FIELD_ORDER:
-        if pos >= len(lines) or lines[pos] != f"FIELD {name}":
-            raise ValueError(f"{path}:{pos + 1}: expected 'FIELD {name}'")
-        pos += 1
-        c = np.zeros((Nx, Nz))
-        for i in range(Nx):
-            for j in range(Nz):
-                if pos >= len(lines):
-                    raise ValueError(f"{path}: truncated in field {name}")
-                parts = lines[pos].split()
-                try:
-                    if len(parts) != 3 or int(parts[0]) != i + 1 \
-                            or int(parts[1]) != j + 1:
-                        raise ValueError
-                    c[i, j] = float(parts[2])
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{pos + 1}: expected coefficient "
-                        f"({i + 1}, {j + 1})") from None
-                pos += 1
-        fields[name] = SpectralField(c, dom)
-    return fields["psi"], fields["theta"], fields["phi"], t
+    C = np.zeros((3, Nx, Nz))   # psi, theta, phi
+    for f, i, j in np.ndindex(C.shape):
+        # lines[pos] holds C[f, i, j]: each field is its FIELD line and then
+        # its Nx*Nz coefficients
+        name, pos = _FIELD_ORDER[f], 2 + f * (Nx * Nz + 1) + i * Nz + j
+        if i == j == 0 and lines[pos - 1:pos] != [f"FIELD {name}"]:
+            raise ValueError(f"{path}:{pos}: expected 'FIELD {name}'")
+        if pos >= len(lines):
+            raise ValueError(f"{path}: truncated in field {name}")
+        parts = lines[pos].split()
+        try:
+            if len(parts) != 3 or int(parts[0]) != i + 1 \
+                    or int(parts[1]) != j + 1:
+                raise ValueError
+            C[f, i, j] = float(parts[2])
+        except ValueError:
+            raise ValueError(f"{path}:{pos + 1}: expected coefficient "
+                             f"({i + 1}, {j + 1})") from None
+    psi, theta, phi = (SpectralField(c, dom) for c in C)
+    return psi, theta, phi, t

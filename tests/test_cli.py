@@ -14,6 +14,7 @@ import pytest
 from scipy.linalg import eigvals as dense_eigvals
 
 import ltne
+import ltne.cli as cli
 from ltne import (ConfigError, Domain, SpectralField, assemble_linear,
                   build_config, config_hash, load_config, write_snapshot)
 from ltne.cli import _sweep_child, main
@@ -280,6 +281,89 @@ def test_certify_cuts_lines_only_at_newline(tmp_path, capsys):
         assert out == "" and f"{jsonl}:3: malformed JSON" in err, err
 
 
+def test_certify_refuses_a_line_after_the_blowup_marker(tmp_path, capsys):
+    code, jsonl = _run_case(tmp_path, capsys)
+    assert code == 0
+    lines = jsonl.read_text().splitlines()
+    marker = json.dumps({"blowup": {"t": 0.5, "field": "theta",
+                                    "error": "overflow"},
+                         "config_hash": json.loads(lines[0])["config_hash"]})
+    # the marker is line len(lines), the last record follows it
+    jsonl.write_text("\n".join(lines[:-1] + [marker, lines[-1]]) + "\n")
+    assert main(["certify", str(jsonl)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"error: {jsonl}:{len(lines)}: blowup "
+                                 "marker before end of file\n"), err
+
+
+_BLOWUP_DOC = dict(Ra=100.0, dt=0.5, t_end=5.0, scheme="rk4_explicit",
+                   ic={"kind": "random", "seed": 3, "energy": 10.0})
+
+
+def test_certify_reads_each_record_line_once(tmp_path, capsys, monkeypatch):
+    code, jsonl = _run_case(tmp_path, capsys)
+    assert code == 0
+    n = len(jsonl.read_text().splitlines()) - 1     # the records
+    read = []
+
+    class Counted:      # an open file that keeps the lines it yields
+        def __init__(self, *args, **kwargs):
+            self.fh = open(*args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            read.append(next(self.fh))
+            return read[-1]
+
+        def readline(self):
+            read.append(self.fh.readline())
+            return read[-1]
+
+    monkeypatch.setattr(cli, "open", Counted, raising=False)
+    assert main(["certify", str(jsonl)]) == 0
+    capsys.readouterr()
+    assert len(read) <= n + 2, (len(read), n)   # the header twice
+    monkeypatch.undo()
+    # the benchmark tracer's count: every line after the header, a blowup
+    # marker included
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, jsonl = _run_case(tmp_path, capsys, **_BLOWUP_DOC)
+    assert code == 2
+    lines = jsonl.read_text().splitlines()
+    assert "blowup" in json.loads(lines[-1])
+    assert len(cli._Records(jsonl)) == len(lines) - 1
+
+
+def test_certify_refuses_in_file_order(tmp_path, capsys):
+    code, jsonl = _run_case(tmp_path, capsys)
+    assert code == 0
+    text = jsonl.read_text()
+    lines = text.splitlines()
+    # a malformed line 3 comes before a last line cut short
+    jsonl.write_text("\n".join(lines[:2] + ["{bad"] + lines[3:])[:-5])
+    assert main(["certify", str(jsonl)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and f"{jsonl}:3: malformed JSON" in err, err
+    # a byte that is not UTF-8 in the first record or in the last
+    for k in (1, len(lines) - 1):
+        raw = [ln.encode() for ln in lines]
+        raw[k] = raw[k][:10] + b"\xff" + raw[k][11:]
+        jsonl.write_bytes(b"\n".join(raw) + b"\n")
+        assert main(["certify", str(jsonl)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and re.fullmatch(
+            f"error: {re.escape(str(jsonl))}: 'utf-8' codec can't decode "
+            r"byte 0xff in position \d+: invalid start byte\n", err), err
+
+
 def test_sigkilled_run_leaves_a_prefix_certify_calls_truncated(tmp_path):
     # a killed run leaves the header and the batches flushed so far, the
     # last line possibly cut; certify refuses that prefix as truncated
@@ -355,9 +439,7 @@ def test_run_tail_violation_fails(tmp_path, capsys):
 
 def test_run_blowup_exit_and_partial_stream(tmp_path, capsys):
     cfg = _write(tmp_path / "blow.json", _base_doc(
-        Ra=100.0, dt=0.5, t_end=5.0, scheme="rk4_explicit",
-        ic={"kind": "random", "seed": 3, "energy": 10.0},
-        output={"jsonl": "blow.jsonl"}))
+        output={"jsonl": "blow.jsonl"}, **_BLOWUP_DOC))
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["run", str(cfg)]) == 2
     out = capsys.readouterr().out

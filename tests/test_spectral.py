@@ -356,8 +356,16 @@ def test_snapshot_malformed_lines_name_line_numbers(tmp_path):
             read_snapshot(hdr)
     trunc = tmp_path / "trunc.snap"
     trunc.write_text("\n".join(lines[:-2]) + "\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="truncated in field phi"):
         read_snapshot(trunc)
+    # line 7 opens theta: header, FIELD psi and psi's four coefficients
+    assert lines[6] == "FIELD theta"
+    bad.write_text("\n".join(lines[:6] + lines[7:]) + "\n")
+    with pytest.raises(ValueError, match=r":7: expected 'FIELD theta'"):
+        read_snapshot(bad)
+    bad.write_text("\n".join(lines[:8] + ["1 2 nan"] + lines[9:]) + "\n")
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        read_snapshot(bad)
 
 
 def test_spectral_field_validation():
