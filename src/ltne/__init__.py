@@ -6,11 +6,9 @@ a priori energy estimates along every computed trajectory.
 from .params import (Params, PhysicalParams, nondimensionalize,
                      poincare_constant)
 from .spectral import (Domain, GridField, SpectralField, jacobian,
-                       laplacian_eigenvalue, norm_hk, read_snapshot,
-                       tail_fraction, to_grid, to_spectral, write_snapshot)
-from .dynamics import (LinearOperator, State, assemble_linear,
-                       energy_identity_rhs, rhs, spectral_abscissa,
-                       state_norms)
+                       read_snapshot, to_grid, to_spectral, write_snapshot)
+from .dynamics import (LinearOperator, State, assemble_linear, rhs,
+                       spectral_abscissa, state_norms)
 from .integrator import StepperConfig, Trajectory, run
 from .certificates import (CertificateConfig, CertificateConstants,
                            CertificateSuite, TrajectoryRecord,
@@ -33,10 +31,9 @@ __all__ = [
     "build_initial_state", "check_continuous_dependence", "check_decay",
     "check_dissipation_integral", "check_energy_balance",
     "check_h1_absorbing", "check_psi_absorbing", "compute_constants",
-    "config_hash", "energy_half", "energy_identity_rhs", "energy_y",
-    "jacobian", "laplacian_eigenvalue", "load_config", "measured_decay_rate",
-    "nondimensionalize", "norm_hk", "poincare_constant", "read_snapshot",
-    "replay_certificates", "rhs", "run", "spectral_abscissa", "state_norms",
-    "summarize_records", "tail_fraction", "to_grid", "to_spectral",
-    "write_snapshot",
+    "config_hash", "energy_half", "energy_y", "jacobian", "load_config",
+    "measured_decay_rate", "nondimensionalize", "poincare_constant",
+    "read_snapshot", "replay_certificates", "rhs", "run",
+    "spectral_abscissa", "state_norms", "summarize_records", "to_grid",
+    "to_spectral", "write_snapshot",
 ]

@@ -2,11 +2,11 @@
 sweeps, and linear-operator spectra.
 
 Exit codes: 0 success, 1 certificate violation, 2 blowup, 3 bad input.
-Every command raises its refusals: a ValueError (ConfigError and
-UnicodeDecodeError among them) for input it will not take, an OSError for
-a file it cannot read or write.  So does the argument parser, for a
-missing or malformed argument.  `main` alone turns them into one
-`error: <message>` line on stderr and exit 3.
+Every command raises its refusals: a ValueError (ConfigError among them)
+for input it will not take, an OSError for a file it cannot read or
+write.  So does the argument parser, for a missing or malformed argument.
+`main` alone turns them into one `error: <message>` line on stderr and
+exit 3.
 """
 
 from __future__ import annotations
@@ -222,7 +222,8 @@ def cmd_run(args) -> int:
 
 class _Records:
     """A JSONL stream `run` wrote, as `certify` reads it: lines cut at
-    "\\n" only, where `_Stream` ends them, each one JSON value.
+    "\\n" only, where `_Stream` ends them, each one JSON value in strict
+    UTF-8.
     Construction reads the header alone and checks it, raising a
     ConfigError for an empty file, a first line that is cut short or is
     not a meta line, a config hash that does not match the stored config
@@ -235,18 +236,19 @@ class _Records:
     refused line raises a ConfigError naming it, as do a cut line (one
     without its final newline, refused when the reader reaches it) and,
     when the lines run out, a stream without records or one whose last
-    record falls short of t_end without a blowup.  Bytes that are not
-    UTF-8 raise their UnicodeDecodeError where the reader decodes them,
-    which may be at construction."""
+    record falls short of t_end without a blowup.  A line that is not
+    UTF-8 is refused like one that is not JSON, with the position of the
+    first bad byte counted within that line."""
 
     def __init__(self, path: Path):
-        with open(path, newline="\n") as fh:
+        with open(path, "rb") as fh:
             head = fh.readline()
         _require(head, f"{path}: empty file")
-        _require(head.endswith("\n"), f"{path}: truncated (no final newline)")
+        _require(head.endswith(b"\n"), f"{path}: truncated (no final newline)")
         try:    # each line parsed without its "\n"
-            line = _read_block(json.loads(head[:-1]), _HEADER, "header")
-        except ValueError as e:     # also JSONDecodeError, huge integers
+            line = _read_block(json.loads(head[:-1].decode()), _HEADER,
+                               "header")
+        except ValueError as e:     # not UTF-8 or JSON, or a huge integer
             raise ConfigError(f"{path}:1: not a meta line ({e})")
         resolved, self.hash = line["meta"], line["config_hash"]
         _require(config_hash(resolved) == self.hash,
@@ -262,22 +264,22 @@ class _Records:
         # the lines after the header, in a pass of their own: only the
         # benchmark tracer counts them, until ROADMAP item 1 takes its
         # count on the span's exit
-        with open(self.path, newline="\n") as fh:
+        with open(self.path, "rb") as fh:
             return sum(1 for _ in fh) - 1
 
     def __iter__(self):
         path, first, self.blowup = self.path, None, None
-        with open(path, newline="\n") as fh:
+        with open(path, "rb") as fh:
             next(fh)    # the header
             for i, ln in enumerate(fh, start=2):
                 if self.blowup is not None:
                     raise ConfigError(f"{path}:{i - 1}: blowup marker before "
                                       "end of file")
-                if not ln.endswith("\n"):
+                if not ln.endswith(b"\n"):
                     raise ConfigError(f"{path}: truncated (no final newline)")
                 try:
-                    d = json.loads(ln[:-1])
-                except ValueError as e:     # JSONDecodeError or huge integer
+                    d = json.loads(ln[:-1].decode())
+                except ValueError as e:     # not UTF-8 or JSON, huge integer
                     raise ConfigError(f"{path}:{i}: malformed JSON ({e})")
                 is_marker = isinstance(d, dict) and "blowup" in d
                 try:
@@ -318,7 +320,7 @@ def cmd_certify(args) -> int:
     path = Path(args.timeseries)
     try:
         records = _Records(path)
-    except (OSError, UnicodeDecodeError) as e:
+    except OSError as e:
         raise ConfigError(f"{path}: {e}")
     rc = records.rc
     try:
@@ -348,7 +350,7 @@ def cmd_certify(args) -> int:
     except ConfigError:
         raise
     except ValueError as e:     # constants out of range for the stored
-        raise ConfigError(f"{path}: {e}")   # config, or a line not UTF-8
+        raise ConfigError(f"{path}: {e}")   # config
     for m in mismatches:
         print(f"  {m}", file=sys.stderr)
     _require(not count, f"{path}: {count} stored flags do not reproduce "
@@ -412,14 +414,16 @@ def _fan_out(fn, tasks: list, lost):
     inherits but its own write end and leaves by `os._exit` whatever
     happens, so it never unwinds into its caller's stack (no atexit
     handlers, no flush of the buffers it inherited); should this process
-    die, the child's next write fails and ends it.  Each task of a child
-    that ended before sending its result yields `lost(*task, reason)`
-    instead.  Without `os.sched_getaffinity`, every task runs here.  Every
-    child is reaped before the generator ends, killed first if the
-    generator ends early (this process raised, or stopped iterating)."""
+    die, the child's next write fails and ends it.  A child whose pipe ends
+    before it has sent all its results is reaped there, and each of its
+    tasks still unsent yields `lost(*task, reason)` instead, the reason
+    naming the child's exit code or the signal that ended it.  Without
+    `os.sched_getaffinity`, every task runs here.  Every child is reaped
+    before the generator ends, killed first if the generator ends early
+    (this process raised, or stopped iterating)."""
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
     n = min(len(tasks), len(cpus) or 1)
-    kids, ended = [], set()     # (pid, read end) of child k at k - 1
+    kids, ended = [], {}    # (pid, read end) of child k at k - 1; pid: status
     try:
         for k in range(1, n):
             r, w = os.pipe()
@@ -444,13 +448,17 @@ def _fan_out(fn, tasks: list, lost):
                 try:
                     result = pickle.load(fh)
                 except (EOFError, pickle.UnpicklingError):   # it died
-                    ended.add(pid)
-            yield result if pid not in ended else lost(*task, "worker died")
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    ended[pid] = f"exit {code}" if code >= 0 \
+                        else f"signal {-code}"
+            yield result if pid not in ended \
+                else lost(*task, f"worker died ({ended[pid]})")
     finally:    # a child still running is mid-task: this process ended early
         for pid, fh in kids:
             fh.close()
-            os.kill(pid, 9)     # SIGKILL; `signal` costs ~1 ms to import
-            os.waitpid(pid, 0)
+            if pid not in ended:
+                os.kill(pid, 9)     # SIGKILL; `signal` costs ~1 ms to import
+                os.waitpid(pid, 0)
 
 
 def cmd_sweep(args) -> int:

@@ -40,11 +40,6 @@ class State:
     def dom(self) -> Domain:
         return self.psi.dom
 
-    @staticmethod
-    def zero(dom: Domain, t: float = 0.0) -> "State":
-        z = SpectralField.zero(dom)
-        return State(z, z, z, t)
-
 
 # The squared norms every certificate consumes, in `_sq_norms` order: psi
 # weighted by |mu|^k for k = 1, 2, 3, then theta and phi for k = 0, 1.
@@ -196,20 +191,15 @@ def spectral_abscissa(L: LinearOperator) -> float:
     return float(max(np.max(eigs.real), np.max(L.lpsi)))
 
 
-def energy_identity_rhs(s: State, p: Params) -> float:
-    """Closed-form value of (1/2) dE_Y/dt along `rhs`, which pairs the
-    derivative with the state as (Da/Pr)<lap dpsi, lap psi> + <dtheta, theta>
-    + alpha <dphi, phi>: -C||grad lap psi||^2
+def _energy_identity_rhs(C, p: Params, dom: Domain, n: dict) -> float:
+    """Closed-form value of (1/2) dE_Y/dt along `rhs` at the stacked
+    coefficients C = [psi, theta, phi], given their squared norms `n`.  It
+    pairs the derivative with the state as (Da/Pr)<lap dpsi, lap psi> +
+    <dtheta, theta> + alpha <dphi, phi>: -C||grad lap psi||^2
     - ||lap psi||^2 - ||grad theta||^2 - ||grad phi||^2 - lam||theta||^2
     - gamma lam||phi||^2 - Ra <theta, d(lap psi)/dx>
     + (lam + gamma lam)<phi, theta> (plus the conduction source term when
     that switch is on).  The Jacobian contributes nothing by skew-symmetry."""
-    return _energy_identity_rhs(_stack(s), p, s.dom, state_norms(s))
-
-
-def _energy_identity_rhs(C, p: Params, dom: Domain, n: dict) -> float:
-    """`energy_identity_rhs` of the stacked coefficients C = [psi, theta,
-    phi], given their squared norms `n`."""
     _check(p, dom)
     mu, D = dom.plan.mu, dom.plan.D
     a4 = dom.a / 4.0

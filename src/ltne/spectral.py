@@ -1,6 +1,7 @@
 """Sine-basis fields on (0, a) x (0, 1): the truncation (`Domain`) and the
 matrices it owns (`Plan`: grid transforms, the exact d/dx projection,
-|mu|^k weights), the dealiased Jacobian, H^k seminorms, snapshot files.
+|mu|^k weights), the dealiased Jacobian, the |mu|^k-weighted tail
+fractions, snapshot files.
 
 Every scalar field is u(x, z) = sum_{m=1..Nx, n=1..Nz} u_mn sin(m pi x / a)
 sin(n pi z), which vanishes on the boundary by construction.  Coefficients are
@@ -11,8 +12,8 @@ Conventions and the two exactness facts everything else leans on:
 
 * Parseval with plain (non-normalized) sine products: ||u||^2 = (a/4) sum u_mn^2,
   and each Laplacian application multiplies mode (m, n) by
-  mu_mn = -((m pi / a)^2 + (n pi)^2), so the H^k-level seminorms are
-  (a/4) sum |mu|^k u_mn^2.
+  mu_mn = -((m pi / a)^2 + (n pi)^2), so the squared H^k-level seminorms
+  are (a/4) sum |mu|^k u_mn^2, which `dynamics.state_norms` sums.
 
 * Collocation uses the Mx x Mz interior grid x_j = j a / Px (Px = Mx + 1),
   z_k = k / Pz.  The discrete orthogonality
@@ -152,10 +153,6 @@ class SpectralField:
             raise ValueError("non-finite coefficient")
         object.__setattr__(self, "coeffs", c)
 
-    @staticmethod
-    def zero(dom: Domain) -> "SpectralField":
-        return SpectralField(np.zeros((dom.Nx, dom.Nz)), dom)
-
 
 @dataclass(frozen=True)
 class GridField:
@@ -171,13 +168,6 @@ class GridField:
                 f"grid shape {v.shape} does not match domain "
                 f"({self.dom.Mx}, {self.dom.Mz})")
         object.__setattr__(self, "values", v)
-
-
-def laplacian_eigenvalue(m: int, n: int, a: float) -> float:
-    """mu_mn = -((m pi / a)^2 + (n pi)^2) for the (m, n) sine mode."""
-    if m < 1 or n < 1 or a <= 0:
-        raise ValueError("need m, n >= 1 and a > 0")
-    return -((m * np.pi / a) ** 2 + (n * np.pi) ** 2)
 
 
 def _check_same_domain(u: SpectralField, v: SpectralField):
@@ -228,15 +218,6 @@ def _jacobian_coeffs(c: np.ndarray, dom: Domain, out=None) -> np.ndarray:
     return out
 
 
-def norm_hk(u: SpectralField, k: int) -> float:
-    """Spectral H^k seminorm: ((a/4) sum |mu|^k u_mn^2)^(1/2); k = 0, 1, 2, 3
-    give the L2, gradient, Laplacian and gradient-Laplacian norms."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    dom = u.dom
-    return np.sqrt(dom.a / 4.0 * np.sum(dom.plan.weight(k) * u.coeffs ** 2))
-
-
 def _tail_fractions(C: np.ndarray, w: np.ndarray, cutoff: int,
                     out=None) -> list[float]:
     """The tail fraction of each field of the stack C, shape (F, Nx, Nz),
@@ -250,14 +231,6 @@ def _tail_fractions(C: np.ndarray, w: np.ndarray, cutoff: int,
     total = P.reshape(len(C), -1).sum(axis=1).tolist()
     head = P[:, :cutoff, :cutoff].reshape(len(C), -1).sum(axis=1).tolist()
     return [(t - h) / t if t != 0.0 else 0.0 for t, h in zip(total, head)]
-
-
-def tail_fraction(u: SpectralField, k: int, cutoff: int) -> float:
-    """Share of the |mu|^k-weighted energy in modes with m > cutoff or
-    n > cutoff; 0 for the zero field."""
-    if not 1 <= cutoff < min(u.dom.Nx, u.dom.Nz):
-        raise ValueError("need 1 <= cutoff < min(Nx, Nz)")
-    return _tail_fractions(u.coeffs[None], u.dom.plan.weight(k), cutoff)[0]
 
 
 # -- snapshot files ----------------------------------------------------------
@@ -288,9 +261,15 @@ def write_snapshot(path, psi: SpectralField, theta: SpectralField,
 def read_snapshot(path):
     """Returns (psi, theta, phi, t) on a Domain with the default collocation
     sizes, which the file does not store.  A header whose `a` or `t` is not
-    finite is refused like one that does not parse."""
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    finite is refused like one that does not parse; so is a line that is
+    not UTF-8, and any line after the last `phi` coefficient."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()  # at "\n", "\r\n" or "\r"
+    for i, ln in enumerate(lines):
+        try:
+            lines[i] = ln.decode()
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}:{i + 1}: not UTF-8 ({e})") from None
     if not lines:
         raise ValueError(f"{path}: empty snapshot file")
     head = lines[0].split()
@@ -323,5 +302,7 @@ def read_snapshot(path):
         except ValueError:
             raise ValueError(f"{path}:{pos + 1}: expected coefficient "
                              f"({i + 1}, {j + 1})") from None
+    if len(lines) > pos + 1:
+        raise ValueError(f"{path}:{pos + 2}: line after the last coefficient")
     psi, theta, phi = (SpectralField(c, dom) for c in C)
     return psi, theta, phi, t

@@ -12,10 +12,11 @@ import pytest
 from ltne import (CertificateConfig, Domain, Params, SpectralField, State,
                   StepperConfig, assemble_linear, build_initial_state,
                   check_continuous_dependence, compute_constants, energy_y,
-                  jacobian, measured_decay_rate, norm_hk, run, read_snapshot,
+                  jacobian, measured_decay_rate, run, read_snapshot,
                   spectral_abscissa, state_norms, summarize_records,
                   write_snapshot)
 from ltne.cli import _fan_out, main
+from ltne.spectral import _tail_fractions
 
 
 def _report(label, ok, detail):
@@ -38,7 +39,9 @@ def test_01_advection_pairing_vanishes():
         psi = SpectralField(rng.uniform(-1.0, 1.0, (32, 32)), dom)
         th = SpectralField(rng.uniform(-1.0, 1.0, (32, 32)), dom)
         num = abs(dom.a / 4.0 * np.sum(jacobian(psi, th).coeffs * th.coeffs))
-        den = norm_hk(psi, 1) * norm_hk(th, 0) * norm_hk(th, 1)
+        n_psi, n_th = (state_norms(State(u, u, u)) for u in (psi, th))
+        den = math.sqrt(n_psi["grad_psi_sq"] * n_th["theta_sq"]
+                        * n_th["grad_theta_sq"])
         worst = max(worst, num / den)
     _report("advection pairing", worst <= 1e-10,
             f"worst normalized |<J,theta>| {worst:.3e} <= 1e-10, 100 pairs")
@@ -232,7 +235,6 @@ def test_08_galerkin_self_convergence():
 def test_09_band_limited_tail_stays_small():
     # smooth IC with the temperatures far below the stream function: the
     # |mu|^2-weighted tail above cutoff 32 stays negligible for all fields
-    from ltne import tail_fraction
     p = _params()
     dom = Domain(a=1.0, Nx=64, Nz=64)
     s0 = build_initial_state(
@@ -242,8 +244,9 @@ def test_09_band_limited_tail_stays_small():
                                     sample_every=1000))
     assert traj.failure is None
     fin = traj.final
-    fracs = {name: tail_fraction(getattr(fin, name), 2, 32)
-             for name in ("psi", "theta", "phi")}
+    fracs = dict(zip(("psi", "theta", "phi"), _tail_fractions(
+        np.stack((fin.psi.coeffs, fin.theta.coeffs, fin.phi.coeffs)),
+        dom.plan.weight(2), 32)))
     ok = all(f <= 1e-8 for f in fracs.values())
     _report("band-limited tail", ok,
             "tail fractions " + ", ".join(

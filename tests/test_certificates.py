@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from ltne import (CertificateConfig, CertificateSuite, Domain, Params,
-                  SpectralField, State, StepperConfig,
+                  SpectralField, State, StepperConfig, build_initial_state,
                   check_continuous_dependence, check_decay,
-                  check_h1_absorbing, compute_constants,
-                  energy_identity_rhs, energy_y, measured_decay_rate,
-                  replay_certificates, run, state_norms, summarize_records,
-                  tail_fraction)
+                  check_h1_absorbing, compute_constants, energy_y,
+                  measured_decay_rate, replay_certificates, run, state_norms,
+                  summarize_records)
 from ltne.certificates import TrajectoryRecord, _H1Window, _RunningTrapz
+from ltne.dynamics import _energy_identity_rhs
 from ltne.spectral import _tail_fractions
 
 
@@ -67,7 +67,7 @@ def _slow_block_state(dom, p, amp=1.0):
     th = np.zeros((dom.Nx, dom.Nz))
     ph = np.zeros((dom.Nx, dom.Nz))
     th[0, 0], ph[0, 0] = v
-    z = SpectralField.zero(dom)
+    z = SpectralField(np.zeros((dom.Nx, dom.Nz)), dom)
     return State(z, SpectralField(th, dom), SpectralField(ph, dom)), \
         float(np.max(w.real))
 
@@ -123,7 +123,8 @@ def test_zero_state_all_trivially_pass(recording_suite):
     dom = Domain(a=1.0, Nx=6, Nz=6)
     p = _params()
     cfg = CertificateConfig()
-    suite, traj = _suite_run(recording_suite, p, dom, cfg, State.zero(dom),
+    s0 = build_initial_state({"kind": "zero"}, dom, p)
+    suite, traj = _suite_run(recording_suite, p, dom, cfg, s0,
                              StepperConfig(dt=0.01, t_end=2.0,
                                            sample_every=10))
     assert traj.failure is None
@@ -209,8 +210,8 @@ def test_psi_absorbing_anchor_and_ball_form(recording_suite):
     p = _params(Ra=5.0, alpha=2.0)   # alpha != gamma so t0 > 0
     c = np.zeros((4, 4))
     c[0, 0] = 1.0
-    s0 = State(SpectralField(c, dom), SpectralField.zero(dom),
-               SpectralField.zero(dom))
+    z = SpectralField(np.zeros((4, 4)), dom)
+    s0 = State(SpectralField(c, dom), z, z)
     cfg = CertificateConfig()
     st = StepperConfig(dt=0.01, t_end=1.0, scheme="etd1", linear_only=True,
                        sample_every=1)
@@ -368,7 +369,9 @@ def test_trapz_error_estimate_bounds_true_error():
                                        (16, 16, 1.0), (64, 64, 1.0)])
 def test_one_pass_tail_fractions_equal_tail_fraction(nx, nz, a):
     # the kernel on a stack, through a buffer as `on_sample` calls it, gives
-    # each field's `tail_fraction`, and `on_sample` stores their maximum
+    # each field's fraction alone bit for bit, and the share of
+    # sum |mu|^k c^2 outside the cutoff block as summed here; `on_sample`
+    # stores their maximum
     rng = np.random.default_rng(97)
     dom = Domain(a=a, Nx=nx, Nz=nz)
     taper = np.exp(-0.3 * np.add.outer(np.arange(nx), np.arange(nz)))
@@ -376,17 +379,25 @@ def test_one_pass_tail_fractions_equal_tail_fraction(nx, nz, a):
     fields[1] = np.zeros((nx, nz))      # a zero field has fraction 0
     s = State(*(SpectralField(c, dom) for c in fields))
     C = np.stack(fields)
+    mu2 = np.add.outer((np.arange(1, nx + 1) * np.pi / a) ** 2,
+                       (np.arange(1, nz + 1) * np.pi) ** 2)
     for k in (0, 2, 3, 5):
         for cutoff in (None, 1, min(nx, nz) - 1):
             suite = CertificateSuite(_params(a=a), dom, CertificateConfig(
                 tail_k=k, tail_cutoff=cutoff, tail_warmup=0.0), s)
-            want = [tail_fraction(u, k, suite.cutoff)
-                    for u in (s.psi, s.theta, s.phi)]
-            assert want[1] == 0.0
-            assert _tail_fractions(C, dom.plan.weight(k), suite.cutoff,
-                                   np.empty_like(C)) == want
+            w = dom.plan.weight(k)
+            got = _tail_fractions(C, w, suite.cutoff, np.empty_like(C))
+            assert got == [_tail_fractions(c[None], w, suite.cutoff)[0]
+                           for c in C]
+            want = []
+            for c in C:
+                e = mu2 ** k * c ** 2
+                total, head = e.sum(), e[:suite.cutoff, :suite.cutoff].sum()
+                want.append((total - head) / total if total else 0.0)
+            assert got[1] == want[1] == 0.0
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
             assert suite.on_sample(0.0, C, None, 1e-3).tail_frac_k2 \
-                == max(want)
+                == max(got)
 
 
 def _h1_reference(ts, fs, r):
@@ -469,8 +480,9 @@ def test_prestate_reuse_gives_the_records_of_fresh_arrays(recording_suite):
                 if pre is not None:
                     assert rec.dEY_dt_disc == (rec.E_Y - energy_y(
                         state_norms(state(pre)), p)) / dt
-                    assert rec.R_mid == energy_identity_rhs(state(
-                        0.5 * (u + v) for u, v in zip(pre, c)), p)
+                    mid = 0.5 * (pre + c)
+                    assert rec.R_mid == _energy_identity_rhs(
+                        mid, p, dom, state_norms(state(mid)))
 
         run(s0, p, StepperConfig(dt=0.01, t_end=0.6, sample_every=every),
             monitors=Both())
@@ -481,18 +493,19 @@ def test_prestate_reuse_gives_the_records_of_fresh_arrays(recording_suite):
 
 def test_tail_regularity_pass_and_fail():
     dom = Domain(a=1.0, Nx=8, Nz=8)
-    z = SpectralField.zero(dom)
-    rough = np.zeros((8, 8))
-    rough[6, 6] = 1.0
-    smooth = np.zeros((8, 8))
-    smooth[0, 0] = 1.0
-    s_rough = State(SpectralField(rough, dom), z, z)
-    s_smooth = State(SpectralField(smooth, dom), z, z)
+    rough = np.zeros((3, 8, 8))
+    rough[0, 6, 6] = 1.0
+    smooth = np.zeros((3, 8, 8))
+    smooth[0, 0, 0] = 1.0
     # the fraction stage (a) stores; stage (b) compares it to the threshold
-    def frac(s):
-        return max(tail_fraction(u, 2, 4) for u in (s.psi, s.theta, s.phi))
-    assert frac(s_rough) == 1.0
-    assert frac(s_smooth) == 0.0
+    cfg = CertificateConfig(tail_k=2, tail_cutoff=4, tail_warmup=0.0)
+
+    def frac(c):
+        s = State(*(SpectralField(u, dom) for u in c))
+        return CertificateSuite(_params(), dom, cfg, s).on_sample(
+            0.0, c, None, 1e-3).tail_frac_k2
+    assert frac(rough) == 1.0
+    assert frac(smooth) == 0.0
 
 
 def test_measured_decay_rate_exact_exponential():
@@ -515,13 +528,35 @@ def test_check_decay_degenerate_cases():
     assert ok2 and slack2 == 1.0
 
 
+def test_degenerate_envelopes_fail_and_an_empty_replay_is_refused():
+    dom = Domain(a=1.0, Nx=4, Nz=4)
+    p = _params()
+    cfg = CertificateConfig()
+    k = compute_constants(p, dom, cfg)
+    # a window whose (a3/r + a2) is not positive bounds no y_t > 0
+    assert check_h1_absorbing(0.0, -1e30, 1.0, 1.0, k, p) \
+        == (False, -math.inf)
+    # two runs that start equal (D0 = 0) and then differ break the
+    # uniqueness envelope
+    z = SpectralField(np.zeros((4, 4)), dom)
+    one = SpectralField(np.eye(4), dom)
+    runA = [State(z, z, z, 0.0), State(z, z, z, 1.0)]
+    runB = [State(z, z, z, 0.0), State(one, z, z, 1.0)]
+    assert check_continuous_dependence(runA, runB, k, p) \
+        == (False, -math.inf)
+    with pytest.raises(ValueError, match="^empty record stream$"):
+        replay_certificates([], p, dom, cfg)
+
+
 def test_suite_check_toggles_and_cutoff_validation(recording_suite):
     dom = Domain(a=1.0, Nx=8, Nz=8)
     p = _params()
     cfg = CertificateConfig()
-    s0 = State.zero(dom)
+    s0 = build_initial_state({"kind": "zero"}, dom, p)
     with pytest.raises(ValueError, match="unknown certificate toggles"):
         CertificateConfig(checks={"nope": True})
+    with pytest.raises(ValueError, match="^tail_cutoff must be null or >= 1$"):
+        CertificateConfig(tail_cutoff=0)
     with pytest.raises(ValueError, match="cutoff"):
         CertificateSuite(p, dom, CertificateConfig(tail_cutoff=8), s0)
     suite, _ = _suite_run(recording_suite, p, dom, cfg, s0,

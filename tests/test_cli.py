@@ -352,16 +352,18 @@ def test_certify_refuses_in_file_order(tmp_path, capsys):
     assert main(["certify", str(jsonl)]) == 3
     out, err = capsys.readouterr()
     assert out == "" and f"{jsonl}:3: malformed JSON" in err, err
-    # a byte that is not UTF-8 in the first record or in the last
-    for k in (1, len(lines) - 1):
+    # a byte that is not UTF-8 in the header, the first two records or the
+    # last is refused naming its line, at its offset within that line
+    for k in (0, 1, 2, len(lines) - 1):
         raw = [ln.encode() for ln in lines]
         raw[k] = raw[k][:10] + b"\xff" + raw[k][11:]
         jsonl.write_bytes(b"\n".join(raw) + b"\n")
         assert main(["certify", str(jsonl)]) == 3
         out, err = capsys.readouterr()
-        assert out == "" and re.fullmatch(
-            f"error: {re.escape(str(jsonl))}: 'utf-8' codec can't decode "
-            r"byte 0xff in position \d+: invalid start byte\n", err), err
+        what = "not a meta line" if k == 0 else "malformed JSON"
+        assert out == "" and err == (
+            f"error: {jsonl}:{k + 1}: {what} ('utf-8' codec can't decode "
+            "byte 0xff in position 10: invalid start byte)\n"), err
 
 
 def test_sigkilled_run_leaves_a_prefix_certify_calls_truncated(tmp_path):
@@ -569,7 +571,7 @@ def test_run_refuses_snapshots_that_share_a_file(tmp_path, capsys):
     # stamps them with, the initial state's t plus whole steps: from
     # t = 1000, 1e-4 and 2e-4 later are both `_t1000`
     ic = tmp_path / "late.snap"
-    z = SpectralField.zero(Domain(a=1.0, Nx=8, Nz=8))
+    z = SpectralField(np.zeros((8, 8)), Domain(a=1.0, Nx=8, Nz=8))
     write_snapshot(ic, z, z, z, 1000.0)
     cases = [
         (_base_doc(dt=1e-4, t_end=2e-4, ic={"kind": "snapshot",
@@ -639,7 +641,7 @@ def test_config_refused_before_integration_writes_no_stream(tmp_path,
     # step grid) and by the IC builder (a snapshot whose header time is
     # NaN): no file opens before `integrate` accepts the run
     snap = tmp_path / "nan.snap"
-    z = SpectralField.zero(Domain(a=1.0, Nx=8, Nz=8))
+    z = SpectralField(np.zeros((8, 8)), Domain(a=1.0, Nx=8, Nz=8))
     write_snapshot(snap, z, z, z, 0.0)
     head, rest = snap.read_text().split("\n", 1)
     snap.write_text(head.rsplit(" ", 1)[0] + " nan\n" + rest)
@@ -649,6 +651,20 @@ def test_config_refused_before_integration_writes_no_stream(tmp_path,
               "snapshot time 0.005 is not step-aligned"),
              (_base_doc(ic={"kind": "snapshot", "path": "nan.snap"}),
               f"{snap}: not a v1 snapshot (header 'LTNE-SNAP v1 8 8 1 nan')")]
+    # a snapshot with a line after the last phi coefficient, and one with
+    # a byte that is not UTF-8 in its first coefficient line
+    write_snapshot(tmp_path / "ok.snap", z, z, z, 0.0)
+    text = (tmp_path / "ok.snap").read_bytes()
+    assert text.count(b"\n") == 1 + 3 * 65
+    (tmp_path / "junk.snap").write_bytes(text + b"junk\n")
+    ff = text.replace(b"1 1 0\n", b"1 1 0\xff\n", 1)
+    (tmp_path / "ff.snap").write_bytes(ff)
+    cases += [(_base_doc(ic={"kind": "snapshot", "path": "junk.snap"}),
+               f"{tmp_path / 'junk.snap'}:197: line after the last "
+               "coefficient"),
+              (_base_doc(ic={"kind": "snapshot", "path": "ff.snap"}),
+               f"{tmp_path / 'ff.snap'}:3: not UTF-8 ('utf-8' codec can't "
+               "decode byte 0xff in position 5: invalid start byte)")]
     for i, (doc, message) in enumerate(cases):
         cfg = _write(tmp_path / f"refused{i}.json", doc)
         assert main(["run", str(cfg)]) == 3, message
@@ -857,6 +873,21 @@ def test_sweep_records_child_failure_and_continues(tmp_path, capsys):
     assert rows[2]["status"].startswith("error: field 'alpha'")
 
 
+def test_sweep_row_without_a_dense_spectrum_stays_ok(tmp_path, capsys):
+    # with conduction on, the abscissa needs a dense eigensolve, refused
+    # at Nx*Nz = 289 > 256: the row's cell stays empty, the row ok
+    spec = _write(tmp_path / "big.json", {
+        "parameter": "Ra", "values": [10.0], "base": _base_doc(
+            Nx=17, Nz=17, conduction_coupling=True, t_end=0.02,
+            sample_every=1)})
+    assert main(["sweep", str(spec)]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "big.csv") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["status"] == "ok" and row["spectral_abscissa"] == ""
+    assert row["M7"] != "" and row["config_hash"] != ""
+
+
 def _cpus(monkeypatch, n):
     """Make the sweep see n CPUs, so it forks even on a 1-CPU host."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
@@ -900,30 +931,34 @@ def test_sweep_on_three_cpus_writes_what_one_cpu_writes(
 
 def test_sweep_rows_of_a_dead_worker_read_error(tmp_path, capsys,
                                                 monkeypatch):
-    # a worker that dies (by os._exit here; a signal or a kill for memory
-    # looks the same to this process) leaves an error row for each row it
-    # had not sent, and the sweep goes on; no worker outlives `main`
-    def dies_at_20(param, value, *args):
+    # a worker that dies (by os._exit, or by a signal as a kill for memory
+    # would) leaves an error row naming its exit code or signal for each
+    # row it had not sent, and the sweep goes on; no worker outlives `main`
+    def dies_at_20_or_30(param, value, *args):
         if value == 20.0:
             os._exit(5)
+        if value == 30.0:
+            os.kill(os.getpid(), signal.SIGKILL)
         return _sweep_child(param, value, *args)
 
-    _cpus(monkeypatch, 2)
-    monkeypatch.setattr("ltne.cli._sweep_child", dies_at_20)
+    _cpus(monkeypatch, 3)
+    monkeypatch.setattr("ltne.cli._sweep_child", dies_at_20_or_30)
     spec = _write(tmp_path / "die.json", {
-        "parameter": "Ra", "values": [10.0, 20.0, 30.0, 40.0],
+        "parameter": "Ra", "values": [10.0, 20.0, 30.0, 40.0, 50.0, 60.0],
         "base": _base_doc(t_end=0.2)})
     assert main(["sweep", str(spec)]) == 0
     _no_child_left()
     out = capsys.readouterr().out
-    assert "Ra=20.0: error: worker died" in out
+    assert "Ra=20.0: error: worker died (exit 5)" in out
     with open(tmp_path / "die.csv") as fh:
         rows = list(csv.DictReader(fh))
-    # rows 1 and 3 were the worker's; 0 and 2 ran here
-    assert [r["status"] for r in rows] == [
-        "ok", "error: worker died", "ok", "error: worker died"]
-    assert rows[3]["parameter"] == "Ra" and rows[3]["value"] == "40.0"
-    assert rows[3]["config_hash"] == ""
+    # rows 1 and 4 were the first worker's, 2 and 5 the second's; 0 and 3
+    # ran here
+    died = ("error: worker died (exit 5)",
+            f"error: worker died (signal {int(signal.SIGKILL)})")
+    assert [r["status"] for r in rows] == ["ok", *died, "ok", *died]
+    assert rows[5]["parameter"] == "Ra" and rows[5]["value"] == "60.0"
+    assert rows[5]["config_hash"] == ""
 
 
 @pytest.mark.parametrize("where", ["row", "csv"])

@@ -3,9 +3,8 @@ import pytest
 from scipy.linalg import eigvals as dense_eigvals
 
 from ltne import (Domain, Params, SpectralField, State, assemble_linear,
-                  energy_identity_rhs, jacobian, norm_hk, rhs,
-                  spectral_abscissa)
-from ltne.dynamics import NORMS, _sq_norms
+                  jacobian, rhs, spectral_abscissa, state_norms)
+from ltne.dynamics import NORMS, _energy_identity_rhs, _sq_norms
 
 
 def _params(**kw):
@@ -62,13 +61,13 @@ def test_rhs_theta_only_mode_literals():
 def test_rhs_aspect_mismatch_rejected():
     dom = Domain(a=1.0, Nx=3, Nz=3)
     with pytest.raises(ValueError, match="aspect mismatch"):
-        rhs(State.zero(dom), _params(a=2.0))
+        rhs(_mode_state(dom, "psi", 1, 1, amp=0.0), _params(a=2.0))
 
 
 def test_state_validation():
     dom = Domain(a=1.0, Nx=3, Nz=3)
     other = Domain(a=1.0, Nx=4, Nz=3)
-    z3, z4 = SpectralField.zero(dom), SpectralField.zero(other)
+    z3, z4 = (SpectralField(np.zeros((d.Nx, d.Nz)), d) for d in (dom, other))
     with pytest.raises(ValueError, match="different domains"):
         State(z3, z3, z4)
     bad = np.zeros((3, 3))
@@ -196,16 +195,29 @@ def _energy_pairing(s, p):
 
 
 def test_energy_pairing_matches_identity():
+    # the closed form against the pairing of rhs's arrays with the state,
+    # and against a central difference of E_Y along rhs, which is exact
+    # up to roundoff because E_Y is quadratic
     rng = np.random.default_rng(47)
     for cond in (False, True):
         dom = Domain(a=1.6, Nx=8, Nz=6)
         p = _params(a=1.6, Ra=100.0, lam=1.7, gamma=0.8, alpha=1.9, C=0.4,
                     Pr=2.0, Da=0.5, conduction_coupling=cond)
+        mu, a4 = dom.plan.mu, dom.a / 4.0
+
+        def e_y(c):
+            return a4 * ((p.Da / p.Pr) * np.sum((mu * c[0]) ** 2)
+                         + np.sum(c[1] ** 2) + p.alpha * np.sum(c[2] ** 2))
+
         for _ in range(5):
             s = _rand_state(dom, rng)
-            lhs = _energy_pairing(s, p)
-            rhs_val = energy_identity_rhs(s, p)
-            assert lhs == pytest.approx(rhs_val, rel=1e-9, abs=1e-9)
+            C = np.stack((s.psi.coeffs, s.theta.coeffs, s.phi.coeffs))
+            rhs_val = _energy_identity_rhs(C, p, dom, state_norms(s))
+            assert _energy_pairing(s, p) == pytest.approx(rhs_val, rel=1e-9,
+                                                          abs=1e-9)
+            F, h = rhs(s, p), 1e-2
+            fd = (e_y(C + h * F) - e_y(C - h * F)) / (4.0 * h)
+            assert fd == pytest.approx(rhs_val, rel=1e-9, abs=1e-9)
 
 
 def test_energy_pairing_jacobian_contributes_nothing():
@@ -238,8 +250,7 @@ def test_mode_coupling_structure_preserves_parity():
                                        (16, 16, 1.0), (64, 64, 1.0)])
 def test_norm_kernel_equals_hk_sq_bit_for_bit(nx, nz, a):
     # one square and one weighted row sum per field, with or without the
-    # caller's buffers, give exactly the per-norm sums (a/4) sum |mu|^k c^2,
-    # and `norm_hk` is the square root of the same sum
+    # caller's buffers, give exactly the per-norm sums (a/4) sum |mu|^k c^2
     rng = np.random.default_rng(89)
     dom = Domain(a=a, Nx=nx, Nz=nz)
     taper = np.exp(-0.2 * np.add.outer(np.arange(nx), np.arange(nz)))
@@ -254,5 +265,3 @@ def test_norm_kernel_equals_hk_sq_bit_for_bit(nx, nz, a):
                 for name, (f, k) in ks.items()}
         for got in (_sq_norms(C, dom), _sq_norms(C, dom, work)):
             assert got == want
-        for name, (f, k) in ks.items():
-            assert norm_hk(SpectralField(C[f], dom), k) == np.sqrt(want[name])

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -27,6 +28,23 @@ def _names(tree) -> set:
     return out
 
 
+def _library_use() -> str:
+    readme = (ROOT / "README.md").read_text()
+    return readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_surface_list_names_exactly_the_exports():
+    # the README's list of the exported surface names every name in
+    # `__all__`, and no other module-level name of any ltne module
+    listed = _library_use().split("is the whole exported surface", 1)[1]
+    modules = [importlib.import_module(f"ltne.{path.stem}")
+               for path in PACKAGE.glob("*.py")]
+    named = {name for name in re.findall(r"`(\w+)", listed)
+             if any(hasattr(mod, name) for mod in modules)}
+    assert sorted(named - set(ltne.__all__)) == []
+    assert sorted(set(ltne.__all__) - named) == []
+
+
 def test_every_export_has_a_user():
     # an exported name is used by another ltne module, imported by a
     # benchmark script, or named in the README's "Library use" section;
@@ -41,8 +59,7 @@ def test_every_export_has_a_user():
             if isinstance(node, ast.ImportFrom) and node.module \
                     and node.module.split(".")[0] == "ltne":
                 bench.update(alias.name for alias in node.names)
-    readme = (ROOT / "README.md").read_text()
-    section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    section = _library_use()
     documented = set(re.findall(r"`(\w+)", section))
     for block in re.findall(r"```python\n(.*?)```", section, re.S):
         documented |= _names(ast.parse(block))

@@ -6,8 +6,8 @@ import pytest
 from scipy.linalg import expm
 
 from ltne import (CertificateConfig, CertificateSuite, Domain, Params,
-                  SpectralField, State, StepperConfig, assemble_linear, run,
-                  write_snapshot)
+                  SpectralField, State, StepperConfig, assemble_linear,
+                  build_initial_state, run, write_snapshot)
 from ltne.integrator import SCHEMES
 from ltne.dynamics import _stack
 from ltne.integrator import _STEPPERS, _blowup
@@ -54,7 +54,8 @@ def test_zero_state_stays_zero():
     p = _params()
     for scheme in ("imex_cnab2", "etd1", "rk4_explicit"):
         cfg = StepperConfig(dt=0.01, t_end=0.1, scheme=scheme)
-        fin = run(State.zero(dom), p, cfg).final
+        fin = run(build_initial_state({"kind": "zero"}, dom, p), p,
+                  cfg).final
         for k in ("psi", "theta", "phi"):
             assert np.all(getattr(fin, k).coeffs == 0.0)
 
@@ -121,7 +122,7 @@ def test_etd1_block_exact_any_dt():
                                           (1.3, 0.7, 2.0, 0.1, 4),
                                           (1e-7, 1.0, 1.0, 0.4, 1)):
         p = _params(lam=lam, gamma=gamma, alpha=alpha)
-        z = SpectralField.zero(dom)
+        z = SpectralField(np.zeros((3, 3)), dom)
         th = SpectralField(rng.uniform(-1, 1, (3, 3)), dom)
         ph = SpectralField(rng.uniform(-1, 1, (3, 3)), dom)
         cfg = StepperConfig(dt=dt, t_end=nsteps * dt, scheme="etd1",
@@ -142,7 +143,7 @@ def test_etd1_pure_psi_exact_decay():
     dom = Domain(a=1.0, Nx=3, Nz=3)
     p = _params(Pr=2.0, Da=0.5, C=0.3)
     psi = SpectralField(rng.uniform(-1, 1, (3, 3)), dom)
-    z = SpectralField.zero(dom)
+    z = SpectralField(np.zeros((3, 3)), dom)
     dt = 0.05
     fin = run(State(psi, z, z), p, StepperConfig(dt=dt, t_end=3 * dt,
                                                  scheme="etd1")).final
@@ -164,7 +165,7 @@ def test_cn_block_nonexpansive_at_huge_dt(sample_log):
     rng = np.random.default_rng(17)
     dom = Domain(a=1.0, Nx=4, Nz=4)
     p = _params(Ra=1e-30, gamma=2.0, alpha=0.5)
-    z = SpectralField.zero(dom)
+    z = SpectralField(np.zeros((4, 4)), dom)
     th = SpectralField(rng.uniform(-1, 1, (4, 4)), dom)
     ph = SpectralField(rng.uniform(-1, 1, (4, 4)), dom)
     cfg = StepperConfig(dt=10.0, t_end=300.0, linear_only=True)
@@ -257,7 +258,7 @@ def test_snapshot_restart_is_bit_identical(tmp_path):
 def test_run_validation():
     dom = Domain(a=1.0, Nx=3, Nz=3)
     p = _params()
-    s0 = State.zero(dom)
+    s0 = build_initial_state({"kind": "zero"}, dom, p)
     with pytest.raises(ValueError, match="integer multiple"):
         run(s0, p, StepperConfig(dt=0.3, t_end=1.0))
     with pytest.raises(ValueError, match="step-aligned"):
@@ -408,4 +409,5 @@ def test_run_hands_out_arrays_and_builds_validated_states(monkeypatch):
     with pytest.raises(ValueError, match="does not match domain"):
         SpectralField(np.zeros((4, 3)), dom)
     with pytest.raises(ValueError, match="different domains"):
-        State(s0.psi, s0.theta, SpectralField.zero(Domain(a=2.0, Nx=4, Nz=4)))
+        State(s0.psi, s0.theta,
+              SpectralField(np.zeros((4, 4)), Domain(a=2.0, Nx=4, Nz=4)))

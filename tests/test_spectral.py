@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ltne import (Domain, GridField, SpectralField, jacobian,
-                  laplacian_eigenvalue, norm_hk, read_snapshot, tail_fraction,
-                  to_grid, to_spectral, write_snapshot)
+from ltne import (Domain, GridField, SpectralField, State, jacobian,
+                  read_snapshot, state_norms, to_grid, to_spectral,
+                  write_snapshot)
+from ltne.spectral import _tail_fractions
 
 
 def _rand_field(dom, rng, scale=1.0):
@@ -22,15 +23,31 @@ def _inner(u, v):
     return u.dom.a / 4.0 * np.sum(u.coeffs * v.coeffs)
 
 
+def _sq(u):
+    """`state_norms` of the State with u in all three fields: theta_sq is
+    ||u||^2, grad_theta_sq ||grad u||^2, and grad_psi_sq, lap_psi_sq,
+    gradlap_psi_sq the squared H^k-level seminorms for k = 1, 2, 3."""
+    return state_norms(State(u, u, u))
+
+
+def _bracket_scale(psi, theta):
+    """||grad psi|| ||theta|| ||grad theta||, the size a pairing
+    <J(psi, theta), theta> of roundoff is measured against."""
+    p, t = _sq(psi), _sq(theta)
+    return np.sqrt(p["grad_psi_sq"] * t["theta_sq"] * t["grad_theta_sq"])
+
+
 def test_laplacian_eigenvalue_literals():
-    assert laplacian_eigenvalue(1, 1, 1.0) == pytest.approx(-2 * np.pi ** 2,
-                                                            rel=1e-15)
-    assert laplacian_eigenvalue(2, 1, 2.0) == pytest.approx(-2 * np.pi ** 2,
-                                                            rel=1e-15)
-    assert laplacian_eigenvalue(3, 2, 1.0) == pytest.approx(-13 * np.pi ** 2,
-                                                            rel=1e-15)
-    with pytest.raises(ValueError):
-        laplacian_eigenvalue(0, 1, 1.0)
+    # Plan.mu[m-1, n-1] = -((m pi / a)^2 + (n pi)^2)
+    for a, m, n, want in ((1.0, 1, 1, -2 * np.pi ** 2),
+                          (2.0, 2, 1, -2 * np.pi ** 2),
+                          (1.0, 3, 2, -13 * np.pi ** 2)):
+        mu = Domain(a=a, Nx=4, Nz=4).plan.mu
+        assert mu.shape == (4, 4)
+        assert mu[m - 1, n - 1] == pytest.approx(want, rel=1e-15)
+    for a in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="aspect ratio a must be > 0"):
+            Domain(a=a, Nx=4, Nz=4)
 
 
 def test_single_mode_grid_values():
@@ -74,7 +91,7 @@ def test_parseval_against_grid_quadrature():
         g = to_grid(u)
         weight = dom.a / (dom.Mx + 1) / (dom.Mz + 1)   # per interior node
         quad_sq = weight * np.sum(g.values ** 2)
-        assert quad_sq == pytest.approx(norm_hk(u, 0) ** 2, rel=1e-12)
+        assert quad_sq == pytest.approx(_sq(u)["theta_sq"], rel=1e-12)
 
 
 def test_derivatives_match_analytic_cosine_series():
@@ -164,8 +181,7 @@ def test_jacobian_skew_symmetry_random_pairs():
     for _ in range(20):
         psi, theta = _rand_field(dom, rng), _rand_field(dom, rng)
         pairing = _inner(jacobian(psi, theta), theta)
-        scale = norm_hk(psi, 1) * norm_hk(theta, 0) * norm_hk(theta, 1)
-        assert abs(pairing) <= 1e-10 * scale
+        assert abs(pairing) <= 1e-10 * _bracket_scale(psi, theta)
 
 
 def _grid_jacobian(cpsi, cth, a, M):
@@ -211,8 +227,7 @@ def test_jacobian_exact_at_the_minimal_grid_and_aliased_one_point_below():
         scale = np.max(np.abs(padded.coeffs))
         assert np.max(np.abs(J.coeffs - padded.coeffs)) <= 1e-13 * scale
         pairing = _inner(J, theta)
-        assert abs(pairing) <= 1e-12 * (
-            norm_hk(psi, 1) * norm_hk(theta, 0) * norm_hk(theta, 1))
+        assert abs(pairing) <= 1e-12 * _bracket_scale(psi, theta)
         aliased = _grid_jacobian(psi.coeffs, theta.coeffs, a, dom.Mx - 1)
         assert np.max(np.abs(aliased - padded.coeffs)) > 0.1 * scale
 
@@ -247,14 +262,13 @@ def test_norms_single_mode_closed_form():
     dom = Domain(a=a, Nx=5, Nz=5)
     c = np.zeros((5, 5))
     c[2, 1] = 3.0     # mode (3, 2)
-    u = SpectralField(c, dom)
-    mu = abs(laplacian_eigenvalue(3, 2, a))
-    base = 3.0 * np.sqrt(a) / 2.0
-    for k in range(5):
-        assert norm_hk(u, k) == pytest.approx(base * mu ** (k / 2.0),
-                                              rel=1e-13)
-    with pytest.raises(ValueError):
-        norm_hk(u, -1)
+    n = _sq(SpectralField(c, dom))
+    mu = (3 * np.pi / a) ** 2 + (2 * np.pi) ** 2
+    base = 9.0 * a / 4.0    # (a/4) 3^2
+    for name, k in (("theta_sq", 0), ("grad_theta_sq", 1),
+                    ("grad_psi_sq", 1), ("lap_psi_sq", 2),
+                    ("gradlap_psi_sq", 3)):
+        assert n[name] == pytest.approx(base * mu ** k, rel=1e-13)
 
 
 def test_grad_norm_matches_fine_grid_quadrature():
@@ -276,47 +290,52 @@ def test_grad_norm_matches_fine_grid_quadrature():
     uz = np.sin(np.outer(x, kx)) @ (u.coeffs * kz[None, :]) \
         @ np.cos(np.outer(z, kz)).T
     integ = simpson(simpson(ux ** 2 + uz ** 2, x=z, axis=1), x=x)
-    assert integ == pytest.approx(norm_hk(u, 1) ** 2, rel=1e-8)
+    n = _sq(u)
+    assert integ == pytest.approx(n["grad_theta_sq"], rel=1e-8)
+    assert n["grad_psi_sq"] == n["grad_theta_sq"]
 
 
 def test_tail_fraction_direct_summation():
+    # the share of sum |mu|^k u_mn^2 outside the leading cutoff x cutoff
+    # block, summed mode by mode, against `_tail_fractions` on a stack
     rng = np.random.default_rng(19)
-    dom = Domain(a=1.0, Nx=8, Nz=8)
-    u = _rand_field(dom, rng)
+    a = 1.3
+    dom = Domain(a=a, Nx=8, Nz=6)
+    C = rng.standard_normal((3, 8, 6))
+    C[1] = 0.0
     for k in (0, 1, 2, 5):
-        for cutoff in (2, 4, 7):
-            total = head = 0.0
-            for m in range(1, 9):
-                for n in range(1, 9):
-                    w = abs(laplacian_eigenvalue(m, n, 1.0)) ** k \
-                        * u.coeffs[m - 1, n - 1] ** 2
-                    total += w
-                    if m <= cutoff and n <= cutoff:
-                        head += w
-            assert tail_fraction(u, k, cutoff) == pytest.approx(
-                (total - head) / total, rel=1e-12)
-    assert tail_fraction(SpectralField(np.zeros((8, 8)), dom), 2, 4) == 0.0
-    with pytest.raises(ValueError):
-        tail_fraction(u, 2, 8)
+        for cutoff in (1, 2, 4, 5):
+            want = []
+            for c in C:
+                total = head = 0.0
+                for m in range(1, 9):
+                    for n in range(1, 7):
+                        w = ((m * np.pi / a) ** 2 + (n * np.pi) ** 2) ** k \
+                            * c[m - 1, n - 1] ** 2
+                        total += w
+                        if m <= cutoff and n <= cutoff:
+                            head += w
+                want.append((total - head) / total if total else 0.0)
+            got = _tail_fractions(C, dom.plan.weight(k), cutoff)
+            assert got == pytest.approx(want, rel=1e-12)
+            assert got[1] == 0.0
 
 
 def test_weight_that_overflows_is_refused():
     # |mu|^84 overflows at mode (16, 16) of N=16 (|mu| = 2 (16 pi)^2), which
-    # made the tail fraction NaN and the H^k norm inf; each refuses such a
-    # k as the certificate suite does, and 83 is still finite
+    # would make the tail fraction NaN; `Plan.weight` refuses such a k, and
+    # 83 is still finite
     rng = np.random.default_rng(5)
     dom = Domain(a=1.0, Nx=16, Nz=16)
-    u = _rand_field(dom, rng)
-    for call in (lambda: tail_fraction(u, 84, 4),
-                 lambda: tail_fraction(u, 200, 4), lambda: norm_hk(u, 200)):
+    for k in (84, 200):
         with pytest.raises(ValueError, match=r"^k \d+ out of range: "
                            r"\|mu\|\^k overflows at mode \(16, 16\)$"):
-            call()
-    assert np.isfinite(dom.plan.weight(83)).all()
-    smooth = SpectralField(u.coeffs * np.exp(-np.add.outer(
-        np.arange(16), np.arange(16)) * 10.0), dom)
-    assert 0.0 <= tail_fraction(smooth, 83, 4) <= 1.0
-    assert np.isfinite(norm_hk(smooth, 83))
+            dom.plan.weight(k)
+    w = dom.plan.weight(83)
+    assert np.isfinite(w).all()
+    smooth = rng.standard_normal((1, 16, 16)) * np.exp(-np.add.outer(
+        np.arange(16), np.arange(16)) * 10.0)
+    assert 0.0 <= _tail_fractions(smooth, w, 4)[0] <= 1.0
 
 
 def test_snapshot_round_trip_exact(tmp_path):
@@ -343,10 +362,23 @@ def test_snapshot_malformed_lines_name_line_numbers(tmp_path):
     bad.write_text("\n".join(lines[:3] + ["1 junk 0.0"] + lines[4:]) + "\n")
     with pytest.raises(ValueError, match=r":4: expected coefficient"):
         read_snapshot(bad)
+    # a well-formed coefficient line for the wrong mode
+    bad.write_text("\n".join(lines[:2] + ["2 2 0"] + lines[3:]) + "\n")
+    with pytest.raises(ValueError, match=r":3: expected coefficient \(1, 1\)"):
+        read_snapshot(bad)
+    bad.write_text("")
+    with pytest.raises(ValueError, match="empty snapshot file"):
+        read_snapshot(bad)
+    # "\r\n" line ends read as "\n" does
+    bad.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert read_snapshot(bad)[3] == 0.0
     hdr = tmp_path / "hdr.snap"
-    hdr.write_text("LTNE-SNAP v1 2 junk 1.0 0.0\n" + "\n".join(lines[1:]) + "\n")
-    with pytest.raises(ValueError, match="not a v1 snapshot"):
-        read_snapshot(hdr)
+    for head in ("LTNE-SNAP v1 2 junk 1.0 0.0", "LTNE-SNAP v2 2 2 1.0 0.0",
+                 "LTNE-SNIP v1 2 2 1.0 0.0", "LTNE-SNAP v1 2 2 1.0",
+                 "LTNE-SNAP v1 2 2 1.0 0.0 0.0"):
+        hdr.write_text(head + "\n" + "\n".join(lines[1:]) + "\n")
+        with pytest.raises(ValueError, match="not a v1 snapshot"):
+            read_snapshot(hdr)
     # a header that parses but whose aspect ratio or time is not finite
     for a, t in (("nan", "0.0"), ("inf", "0.0"), ("1.0", "nan"),
                  ("1.0", "inf"), ("1.0", "-inf")):
@@ -376,3 +408,7 @@ def test_spectral_field_validation():
         SpectralField(np.full((4, 4), np.nan), dom)
     with pytest.raises(ValueError):
         GridField(np.zeros((4, 4)), dom)   # wrong grid shape
+    other = Domain(a=2.0, Nx=4, Nz=4)
+    with pytest.raises(ValueError, match="different domains"):
+        jacobian(SpectralField(np.zeros((4, 4)), dom),
+                 SpectralField(np.zeros((4, 4)), other))
