@@ -276,15 +276,15 @@ class _H1Window:
             live = self.hi - self.lo
             self.buf = np.pad(self.buf[:, self.lo:], ((0, 0), (0, live + 16)))
             self.lo, self.hi = 0, live
-        b, j = self.buf, self.hi
-        b[0, j], self.hi = t, j + 1
-        for i, (acc, f) in enumerate(zip(self.accs, fs)):
-            acc.step(t, f)
-            b[1 + i, j] = f
-            if acc.n > 1:
-                b[3 + i, j] = acc.term
-            if acc.n > 2:   # the interval before is interior now
-                b[5 + i, j - 1], b[5 + i, j] = acc.inner, acc.edge
+        b, j, (m, e) = self.buf, self.hi, self.accs
+        n = m.step(t, fs[0])    # the samples before this one
+        e.step(t, fs[1])
+        b[:3, j], self.hi = (t, *fs), j + 1
+        if n:
+            b[3, j], b[4, j] = m.term, e.term
+        if n > 1:   # the interval before is interior now
+            b[5, j - 1], b[6, j - 1], b[5, j], b[6, j] = \
+                m.inner, e.inner, m.edge, e.edge
         # an r below the resolution of t puts the edge at t itself; the
         # window then keeps one interval, as for any r below the spacing
         edge = t - self.r * (1 - 1e-12)
@@ -296,19 +296,21 @@ class _H1Window:
         """(a1, a3, r_eff): the trapezoid integrals of M10 and E_half over
         the window, each with its error estimate added, and its length.
         The first interval's stored error term is overwritten first with
-        the one a window starting there gives it (lo never moves back)."""
+        the one a window starting there gives it (lo never moves back).
+        Around the one numpy reduction, the arithmetic is on Python floats,
+        the same IEEE operations in the same order as on the arrays: a
+        numpy call costs more than its work on two or three elements."""
         b, lo, hi = self.buf, self.lo, self.hi
-        r_eff = float(b[0, hi - 1] - b[0, lo])
-        h = b[0, lo + 1] - b[0, lo]
+        (t0, t1, *_), *fs = b[:3, lo:lo + 3].tolist()
+        h, r_eff = t1 - t0, b[0, hi - 1].item() - t0
         if hi - lo == 2:
-            a = b[3:5, hi - 1]
-            err = 0.25 * (abs(b[1:3, hi - 1] - b[1:3, lo]) * h)
-        else:   # the first interval reuses its right end's e
-            d2 = np.abs(np.diff(b[1:3, lo:lo + 3], 2))[:, 0]
-            b[5:7, lo + 1] = h * 0.5 * (d2 + d2)
-            s = b[3:7, lo + 1:hi].sum(axis=1)
-            a, err = s[:2], s[2:] / 12.0
-        return (*(a + err).tolist(), r_eff)
+            return (*(a + 0.25 * (abs(f[1] - f[0]) * h)
+                      for a, f in zip(b[3:5, hi - 1].tolist(), fs)), r_eff)
+        # the first interval reuses its right end's e
+        d2 = [abs((f[2] - f[1]) - (f[1] - f[0])) for f in fs]
+        b[5:7, lo + 1] = [h * 0.5 * (d + d) for d in d2]
+        a1, a3, e1, e3 = b[3:7, lo + 1:hi].sum(axis=1).tolist()
+        return a1 + e1 / 12.0, a3 + e3 / 12.0, r_eff
 
 
 # -- individual certificates -------------------------------------------------
@@ -559,21 +561,32 @@ class CertificateSuite(_Certifier):
 
 # -- offline re-certification ------------------------------------------------
 
+def _record(fields: dict) -> TrajectoryRecord:
+    # A bare instance given `fields` as its attributes: the dataclass
+    # `__init__`, with its 29 keyword arguments, is a large share of what
+    # replaying a record costs, and TrajectoryRecord has no `__post_init__`
+    # to skip.
+    rec = object.__new__(TrajectoryRecord)
+    rec.__dict__ = fields
+    return rec
+
+
 def replay_certificates(stored, p: Params, dom: Domain, cfg: CertificateConfig,
                         on_record=None
                         ) -> tuple[RecordSummary, CertificateConstants]:
     """Re-derive every flag and slack in CERT_FIELDS from a stored record
     stream through the same stage (b) as the online suite.  `stored` is an
     iterable of dicts of TrajectoryRecord fields (`vars` of a record, or a
-    typed stream line), read once, in sample order.  Each fresh record is
-    built from its dict with CERT_FIELDS cleared and, once certified,
-    handed to `on_record(stored_dict, fresh)` if given.  Returns the fresh
+    typed stream line), read once, in sample order, and never written to.
+    Each fresh record is a TrajectoryRecord whose fields are a new dict,
+    its stored dict with CERT_FIELDS cleared; once certified, it is handed
+    to `on_record(stored_dict, fresh)` if given.  Returns the fresh
     records' summary and the constants used."""
     certify, cleared = None, dict.fromkeys(CERT_FIELDS)
     for d in stored:
         if certify is None:
             certify = _Certifier(p, dom, cfg, d)
-        rec = certify(TrajectoryRecord(**(d | cleared)))
+        rec = certify(_record(d | cleared))
         if on_record is not None:
             on_record(d, rec)
     if certify is None:

@@ -60,6 +60,23 @@ _BLOWUP = {"t": (float, _REQUIRED), "field": (str, _REQUIRED),
 # bound is trivially met or broken (the h1 slack of a zero state)
 _INF_OK = frozenset(f for f in CERT_FIELDS if f.endswith("_slack"))
 
+
+def _misfit(line: dict):
+    """The first (key, value) of the record line `line`, in its order, that
+    `_Stream` does not write: a value neither of its field's type nor a
+    null the field admits, or a float that is NaN or, outside a slack,
+    +-inf.  None if there is none.  On a line `_read_block` has typed,
+    only the floats can be left to fail."""
+    for key, v in line.items():
+        kind, default = _RECORD[key]
+        if type(v) is not kind:
+            if v is not None or default is not None:
+                return key, v
+        elif kind is float and not math.isfinite(v) \
+                and (v != v or key not in _INF_OK):
+            return key, v
+
+
 _SWEEP_COLS = ("parameter", "value", "status", "t_end", "E_Y_final",
                "theta_sq_final", "phi_sq_final", "lap_psi_sq_final",
                "decay_rate_measured", "spectral_abscissa", "M7", "decay_ok",
@@ -107,13 +124,13 @@ class _Stream:
             self.flush()
 
     def flush(self):
-        for rec in self.batch:
+        batch, self.batch = self.batch, []  # handed out once, whatever raises
+        for rec in batch:
             self.fh.write(_encode(vars(rec)) + "\n")
             if self.plot is not None:
                 self.plot.writerow(_plot_row(vars(rec)))
             if self.on_record is not None:
                 self.on_record(rec)
-        self.batch.clear()
 
     def close(self, failure: dict | None):
         self.flush()
@@ -154,14 +171,22 @@ def _execute(rc: RunConfig, jsonl_path: Path, base_dir: Path,
     file (and the plot CSV) in batches as they are certified and, once the
     integration returns, any blowup marker; then write the snapshots.
     Every refusal of the config (its output paths, then the suite's
-    settings) comes before any file is opened."""
+    settings) comes before any file is opened.  Should the integration
+    raise (KeyboardInterrupt too), the records the stream still holds are
+    written, with no marker, before the files close, and the exception
+    goes on as it was: an error from that write is dropped."""
     s0 = build_initial_state(rc.ic, rc.dom, rc.p)
     paths = _output_paths(rc, jsonl_path, base_dir, s0.t)
     suite = CertificateSuite(rc.p, rc.dom, rc.cert_cfg, s0, rc.config_hash)
     with contextlib.ExitStack() as files:
         stream = _Stream(suite, rc, paths, files, on_record)
-        traj = integrate(s0, rc.p, rc.stepper, monitors=stream,
-                         snapshot_times=tuple(rc.output["snapshot_at"]))
+        try:
+            traj = integrate(s0, rc.p, rc.stepper, monitors=stream,
+                             snapshot_times=tuple(rc.output["snapshot_at"]))
+        except BaseException:
+            with contextlib.suppress(Exception):
+                stream.flush()
+            raise
         stream.close(traj.failure)
     for t, st in traj.snapshots:
         write_snapshot(paths[t], st.psi, st.theta, st.phi, t)
@@ -231,7 +256,12 @@ class _Records:
     config's `hash` and its RunConfig `rc`.  Iterating reads each later
     line once, in file order, and parses, types and checks it before it
     yields the record as its dict of TrajectoryRecord fields, so of two
-    bad lines the earlier one is refused.  A blowup marker is kept in
+    bad lines the earlier one is refused.  A record line as `_Stream`
+    writes it (one without a `_misfit`) is yielded as parsed.  Any other
+    record line is typed in full by `_read_block`, which turns an integral
+    number in a float field into a float and fills a missing optional key
+    with its null, and is then checked for non-finite floats; each refusal
+    names the first field at fault.  A blowup marker is kept in
     `blowup`, and a line after it is refused naming the marker's line.  A
     refused line raises a ConfigError naming it, as do a cut line (one
     without its final newline, refused when the reader reaches it) and,
@@ -281,26 +311,26 @@ class _Records:
                     d = json.loads(ln[:-1].decode())
                 except ValueError as e:     # not UTF-8 or JSON, huge integer
                     raise ConfigError(f"{path}:{i}: malformed JSON ({e})")
-                is_marker = isinstance(d, dict) and "blowup" in d
                 try:
-                    if is_marker:
+                    if isinstance(d, dict) and "blowup" in d:
                         line = _read_block(d, _MARKER, "marker")
                         self.blowup = _read_block(line["blowup"], _BLOWUP,
                                                   "blowup")
-                    else:
+                    elif isinstance(d, dict) and d.keys() == _RECORD.keys() \
+                            and _misfit(d) is None:
+                        line = d    # as `_Stream` writes it, in one walk
+                    else:   # typed in full, so each refusal names its field
                         line = _read_block(d, _RECORD, "record")
-                        for key, v in line.items():
-                            if type(v) is float and not math.isfinite(v) \
-                                    and (v != v or key not in _INF_OK):
-                                raise ConfigError(f"field 'record.{key}': "
-                                                  f"non-finite value {v!r}")
+                        if (bad := _misfit(line)) is not None:
+                            raise ConfigError(f"field 'record.{bad[0]}': "
+                                              f"non-finite value {bad[1]!r}")
                 except ConfigError as e:
                     raise ConfigError(f"{path}:{i}: {e}")
                 if line["config_hash"] != self.hash:
                     raise ConfigError(f"{path}:{i}: mixed config hashes "
                                       f"({line['config_hash']!r} vs "
                                       f"{self.hash!r})")
-                if is_marker:
+                if self.blowup is not None:     # this line is the marker
                     continue
                 if first is None:
                     first = line["t"]

@@ -10,7 +10,8 @@ from ltne import (CertificateConfig, CertificateSuite, Domain, Params,
                   check_h1_absorbing, compute_constants, energy_y,
                   measured_decay_rate, replay_certificates, run, state_norms,
                   summarize_records)
-from ltne.certificates import TrajectoryRecord, _H1Window, _RunningTrapz
+from ltne.certificates import (CERT_FIELDS, TrajectoryRecord, _Certifier,
+                               _H1Window, _RunningTrapz)
 from ltne.dynamics import _energy_identity_rhs
 from ltne.spectral import _tail_fractions
 
@@ -48,10 +49,20 @@ def _suite_run(suite_cls, p, dom, cfg, s0, stepper_cfg, checks=None):
 
 def _replay(recs, p, dom, cfg):
     """`replay_certificates` over the records of a run: the fresh records
-    it hands out, and the constants."""
-    fresh = []
-    _, k = replay_certificates([vars(r) for r in recs], p, dom, cfg,
-                               lambda stored, rec: fresh.append(rec))
+    it hands out, and the constants.  The stored dicts are the live
+    records' own `vars`, and certifying leaves them as they were; each
+    fresh record equals the one the dataclass constructor builds from its
+    dict with CERT_FIELDS cleared, certified by a stage (b) of its own."""
+    stored = [vars(r) for r in recs]
+    before, fresh = [dict(d) for d in stored], []
+    _, k = replay_certificates(stored, p, dom, cfg,
+                               lambda d, rec: fresh.append(rec))
+    assert stored == before
+    built = _Certifier(p, dom, cfg, before[0])
+    assert fresh == [built(TrajectoryRecord(**(d | dict.fromkeys(
+        CERT_FIELDS)))) for d in before]
+    assert all(type(r) is TrajectoryRecord and vars(r).keys() == d.keys()
+               for r, d in zip(fresh, before))
     return fresh, k
 
 

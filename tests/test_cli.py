@@ -18,6 +18,7 @@ import ltne.cli as cli
 from ltne import (ConfigError, Domain, SpectralField, assemble_linear,
                   build_config, config_hash, load_config, write_snapshot)
 from ltne.cli import _sweep_child, main
+from ltne.config import _read_block
 from ltne.spectral import Plan
 
 
@@ -398,6 +399,46 @@ def test_sigkilled_run_leaves_a_prefix_certify_calls_truncated(tmp_path):
     assert "truncated" in code.stderr, code.stderr
 
 
+class _DiskFull:
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+def test_interrupted_run_keeps_the_records_it_certified(tmp_path, capsys,
+                                                        monkeypatch):
+    # an integration that raises (here KeyboardInterrupt, as Ctrl-C raises
+    # it, after the 100th sample) leaves every record certified so far in
+    # whole lines and no marker, a stream certify refuses as truncated.  An
+    # error from that last write (the disk full after the first batch of 64)
+    # does not replace the exception.
+    cfg = _write(tmp_path / "long.json", _base_doc(
+        dt=1e-3, sample_every=1, output={"jsonl": "long.jsonl"}))
+    jsonl, on_sample = tmp_path / "long.jsonl", cli._Stream.on_sample
+    for disk_full, kept in ((False, 100), (True, 64)):
+        samples = []
+
+        def interrupted(stream, t, *args):
+            if len(samples) == 100:
+                if disk_full:
+                    stream.fh = _DiskFull()
+                raise KeyboardInterrupt
+            samples.append(t)
+            on_sample(stream, t, *args)
+
+        monkeypatch.setattr(cli._Stream, "on_sample", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", str(cfg)])
+        assert capsys.readouterr().out == ""
+        head, *lines = jsonl.read_text().split("\n")[:-1]
+        assert set(json.loads(head)) == {"meta", "config_hash"}
+        assert [json.loads(ln)["t"] for ln in lines] == samples[:kept]
+        if not disk_full:
+            assert main(["certify", str(jsonl)]) == 3
+            assert capsys.readouterr() == ("", (
+                f"error: {jsonl}: truncated: last sample t=0.099 but the run "
+                "covers t_end=1\n"))
+
+
 def test_certify_mso_override_loosens_only(tmp_path, capsys):
     code, jsonl = _run_case(tmp_path, capsys)
     assert code == 0
@@ -487,6 +528,70 @@ def test_certify_rejects_mistyped_records(tmp_path, capsys):
     assert main(["certify", str(jsonl)]) == 3
     err = capsys.readouterr().err
     assert ":1: not a meta line" in err and "'header.meta'" in err, err
+
+
+def _int_valued(recs):
+    base = [dict(r, E_Y=1.0) if i == 1 else r for i, r in enumerate(recs)]
+    assert base[0]["t"] == 0.0
+    return base, [dict(base[0], t=0), dict(base[1], E_Y=1)] + base[2:]
+
+
+# Record lines `_Stream` does not write, each as (the stream as `_Stream`
+# writes it, the stream with such lines), as a function of the records.
+# Certified the same: an integral number in a float field, the keys in
+# another order, an optional key left out.  Refused naming the first field
+# at fault: `_read_block` types the whole line before any float is checked.
+_ACCEPTED = {
+    "int-valued floats": _int_valued,
+    "reordered keys": lambda recs: (
+        recs, [dict(reversed(r.items())) for r in recs]),
+    "missing optional key": lambda recs: (
+        recs, [{k: v for k, v in r.items() if k != "cdep_ok"}
+               for r in recs]),
+}
+_REFUSED = {
+    "mistyped and NaN": (dict(E_Y=math.nan, tail_ok="true"),
+                         "field 'record.tail_ok': expected bool, got 'true'"),
+    "true in a float field": (dict(theta_sq=True), "field 'record.theta_sq': "
+                              "expected float, got True"),
+}
+
+
+@pytest.mark.parametrize("case", [*_ACCEPTED, *_REFUSED])
+def test_certify_types_lines_the_stream_does_not_write(tmp_path, capsys,
+                                                       case):
+    code, jsonl = _run_case(tmp_path, capsys)
+    assert code == 0
+    head, *lines = jsonl.read_text().splitlines()
+    recs = [json.loads(ln) for ln in lines]
+
+    def certify(records):
+        jsonl.write_text("\n".join([head] + list(map(json.dumps, records)))
+                         + "\n")
+        return main(["certify", str(jsonl)]), capsys.readouterr(), \
+            list(cli._Records(jsonl)) if case in _ACCEPTED else None
+
+    if case in _ACCEPTED:
+        written, edited = _ACCEPTED[case](recs)
+        code, (out, err), typed = certify(written)
+        assert (code, err) == (0, "") and "verdict: PASS" in out
+        assert certify(edited) == (code, (out, err), typed)
+    else:
+        edit, refusal = _REFUSED[case]
+        assert certify(recs[:1] + [dict(recs[1], **edit)] + recs[2:])[:2] \
+            == (3, ("", f"error: {jsonl}:3: {refusal}\n"))
+
+
+def test_records_yield_what_read_block_types(tmp_path, capsys):
+    # every line `run` writes, a zero state's infinite slacks among them,
+    # is yielded as its parsed dict, equal to the dict typing it gives
+    for ic in ({"kind": "zero"}, _base_doc()["ic"]):
+        code, jsonl = _run_case(tmp_path, capsys, ic=ic)
+        assert code == 0
+        recs = [json.loads(ln) for ln in jsonl.read_text().splitlines()[1:]]
+        assert [cli._misfit(r) for r in recs] == [None] * len(recs)
+        assert list(cli._Records(jsonl)) == [
+            _read_block(r, cli._RECORD, "record") for r in recs]
 
 
 def test_run_config_errors(tmp_path, capsys):
