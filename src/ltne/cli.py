@@ -5,8 +5,9 @@ Exit codes: 0 success, 1 certificate violation, 2 blowup, 3 bad input.
 Every command raises its refusals: a ValueError (ConfigError among them)
 for input it will not take, an OSError for a file it cannot read or
 write.  So does the argument parser, for a missing or malformed argument.
-`main` alone turns them into one `error: <message>` line on stderr and
-exit 3.
+`main` alone turns them, and the MemoryError of an array too large to
+allocate (a truncation far beyond the machine), into one
+`error: <message>` line on stderr and exit 3.
 """
 
 from __future__ import annotations
@@ -91,11 +92,6 @@ _SWEEP = {"parameter": (str, _REQUIRED), "values": (list, _REQUIRED),
           "output_dir": (str, _ABSENT), "csv": (str, _ABSENT)}
 
 
-def _resolve(path_str, base_dir: Path) -> Path:
-    p = Path(path_str)
-    return p if p.is_absolute() else base_dir / p
-
-
 class _Stream:
     """`integrate`'s monitor for one CLI run, and the only writer of its
     JSONL stream.  It opens the JSONL file, with its header line, and the
@@ -147,11 +143,11 @@ def _output_paths(rc: RunConfig, jsonl_path: Path, base_dir: Path,
     ValueError, as are outputs that would share a file, naming both and
     the path."""
     dt, out = rc.stepper.dt, rc.output
-    prefix = _resolve(out["snapshot_prefix"], base_dir) \
+    prefix = base_dir / out["snapshot_prefix"] \
         if out["snapshot_prefix"] else jsonl_path.with_suffix("")
     named = {"jsonl": ("jsonl", jsonl_path)}
     if out["plot_csv"]:
-        named["plot_csv"] = ("plot_csv", _resolve(out["plot_csv"], base_dir))
+        named["plot_csv"] = ("plot_csv", base_dir / out["plot_csv"])
     for ts in out["snapshot_at"]:
         t = t0 + _snapshot_step(ts, rc.stepper) * dt
         named.setdefault(t, (f"snapshot_at {ts!r}",
@@ -221,7 +217,7 @@ def cmd_run(args) -> int:
     cfg_path = Path(args.config)
     rc = load_config(cfg_path)
     base_dir = cfg_path.resolve().parent
-    jsonl_path = _resolve(rc.output["jsonl"], base_dir) \
+    jsonl_path = base_dir / rc.output["jsonl"] \
         if rc.output["jsonl"] else cfg_path.with_suffix(".jsonl")
     suite, traj, snap_paths = _execute(rc, jsonl_path, base_dir)
     p, dom, k = rc.p, rc.dom, suite.k
@@ -498,14 +494,13 @@ def cmd_sweep(args) -> int:
     _require(("base" in spec) != ("base_path" in spec),
              "sweep needs exactly one of 'base' or 'base_path'")
     base = spec["base"] if "base" in spec else _typed(
-        "base_path", read_json(_resolve(spec["base_path"], base_dir)), dict)
+        "base_path", read_json(base_dir / spec["base_path"]), dict)
     param = spec["parameter"]
     _require(param in _SWEEP_PARAMS, f"sweep parameter must be one of "
              f"{_SWEEP_PARAMS}, got {param!r}")
 
-    out_dir = _resolve(spec.get("output_dir", spec_path.stem + "_runs"),
-                       base_dir)
-    csv_path = _resolve(spec.get("csv", spec_path.stem + ".csv"), base_dir)
+    out_dir = base_dir / spec.get("output_dir", spec_path.stem + "_runs")
+    csv_path = base_dir / spec.get("csv", spec_path.stem + ".csv")
     streams = {}    # each row's stream file, refused if two rows share one
     for v in spec["values"]:
         try:
@@ -604,7 +599,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .params import Params, PhysicalParams, nondimensionalize
-from .spectral import Domain, SpectralField, read_snapshot
+from .spectral import _FIELD_ORDER, Domain, SpectralField, read_snapshot
 from .dynamics import State, _sq_norms, assemble_linear
 from .integrator import StepperConfig
 from .certificates import CertificateConfig, energy_y
@@ -134,14 +134,10 @@ def _read_block(block, table: dict, name: str = "") -> dict:
     unknown = block.keys() - table.keys()
     _require(not unknown,
              f"unknown {name or 'config'} keys: {sorted(unknown)}")
-    if len(block) < len(table):     # else, with no unknown key, none missing
-        missing = [k for k, (_, d) in table.items()
-                   if d is _REQUIRED and k not in block]
-        _require(not missing, f"missing {name or 'config'} keys: {missing}")
-    # `_typed`'s commonest case inline: a scalar of its own type, or a null
-    return {key: v if v is None and default is None or type(v) is kind
-            and kind is not dict and kind is not list
-            else _typed(key, v, kind, default is None, name)
+    missing = [k for k, (_, d) in table.items()
+               if d is _REQUIRED and k not in block]
+    _require(not missing, f"missing {name or 'config'} keys: {missing}")
+    return {key: _typed(key, v, kind, default is None, name)
             for key, (kind, default) in table.items()
             if (v := block.get(key, default)) is not _ABSENT}
 
@@ -232,7 +228,7 @@ def load_config(path) -> RunConfig:
     path = Path(path)
     doc = read_json(path)
     try:
-        return build_config(doc, base_dir=path.parent)
+        return build_config(doc, base_dir=path.resolve().parent)
     except ConfigError as e:
         raise ConfigError(f"{path}: {e}")
 
@@ -291,12 +287,12 @@ def _fill_named(C: np.ndarray, ic: dict, dom: Domain, p: Params):
     name = ic.get("name")
     if name == "single_mode":
         field = ic.get("field", "theta")
-        _require(field in ("psi", "theta", "phi"),
+        _require(field in _FIELD_ORDER,
                  f"single_mode field must be psi|theta|phi, got {field!r}")
         m, n = int(ic.get("m", 1)), int(ic.get("n", 1))
         _require(1 <= m <= dom.Nx and 1 <= n <= dom.Nz,
                  f"single_mode ({m}, {n}) outside truncation")
-        C[("psi", "theta", "phi").index(field), m - 1, n - 1] = \
+        C[_FIELD_ORDER.index(field), m - 1, n - 1] = \
             float(ic.get("amplitude", 1.0))
     elif name == "eigen_slow":
         # slowest-decaying eigenvector of the (1,1) theta-phi block
@@ -315,7 +311,7 @@ def _fill_named(C: np.ndarray, ic: dict, dom: Domain, p: Params):
         prof = np.exp(-(m + n).astype(float))
         prof[(m > band) | (n > band)] = 0.0
         C[:] = [float(ic.get(f"amp_{f}", 1.0)) * prof
-                for f in ("psi", "theta", "phi")]
+                for f in _FIELD_ORDER]
     else:
         raise ConfigError(f"unknown named ic {name!r}; choose "
                           "single_mode|eigen_slow|smooth_bump")

@@ -110,8 +110,8 @@ def _rhs_arrays(c: np.ndarray, p: Params, dom: Domain,
 def rhs(s: State, p: Params, include_jacobian: bool = True) -> np.ndarray:
     """Time derivative of a state, as one (3, Nx, Nz) array of the
     coefficients [dpsi, dtheta, dphi].  `include_jacobian=False` drops the
-    nonlinearity, leaving exactly the assembled linear operator's
-    action."""
+    nonlinearity, leaving the linear part, whose coefficients
+    `assemble_linear` reads off this function bit for bit."""
     _check(p, s.dom)
     return _rhs_arrays(_stack(s), p, s.dom, include_jacobian)
 
@@ -120,7 +120,9 @@ def rhs(s: State, p: Params, include_jacobian: bool = True) -> np.ndarray:
 class LinearOperator:
     """Linear part of the system for one (Params, Domain) pair: the
     right-hand side with the Jacobian dropped,
-    `rhs(..., include_jacobian=False)`.  `dense()` is its matrix.
+    `rhs(..., include_jacobian=False)`, whose coefficients it holds bit
+    for bit.  CN/AB2 and ETD1 apply them in another float grouping, so
+    their action agrees with `rhs` to rounding.  `dense()` is its matrix.
 
     lpsi: per-mode psi multipliers (Pr/Da)(C mu - 1), all negative.
     b11..b22: entries of the per-mode theta-phi blocks
@@ -157,16 +159,15 @@ class LinearOperator:
 
 
 def assemble_linear(p: Params, dom: Domain) -> LinearOperator:
+    """The linear operator's coefficients, read off `_rhs_arrays` without
+    the Jacobian at the three unit states (one field 1 in every mode, the
+    others 0): column j of the result is the derivative at unit state j."""
     _check(p, dom)
-    mu = dom.plan.mu
-    return LinearOperator(
-        dom=dom, p=p,
-        lpsi=(p.Pr / p.Da) * (p.C * mu - 1.0),
-        b11=mu - p.lam,
-        b12=p.lam,
-        b21=p.gamma * p.lam / p.alpha,
-        b22=(mu - p.gamma * p.lam) / p.alpha,
-    )
+    units = np.broadcast_to(np.eye(3)[:, :, None, None],
+                            (3, 3, dom.Nx, dom.Nz))
+    (lpsi, _, _), (_, b11, b12), (_, b21, b22) = _rhs_arrays(units, p, dom,
+                                                             False)
+    return LinearOperator(dom, p, lpsi, b11, b12.item(0), b21.item(0), b22)
 
 
 _DENSE_ABSCISSA_CAP = 256

@@ -3,10 +3,13 @@
 Default scheme `imex_cnab2`: Crank-Nicolson on the per-mode linear part (a
 scalar solve for psi, a 2x2 solve for the theta-phi pair, both with
 precomputed closed-form inverses) and 2nd-order Adams-Bashforth on the
-explicit part (the Ra coupling and the Jacobian).  The first step has no
-history and is one fully explicit RK2 (Heun) step.  `etd1` (exact per-mode
-exponential, first-order on the explicit part) and `rk4_explicit` are
-provided for cross-validation.
+explicit part (the Ra coupling and the Jacobian).  The first step, and
+the first after every snapshot barrier, has no history and is one fully
+explicit RK2 (Heun) step: it multiplies a mode with z = dt |rate| by
+|1 - z + z^2/2|, which is 8.7 at N=16 and 185 at N=32 for the stiffest
+mode at default parameters and dt = 1e-3.  `etd1` (exact per-mode
+exponential, first-order on the explicit part; no start-up step) and
+`rk4_explicit` are provided for cross-validation.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .params import Params
-from .spectral import Domain, SpectralField
+from .spectral import _FIELD_ORDER, Domain, SpectralField
 from .dynamics import (State, _explicit, _rhs_arrays, _stack,
                        assemble_linear)
 
@@ -168,7 +171,7 @@ def _blowup(c, dom: Domain, t: float) -> dict | None:
     only a failing one is searched for the field to name."""
     if dom.a / 4.0 * np.vdot(c, c) <= BLOWUP_NORM ** 2:
         return None
-    for name, arr in zip(("psi", "theta", "phi"), c):
+    for name, arr in zip(_FIELD_ORDER, c):
         ss = float(np.sum(arr * arr))
         if not np.isfinite(ss):
             detail = "non-finite coefficients"

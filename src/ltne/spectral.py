@@ -284,10 +284,12 @@ def read_snapshot(path):
         raise ValueError(
             f"{path}: not a v1 snapshot (header {lines[0]!r})") from None
     dom = Domain(a=a, Nx=Nx, Nz=Nz)
-    C = np.zeros((3, Nx, Nz))   # psi, theta, phi
-    for f, i, j in np.ndindex(C.shape):
-        # lines[pos] holds C[f, i, j]: each field is its FIELD line and then
-        # its Nx*Nz coefficients
+    # the coefficients in file order, stacked only once all are read, so a
+    # header that claims more modes than the file holds allocates nothing
+    C = []
+    for f, i, j in np.ndindex(3, Nx, Nz):
+        # lines[pos] holds coefficient (i, j) of field f: each field is its
+        # FIELD line and then its Nx*Nz coefficients
         name, pos = _FIELD_ORDER[f], 2 + f * (Nx * Nz + 1) + i * Nz + j
         if i == j == 0 and lines[pos - 1:pos] != [f"FIELD {name}"]:
             raise ValueError(f"{path}:{pos}: expected 'FIELD {name}'")
@@ -298,11 +300,12 @@ def read_snapshot(path):
             if len(parts) != 3 or int(parts[0]) != i + 1 \
                     or int(parts[1]) != j + 1:
                 raise ValueError
-            C[f, i, j] = float(parts[2])
+            C.append(float(parts[2]))
         except ValueError:
             raise ValueError(f"{path}:{pos + 1}: expected coefficient "
                              f"({i + 1}, {j + 1})") from None
     if len(lines) > pos + 1:
         raise ValueError(f"{path}:{pos + 2}: line after the last coefficient")
-    psi, theta, phi = (SpectralField(c, dom) for c in C)
+    psi, theta, phi = (SpectralField(c, dom)
+                       for c in np.reshape(C, (3, Nx, Nz)))
     return psi, theta, phi, t

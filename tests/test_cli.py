@@ -794,6 +794,19 @@ def test_linearize_refusals_exit_3_with_one_error_line(tmp_path, capsys):
         assert not cfg.with_suffix(".spectrum.csv").exists()
 
 
+def test_run_too_large_to_allocate_exits_3(tmp_path, capsys):
+    # the (3, Nx, Nz) initial stack needs 384 TB, beyond the 128 TiB user
+    # address space, so its allocation fails at once whatever the overcommit
+    # setting; no file is written
+    cfg = _write(tmp_path / "huge.json", _base_doc(
+        Nx=4000000, Nz=4000000, ic={"kind": "zero"}))
+    assert main(["run", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "(3, 4000000, 4000000)" in err
+    assert not (tmp_path / "huge.jsonl").exists()
+
+
 def test_output_paths_with_a_null_byte_exit_3(tmp_path, capsys):
     # `open` and `mkdir` refuse such a path with a ValueError
     base = _base_doc(t_end=0.1)

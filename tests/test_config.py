@@ -343,6 +343,26 @@ def test_snapshot_ic_roundtrip_and_mismatch(tmp_path):
                      base_dir=tmp_path)
 
 
+def test_snapshot_ic_hash_does_not_depend_on_the_config_path_spelling(
+        tmp_path, monkeypatch):
+    # the snapshot path is resolved against the config's resolved directory,
+    # as `ltne run` resolves its outputs, so it hashes the same however the
+    # config path is written
+    cfgdir = tmp_path / "cfgdir"
+    cfgdir.mkdir()
+    dom = build_config(_doc(Nx=3, Nz=3)).dom
+    z = SpectralField(np.zeros((3, 3)), dom)
+    write_snapshot(cfgdir / "s.snap", z, z, z, 0.0)
+    (cfgdir / "c.json").write_text(json.dumps(_doc(
+        Nx=3, Nz=3, ic={"kind": "snapshot", "path": "s.snap"})))
+    monkeypatch.chdir(tmp_path)
+    hashes = {load_config("cfgdir/c.json").config_hash,
+              load_config(cfgdir / "c.json").config_hash}
+    monkeypatch.chdir(cfgdir)
+    hashes.add(load_config("c.json").config_hash)
+    assert len(hashes) == 1
+
+
 def test_load_config_error_positions(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{\n  "Ra": 1.0,\n  "Pr" 2.0\n}\n')

@@ -114,6 +114,32 @@ def test_dense_matches_linear_rhs():
         assert np.allclose(L.dense() @ vec, out, rtol=1e-12, atol=1e-13)
 
 
+def test_assemble_linear_is_read_off_rhs_bit_for_bit():
+    # lpsi, b11 and b22 equal `rhs` without the Jacobian at the unit states
+    # (one field 1 in every mode, the others 0) bit for bit, signed zeros
+    # included, and b12, b21 are Python floats equal to every entry of
+    # theirs; d[j][f] is field f's derivative at unit state j
+    rng = np.random.default_rng(53)
+    bits = lambda x: np.asarray(x, dtype=float).view(np.int64)
+    for k in range(24):
+        a = float(rng.uniform(0.3, 3.0))
+        Nx, Nz = (int(n) for n in rng.choice(6, 2, replace=False) + 1)
+        dom = Domain(a=a, Nx=Nx, Nz=Nz)
+        p = _params(a=a, conduction_coupling=bool(k % 2), **{
+            name: float(10.0 ** rng.uniform(-3, 3))
+            for name in ("Ra", "Pr", "Da", "C", "lam", "gamma", "alpha")})
+        L = assemble_linear(p, dom)
+        units = np.eye(3)[:, :, None, None] * np.ones((Nx, Nz))
+        d = [rhs(State(*(SpectralField(u, dom) for u in unit)), p,
+                 include_jacobian=False) for unit in units]
+        assert np.array_equal(bits(L.lpsi), bits(d[0][0]))
+        assert np.array_equal(bits(L.b11), bits(d[1][1]))
+        assert np.array_equal(bits(L.b22), bits(d[2][2]))
+        assert type(L.b12) is float and type(L.b21) is float
+        assert np.all(bits(d[2][1]) == bits(L.b12))
+        assert np.all(bits(d[1][2]) == bits(L.b21))
+
+
 def test_rhs_psi_only_mode_literals():
     # psi_(1,1) = 1: damping -(Pr/Da)(2 C pi^2 + 1) at mu = -2 pi^2, and the
     # conduction source d/dx sin(pi x) projected on sin(m pi x), m = 2, 4

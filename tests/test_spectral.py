@@ -390,6 +390,13 @@ def test_snapshot_malformed_lines_name_line_numbers(tmp_path):
     trunc.write_text("\n".join(lines[:-2]) + "\n")
     with pytest.raises(ValueError, match="truncated in field phi"):
         read_snapshot(trunc)
+    # a header claiming 3 x 4e6 x 4e6 coefficients (384 TB as one array,
+    # beyond the 128 TiB user address space) is refused from the lines
+    # the file holds, before anything is allocated
+    trunc.write_text("LTNE-SNAP v1 4000000 4000000 1.0 0.0\nFIELD psi\n"
+                     "1 1 0.5\n")
+    with pytest.raises(ValueError, match="truncated in field psi"):
+        read_snapshot(trunc)
     # line 7 opens theta: header, FIELD psi and psi's four coefficients
     assert lines[6] == "FIELD theta"
     bad.write_text("\n".join(lines[:6] + lines[7:]) + "\n")
