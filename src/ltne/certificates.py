@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import ge, gt, lt
 
 import numpy as np
 
@@ -37,24 +38,35 @@ from .dynamics import (NORMS, State, _energy_identity_rhs, _sq_norms,
 
 _REL_TOL = 1e-9     # roundoff allowance on certified inequalities
 
-# One row per certificate: its check name, the inequality it certifies, and
-# the record fields stage (b) derives for it: the flag, then the slack the
-# summary ranks samples by and any further flag.
+# One row per certificate: its check name, the inequality it certifies, the
+# field the summary ranks its samples by and the test that a sample is worse
+# than the worst so far (`lt` and `gt` keep the first of equal values, `ge`
+# the last), then the record fields stage (b) derives for it: the flag,
+# then any slack and further flag.
 _CERT_ROWS = (
-    ("decay", "||th||^2 + ||ph||^2 <= M8 e^{-M7 t} (initial)",
-     "decay_ok", "decay_slack"),
-    ("diss", "int ||grad th||^2 + ||grad ph||^2 <= M9 rho0^2",
-     "diss_ok", "diss_slack"),
+    ("decay", "||th||^2 + ||ph||^2 <= M8 e^{-M7 t} (initial)", "decay_slack",
+     lt, "decay_ok", "decay_slack"),
+    ("diss", "int ||grad th||^2 + ||grad ph||^2 <= M9 rho0^2", "diss_slack",
+     lt, "diss_ok", "diss_slack"),
     ("psi_absorb", "||lap psi||^2 <= Gronwall envelope -> Ra^2 rho0^2 / 4C",
-     "psi_absorb_ok", "psi_absorb_slack", "psi_absorb_ball_ok"),
+     "psi_absorb_slack", lt, "psi_absorb_ok", "psi_absorb_slack",
+     "psi_absorb_ball_ok"),
     ("h1_absorb", "E_half <= (a3/r + a2) e^{a1}  (log-space slack)",
-     "h1_absorb_ok", "h1_absorb_slack"),
+     "h1_absorb_slack", lt, "h1_absorb_ok", "h1_absorb_slack"),
     ("ebal", "2 R(mid) <= -M1 E_half + M2 E_Y  (+ identity residual)",
-     "ebal_ineq_ok"),
-    ("tail", "max field tail fraction <= threshold", "tail_ok"),
+     "ebal_resid", ge, "ebal_ineq_ok"),
+    ("tail", "max field tail fraction <= threshold", "tail_frac_k2", gt,
+     "tail_ok"),
 )
-CERT_FIELDS = tuple(f for row in _CERT_ROWS for f in row[2:])
+CERT_FIELDS = tuple(f for row in _CERT_ROWS for f in row[4:])
 CHECK_NAMES = tuple(row[0] for row in _CERT_ROWS)
+
+# The rule stage (b) certifies by, which each stream's header names: bumped
+# whenever what stage (b) derives or what a record holds changes.
+#   1: the streams written before the header named a rule.
+#   2: `M9` is at least the bound the theta/phi energy identity gives, and
+#      records no longer hold `cdep_ok`, which nothing set.
+_RULE = 2
 
 
 @dataclass(frozen=True)
@@ -136,6 +148,9 @@ def compute_constants(p: Params, dom: Domain, cfg: CertificateConfig,
             f"c_tilde={ct} out of range: need 0 < c_tilde < 1 and "
             f"0 < c_tilde*alpha < 1")
     M9 = min(w_th, w_ph) / (min(1.0 / (2 * lam), 1.0 / (2 * gam * lam)) * ct)
+    # no less than the theta/phi energy identity gives (conduction off):
+    # int <= max(1, gamma) (||th0||^2 + alpha/gamma ||ph0||^2) / 2
+    M9 = max(M9, 0.5 * max(1.0, al / gam) * max(1.0, gam))
     t0 = math.log(M8) / M7
     rho_R_sq = rho0_sq + p.Ra ** 2 * rho0_sq / (4 * p.C)
     M1 = 2.0 * min(p.Pr * p.C / (2 * p.Da), 1.0, 1.0 / al)
@@ -178,7 +193,6 @@ class TrajectoryRecord:
     psi_absorb_ball_ok: bool | None = None
     h1_absorb_ok: bool | None = None
     h1_absorb_slack: float | None = None
-    cdep_ok: bool | None = None
     ebal_resid: float | None = None
     R_mid: float | None = None
     E_half_mid: float | None = None
@@ -563,7 +577,7 @@ class CertificateSuite(_Certifier):
 
 def _record(fields: dict) -> TrajectoryRecord:
     # A bare instance given `fields` as its attributes: the dataclass
-    # `__init__`, with its 29 keyword arguments, is a large share of what
+    # `__init__`, with its 27 keyword arguments, is a large share of what
     # replaying a record costs, and TrajectoryRecord has no `__post_init__`
     # to skip.
     rec = object.__new__(TrajectoryRecord)
@@ -597,39 +611,31 @@ def replay_certificates(stored, p: Params, dom: Domain, cfg: CertificateConfig,
 class RecordSummary:
     """Running per-certificate roll-up of one run's records, fed in sample
     order by `add`, in O(1) memory: `n` records and the `last` one; per
-    check, in `checks`, [checked, passed, worst] with worst the (slack,
-    record) of the lowest slack or, for tail, the highest fraction (the
-    first one on a tie, as `min`/`max` pick); and the largest (ebal_resid,
-    t) in `max_resid`."""
+    check, in `checks`, [checked, passed, worst] with worst the (value,
+    record) of the record its `_CERT_ROWS` row ranks worst: the lowest
+    slack (the first on a tie), the highest tail fraction (the first) or
+    the largest ebal residual (the last)."""
 
     def __init__(self):
-        self.n, self.last, self.max_resid = 0, None, None
+        self.n, self.last = 0, None
         self.checks = {name: [0, 0, None] for name in CHECK_NAMES}
-        # per check: its flag, the field its worst sample is ranked by,
-        # whether the highest ranks worst, and its entry in `checks`
-        self._rows = [(flag, "tail_frac_k2" if name == "tail"
-                       else next(iter(derived), None), name == "tail",
-                       self.checks[name])
-                      for name, _, flag, *derived in _CERT_ROWS]
+        # per check: its flag, its ranked field and test, its `checks` entry
+        self._rows = [(flag, key, worse, self.checks[name])
+                      for name, _, key, worse, flag, *_ in _CERT_ROWS]
 
     def add(self, rec: TrajectoryRecord):
         d, self.last = vars(rec), rec
         self.n += 1
-        for flag, key, highest, check in self._rows:
+        for flag, key, worse, check in self._rows:
             ok = d[flag]
             if ok is None:
                 continue
             check[0] += 1
             if ok:
                 check[1] += 1
-            if key is not None:
-                v, w = d[key], check[2]
-                if w is None or (v > w[0] if highest else v < w[0]):
-                    check[2] = (v, rec)
-        if d["ebal_resid"] is not None:
-            resid = (d["ebal_resid"], d["t"])
-            if self.max_resid is None or resid > self.max_resid:
-                self.max_resid = resid
+            v, w = d[key], check[2]
+            if v is not None and (w is None or worse(v, w[0])):
+                check[2] = (v, rec)
 
 
 def summarize_records(summary: RecordSummary) -> list[dict]:
@@ -638,17 +644,14 @@ def summarize_records(summary: RecordSummary) -> list[dict]:
     inequality at the worst sample.  Slack conventions per certificate:
     decay/psi_absorb: (rhs - lhs)/rhs, so rhs = lhs / (1 - slack);
     h1_absorb: log(rhs) - log(lhs); tail: the fraction itself (rhs is the
-    threshold); ebal rolls up the max identity residual instead."""
+    threshold); ebal: the largest identity residual, with neither side."""
     rows = []
     for name, ineq, *_ in _CERT_ROWS:
         checked, passed, worst = summary.checks[name]
         row = {"name": name, "inequality": ineq, "checked": checked,
                "passed": passed, "ok": passed == checked if checked else None,
                "worst_t": None, "worst_slack": None, "lhs": None, "rhs": None}
-        if name == "ebal":
-            if summary.max_resid is not None:
-                row["worst_slack"], row["worst_t"] = summary.max_resid
-        elif worst is not None:
+        if worst is not None:
             sl, worst = worst
             row["worst_slack"], row["worst_t"] = sl, worst.t
             if name == "tail":

@@ -26,9 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .certificates import (CERT_FIELDS, CertificateSuite, TrajectoryRecord,
-                           measured_decay_rate, replay_certificates,
-                           summarize_records)
+from .certificates import (_RULE, CERT_FIELDS, CertificateSuite,
+                           TrajectoryRecord, measured_decay_rate,
+                           replay_certificates, summarize_records)
 from .config import (_ABSENT, _DIMENSIONLESS_KEYS, _OUTPUT, _REQUIRED,
                      ConfigError, RunConfig, _read_block, _require, _table,
                      _typed, build_config, build_initial_state, config_hash,
@@ -51,7 +51,8 @@ _encode = json.JSONEncoder(sort_keys=True).encode
 # The lines of a JSONL stream, each one JSON value ended by "\n": the
 # header, one TrajectoryRecord per sample, and an optional final blowup
 # marker with its payload.  `_Stream` writes them; `_Records` reads them.
-_HEADER = {"meta": (dict, _REQUIRED), "config_hash": (str, _REQUIRED)}
+_HEADER = {"meta": (dict, _REQUIRED), "config_hash": (str, _REQUIRED),
+           "rule": (int, 1)}
 _RECORD = _table(TrajectoryRecord)
 _MARKER = {"blowup": (dict, _REQUIRED), "config_hash": (str, _REQUIRED)}
 _BLOWUP = {"t": (float, _REQUIRED), "field": (str, _REQUIRED),
@@ -106,7 +107,7 @@ class _Stream:
         self.suite, self.on_record, self.batch = suite, on_record, []
         paths["jsonl"].parent.mkdir(parents=True, exist_ok=True)
         self.fh = files.enter_context(open(paths["jsonl"], "w"))
-        self.fh.write(_encode({"meta": rc.resolved,
+        self.fh.write(_encode({"meta": rc.resolved, "rule": _RULE,
                                "config_hash": rc.config_hash}) + "\n")
         self.plot = None
         if "plot_csv" in paths:
@@ -247,7 +248,8 @@ class _Records:
     UTF-8.
     Construction reads the header alone and checks it, raising a
     ConfigError for an empty file, a first line that is cut short or is
-    not a meta line, a config hash that does not match the stored config
+    not a meta line, a stream written under a rule other than `_RULE` (an
+    absent rule is 1), a config hash that does not match the stored config
     document, and a stored config that does not rebuild; it keeps that
     config's `hash` and its RunConfig `rc`.  Iterating reads each later
     line once, in file order, and parses, types and checks it before it
@@ -276,6 +278,8 @@ class _Records:
                                "header")
         except ValueError as e:     # not UTF-8 or JSON, or a huge integer
             raise ConfigError(f"{path}:1: not a meta line ({e})")
+        _require(line["rule"] == _RULE, f"{path}: written under rule "
+                 f"{line['rule']}; this ltne certifies rule {_RULE}")
         resolved, self.hash = line["meta"], line["config_hash"]
         _require(config_hash(resolved) == self.hash,
                  f"{path}: config hash {self.hash} does not match its own "

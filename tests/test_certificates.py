@@ -147,6 +147,33 @@ def test_zero_state_all_trivially_pass(recording_suite):
         assert r.E_Y == 0.0
 
 
+def test_summary_ties_keep_the_first_slack_and_the_last_residual(
+        recording_suite):
+    # a zero state ties every sample of every check: the worst slack and
+    # the worst tail fraction are reported at the first sample checked,
+    # the largest ebal residual at the last
+    dom = Domain(a=1.0, Nx=6, Nz=6)
+    p = _params()
+    s0 = build_initial_state({"kind": "zero"}, dom, p)
+    suite, _ = _suite_run(recording_suite, p, dom, CertificateConfig(), s0,
+                          StepperConfig(dt=0.01, t_end=2.0, sample_every=10))
+    rows = summarize_records(suite.summary)
+    assert [(r["name"], r["worst_t"], r["worst_slack"]) for r in rows] == [
+        ("decay", 0.0, 1.0), ("diss", 0.0, 1.0), ("psi_absorb", 0.0, 1.0),
+        ("h1_absorb", 1.0, math.inf), ("ebal", 2.0, 0.0),
+        ("tail", 0.5, 0.0)]
+    # a stored record may hold no residual (a typed stream line fills a
+    # missing key with null): ebal is still checked there, and its worst is
+    # the last residual held
+    stored = [vars(r) for r in suite.records]
+    summary, _ = replay_certificates(
+        stored[:-1] + [dict(stored[-1], ebal_resid=None)], p, dom,
+        CertificateConfig())
+    ebal = summarize_records(summary)[4]
+    assert (ebal["checked"], ebal["worst_t"]) == (rows[4]["checked"],
+                                                  stored[-2]["t"])
+
+
 def test_decay_certificate_and_measured_rate(recording_suite):
     dom = Domain(a=1.0, Nx=6, Nz=6)
     p = _params(Ra=10.0)
@@ -186,6 +213,26 @@ def test_dissipation_integral_closed_form(recording_suite):
     assert integral == pytest.approx(rho0_sq / 2.0, rel=1e-3)
     assert all(r.diss_ok for r in recs)
     assert recs[-1].diss_slack == pytest.approx(0.75, abs=0.01)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.2])
+def test_dissipation_bound_holds_with_the_solid_phase_cold(recording_suite,
+                                                           alpha):
+    # with phi0 = 0 the theta/phi energy identity lets theta dissipate up
+    # to ||th0||^2 / 2 = rho0^2 / 2, while the weight-ratio constant alone
+    # is 2 alpha: M9 is never below the identity's bound
+    dom = Domain(a=1.0, Nx=8, Nz=8)
+    p = _params(Ra=1.0, alpha=alpha)
+    s = build_initial_state({"kind": "random", "seed": 1, "energy": 1.0,
+                             "decay": 1.0}, dom, p)
+    s0 = State(s.psi, s.theta, SpectralField(np.zeros((8, 8)), dom))
+    cfg = CertificateConfig()
+    assert compute_constants(p, dom, cfg).M9 == 0.5
+    for dt in (1e-3, 5e-4):
+        st = StepperConfig(dt=dt, t_end=1.0, scheme="etd1", sample_every=1)
+        suite, traj = _suite_run(recording_suite, p, dom, cfg, s0, st)
+        assert traj.failure is None and len(suite.records) == round(1 / dt) + 1
+        assert all(r.diss_ok for r in suite.records)
 
 
 def test_flags_scale_invariant_for_homogeneous_certs(recording_suite):

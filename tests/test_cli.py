@@ -52,7 +52,7 @@ def test_run_then_certify_roundtrip(tmp_path, capsys):
     lines = jsonl.read_text().splitlines()
     assert len(rows) - 1 == len(lines) - 1   # one plot row per record
     meta = json.loads(lines[0])
-    assert set(meta) == {"meta", "config_hash"}
+    assert set(meta) == {"meta", "config_hash", "rule"}
 
     # reruns are byte identical
     first = jsonl.read_bytes()
@@ -226,12 +226,29 @@ def test_certify_rejects_meta_that_is_not_a_run_document(tmp_path, capsys):
               f"{jsonl}: c_tilde=0.9 out of range")]
     for doc, message in cases:
         h = config_hash(doc)     # the meta line carries its own hash
-        lines = [json.dumps({"meta": doc, "config_hash": h})]
+        lines = [json.dumps(dict(json.loads(head), meta=doc, config_hash=h))]
         for ln in records:
             lines.append(json.dumps(dict(json.loads(ln), config_hash=h)))
         jsonl.write_text("\n".join(lines) + "\n")
         assert main(["certify", str(jsonl)]) == 3, message
         assert message in capsys.readouterr().err
+
+
+def test_certify_refuses_a_stream_of_another_rule(tmp_path, capsys):
+    # a header names the rule its records were certified by, and one
+    # without names rule 1; only the current rule, 2, is certified
+    code, jsonl = _run_case(tmp_path, capsys)
+    head, *records = jsonl.read_text().splitlines()
+    assert code == 0 and json.loads(head)["rule"] == 2
+    for rule, named in ((None, 1), (3, 3)):
+        doc = dict(json.loads(head), rule=rule)
+        if rule is None:
+            del doc["rule"]
+        jsonl.write_text("\n".join([json.dumps(doc)] + records) + "\n")
+        assert main(["certify", str(jsonl)]) == 3
+        assert capsys.readouterr() == ("", (
+            f"error: {jsonl}: written under rule {named}; this ltne "
+            "certifies rule 2\n"))
 
 
 def test_certify_rejects_mixed_hashes(tmp_path, capsys):
@@ -389,7 +406,7 @@ def test_sigkilled_run_leaves_a_prefix_certify_calls_truncated(tmp_path):
         proc.wait()
     assert proc.returncode == -signal.SIGKILL
     head, *records = jsonl.read_text().split("\n")[:-1]   # whole lines
-    assert set(json.loads(head)) == {"meta", "config_hash"}
+    assert set(json.loads(head)) == {"meta", "config_hash", "rule"}
     times = [json.loads(ln)["t"] for ln in records]
     assert len(times) > 64 and all(b > a for a, b in zip(times, times[1:]))
     code = subprocess.run([sys.executable, "-m", "ltne.cli", "certify",
@@ -430,7 +447,7 @@ def test_interrupted_run_keeps_the_records_it_certified(tmp_path, capsys,
             main(["run", str(cfg)])
         assert capsys.readouterr().out == ""
         head, *lines = jsonl.read_text().split("\n")[:-1]
-        assert set(json.loads(head)) == {"meta", "config_hash"}
+        assert set(json.loads(head)) == {"meta", "config_hash", "rule"}
         assert [json.loads(ln)["t"] for ln in lines] == samples[:kept]
         if not disk_full:
             assert main(["certify", str(jsonl)]) == 3
@@ -546,8 +563,8 @@ _ACCEPTED = {
     "reordered keys": lambda recs: (
         recs, [dict(reversed(r.items())) for r in recs]),
     "missing optional key": lambda recs: (
-        recs, [{k: v for k, v in r.items() if k != "cdep_ok"}
-               for r in recs]),
+        recs, [{k: v for k, v in r.items() if i or k != "dEY_dt_disc"}
+               for i, r in enumerate(recs)]),
 }
 _REFUSED = {
     "mistyped and NaN": (dict(E_Y=math.nan, tail_ok="true"),
