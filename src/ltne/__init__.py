@@ -12,12 +12,11 @@ from .dynamics import (LinearOperator, State, assemble_linear, rhs,
 from .integrator import StepperConfig, Trajectory, run
 from .certificates import (CertificateConfig, CertificateConstants,
                            CertificateSuite, TrajectoryRecord,
-                           check_continuous_dependence, check_decay,
-                           check_dissipation_integral, check_energy_balance,
-                           check_h1_absorbing, check_psi_absorbing,
-                           compute_constants, energy_half, energy_y,
-                           measured_decay_rate, replay_certificates,
-                           summarize_records)
+                           check_decay, check_dissipation_integral,
+                           check_energy_balance, check_h1_absorbing,
+                           check_psi_absorbing, compute_constants,
+                           energy_half, energy_y, measured_decay_rate,
+                           replay_certificates, summarize_records)
 from .config import (ConfigError, RunConfig, build_config,
                      build_initial_state, config_hash, load_config)
 
@@ -28,12 +27,11 @@ __all__ = [
     "ConfigError", "Domain", "GridField", "LinearOperator", "Params",
     "PhysicalParams", "RunConfig", "SpectralField", "State", "StepperConfig",
     "Trajectory", "TrajectoryRecord", "assemble_linear", "build_config",
-    "build_initial_state", "check_continuous_dependence", "check_decay",
-    "check_dissipation_integral", "check_energy_balance",
-    "check_h1_absorbing", "check_psi_absorbing", "compute_constants",
-    "config_hash", "energy_half", "energy_y", "jacobian", "load_config",
-    "measured_decay_rate", "nondimensionalize", "poincare_constant",
-    "read_snapshot", "replay_certificates", "rhs", "run",
-    "spectral_abscissa", "state_norms", "summarize_records", "to_grid",
-    "to_spectral", "write_snapshot",
+    "build_initial_state", "check_decay", "check_dissipation_integral",
+    "check_energy_balance", "check_h1_absorbing", "check_psi_absorbing",
+    "compute_constants", "config_hash", "energy_half", "energy_y",
+    "jacobian", "load_config", "measured_decay_rate", "nondimensionalize",
+    "poincare_constant", "read_snapshot", "replay_certificates", "rhs",
+    "run", "spectral_abscissa", "state_norms", "summarize_records",
+    "to_grid", "to_spectral", "write_snapshot",
 ]

@@ -4,9 +4,9 @@ Each certificate turns one quantitative bound into a pass/fail flag with a
 reported slack: exponential decay of the temperature pair, the absorbing-ball
 bounds for ||lap psi||^2 (with and without the decaying transient) and for the
 H1-level energy (uniform-Gronwall window bound), the dissipation-integral
-bound, the energy-balance identity/inequality, a continuous-dependence
-envelope for pairs of runs, and a spectral-tail proxy for instantaneous
-smoothing.
+bound, the energy-balance identity/inequality, and a spectral-tail proxy for
+instantaneous smoothing.  Each checks one trajectory; none checks the
+uniqueness (continuous-dependence) estimate, which compares two.
 
 Envelope comparisons are done in log space: the Gronwall exponents reach
 ~1e5 at large Ra and overflow float64 if exponentiated.  Time integrals use
@@ -34,7 +34,7 @@ import numpy as np
 from .params import Params, poincare_constant
 from .spectral import Domain, _tail_fractions
 from .dynamics import (NORMS, State, _energy_identity_rhs, _sq_norms,
-                       _stack, state_norms)
+                       state_norms)
 
 _REL_TOL = 1e-9     # roundoff allowance on certified inequalities
 
@@ -73,9 +73,9 @@ _RULE = 2
 class CertificateConfig:
     """Knobs the bounds depend on but the problem data does not fix.
 
-    M_so is the Sobolev-type embedding constant the H1 and uniqueness bounds
-    carry; it is never quantified analytically, so certificates hold
-    relative to the configured value (default 1.0).  c_tilde is the
+    M_so is the Sobolev-type embedding constant the H1 bound carries; it
+    is never quantified analytically, so that certificate holds relative
+    to the configured value (default 1.0).  c_tilde is the
     auxiliary dissipation-splitting factor, None meaning min(1, 1/alpha)/2.
     r is the uniform-Gronwall window length.  `checks` switches each of
     the CHECK_NAMES on or off; a name it leaves out is on.
@@ -171,7 +171,7 @@ class TrajectoryRecord:
     The CERT_FIELDS are derived from the other fields, which include the
     energy-balance midpoint scalars (R_mid, E_half_mid, E_Y_mid).  Flags are
     True/False when the certificate was evaluated at this sample and None
-    when not applicable (before an anchor time, no paired run, ...).
+    when not applicable (before an anchor time, check switched off, ...).
     """
 
     t: float
@@ -415,39 +415,6 @@ def check_energy_balance(rec: TrajectoryRecord, k: CertificateConstants
     return 2.0 * R <= bound + _REL_TOL * scale
 
 
-def check_continuous_dependence(statesA, statesB, k: CertificateConstants,
-                                p: Params) -> tuple[bool, float]:
-    """Uniqueness envelope for two runs of the same configuration, given as
-    their sampled States (the times are read from `State.t`):
-    D(t) <= D(0) exp(int_0^t alpha(tau) dtau) with
-    D = (Da/Pr)||grad psi-diff||^2 + ||theta-diff||^2 + alpha ||phi-diff||^2,
-    alpha(tau) = max(M_so^2 ||grad theta_A||^2 Pr/Da, (Ra^2 + gamma lam)/4,
-    lam/(4 alpha)).  Log-space; returns the worst slack over the samples
-    after the first, where the slack is 0 by construction."""
-    if len(statesA) != len(statesB) or any(
-            abs(sa.t - sb.t) > 1e-12 * max(1.0, abs(sa.t))
-            for sa, sb in zip(statesA, statesB)):
-        raise ValueError("trajectories have different sample grids")
-    prefix, worst, D0 = _RunningTrapz(), math.inf, None
-    for sa, sb in zip(statesA, statesB):
-        diff = _sq_norms(_stack(sa) - _stack(sb), sa.dom)
-        D = (p.Da / p.Pr) * diff["grad_psi_sq"] + diff["theta_sq"] \
-            + p.alpha * diff["phi_sq"]
-        na = state_norms(sa)
-        integral, qerr = prefix.add(sa.t, max(
-            k.M_so ** 2 * na["grad_theta_sq"] * p.Pr / p.Da,
-            (p.Ra ** 2 + p.gamma * p.lam) / 4.0, p.lam / (4.0 * p.alpha)))
-        if D0 is None:
-            D0 = D
-            continue
-        if D == 0.0:
-            continue
-        if D0 == 0.0:
-            return False, -math.inf
-        worst = min(worst, math.log(D0) + integral + qerr - math.log(D))
-    return worst >= -math.log1p(_REL_TOL), worst
-
-
 def measured_decay_rate(times, values, t_lo: float = 1.0, t_hi: float = 5.0
                         ) -> float:
     """Exponential rate of `values` fitted by log-linear regression over
@@ -535,7 +502,7 @@ class CertificateSuite(_Certifier):
                 raise ValueError(f"certificates.tail_cutoff {self.cutoff} out "
                                  f"of range: need < min(Nx, Nz) = {n}")
             self._tail_w = dom.plan.weight(cfg.tail_k, "certificates.tail_k")
-        # Stage (a) works in buffers it owns: fresh (7, K) temporaries per
+        # Stage (a) works in buffers it owns: fresh (6, K) temporaries per
         # sample cost more than the arithmetic from N=64 on.  `_scratch`
         # holds the midpoint state, then the tail products.
         K = dom.Nx * dom.Nz
@@ -549,7 +516,7 @@ class CertificateSuite(_Certifier):
         n = _sq_norms(c, self.dom, self._work)
         rec = TrajectoryRecord(
             t=t, E_Y=energy_y(n, p), E_half=energy_half(n, p),
-            config_hash=self.config_hash, **{f: n[f] for f in NORMS[1:]})
+            config_hash=self.config_hash, **n)
         if c_pre is not None:
             # at sample_every=1 the prestate is the last sample's array,
             # whose E_Y is kept

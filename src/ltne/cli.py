@@ -248,13 +248,14 @@ class _Records:
     UTF-8.
     Construction reads the header alone and checks it, raising a
     ConfigError for an empty file, a first line that is cut short or is
-    not a meta line, a stream written under a rule other than `_RULE` (an
-    absent rule is 1), a config hash that does not match the stored config
-    document, and a stored config that does not rebuild; it keeps that
-    config's `hash` and its RunConfig `rc`.  Iterating reads each later
-    line once, in file order, and parses, types and checks it before it
-    yields the record as its dict of TrajectoryRecord fields, so of two
-    bad lines the earlier one is refused.  A record line as `_Stream`
+    not JSON, a stream written under a rule other than `_RULE` (an absent
+    rule is 1; checked before the rest of the header is typed), a first
+    line that is not a meta line, a config hash that does not match the
+    stored config document, and a stored config that does not rebuild; it
+    keeps that config's `hash` and its RunConfig `rc`.  Iterating reads
+    each later line once, in file order, and parses, types and checks it
+    before it yields the record as its dict of TrajectoryRecord fields, so
+    of two bad lines the earlier one is refused.  A record line as `_Stream`
     writes it (one without a `_misfit`) is yielded as parsed.  Any other
     record line is typed in full by `_read_block`, which turns an integral
     number in a float field into a float and fills a missing optional key
@@ -274,12 +275,16 @@ class _Records:
         _require(head, f"{path}: empty file")
         _require(head.endswith(b"\n"), f"{path}: truncated (no final newline)")
         try:    # each line parsed without its "\n"
-            line = _read_block(json.loads(head[:-1].decode()), _HEADER,
-                               "header")
+            d = json.loads(head[:-1].decode())
+            # the rule first, as a later rule may add header keys or retype
+            # them; a header that is no object is `_read_block`'s to refuse
+            rule = _typed("rule", d.get("rule", 1), int, prefix="header") \
+                if isinstance(d, dict) else _RULE
+            line = _read_block(d, _HEADER, "header") if rule == _RULE else None
         except ValueError as e:     # not UTF-8 or JSON, or a huge integer
             raise ConfigError(f"{path}:1: not a meta line ({e})")
-        _require(line["rule"] == _RULE, f"{path}: written under rule "
-                 f"{line['rule']}; this ltne certifies rule {_RULE}")
+        _require(rule == _RULE, f"{path}: written under rule {rule}; this "
+                 f"ltne certifies rule {_RULE}")
         resolved, self.hash = line["meta"], line["config_hash"]
         _require(config_hash(resolved) == self.hash,
                  f"{path}: config hash {self.hash} does not match its own "

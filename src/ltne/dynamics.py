@@ -42,9 +42,9 @@ class State:
 
 
 # The squared norms every certificate consumes, in `_sq_norms` order: psi
-# weighted by |mu|^k for k = 1, 2, 3, then theta and phi for k = 0, 1.
-NORMS = ("grad_psi_sq", "lap_psi_sq", "gradlap_psi_sq", "theta_sq",
-         "grad_theta_sq", "phi_sq", "grad_phi_sq")
+# weighted by |mu|^k for k = 2, 3, then theta and phi for k = 0, 1.
+NORMS = ("lap_psi_sq", "gradlap_psi_sq", "theta_sq", "grad_theta_sq",
+         "phi_sq", "grad_phi_sq")
 
 
 def _stack(s: State) -> np.ndarray:
@@ -53,16 +53,17 @@ def _stack(s: State) -> np.ndarray:
 
 def _sq_norms(C: np.ndarray, dom: Domain, work=None) -> dict:
     """The NORMS of the stacked coefficients C = [psi, theta, phi] of shape
-    (3, Nx, Nz): one np.square, then each field's |mu|^k rows times its
-    squares, summed by row: each value is (a/4) sum |mu|^k c^2 of one
-    field, in the element order w * c**2 and with numpy's pairwise sum
-    over its K = Nx Nz modes.  `work` is a pair of buffers of shapes
-    (3, K) and (7, K) for callers that must not allocate them per call."""
+    (3, Nx, Nz): one np.square, then the |mu|^k rows times the squares
+    of psi for k = 2, 3 and of theta and phi for k = 0, 1, summed by row:
+    each value is (a/4) sum |mu|^k c^2 of one field, in the element order
+    w * c**2 and with numpy's pairwise sum over its K = Nx Nz modes.
+    `work` is a pair of buffers of shapes (3, K) and (6, K) for callers
+    that must not allocate them per call."""
     sq, prod = work or (None, np.empty((len(NORMS), C[0].size)))
     sq = np.square(C.reshape(3, -1), out=sq)
     w = dom.plan.hk_rows
-    np.multiply(w[1:], sq[0], out=prod[:3])
-    np.multiply(w[:2], sq[1:, None], out=prod[3:].reshape(2, 2, -1))
+    np.multiply(w[2:], sq[0], out=prod[:2])
+    np.multiply(w[:2], sq[1:, None], out=prod[2:].reshape(2, 2, -1))
     return dict(zip(NORMS, (dom.a / 4.0 * prod.sum(axis=1)).tolist()))
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from ltne import CertificateSuite, SpectralField, State
+from ltne import CertificateSuite
 
 
 class SampleLog:
@@ -14,12 +14,6 @@ class SampleLog:
         self.times.append(t)
         self.samples.append(c)
         self.prestates.append(c_pre)
-
-    def states(self, dom):
-        """The samples as validated States on `dom`, for the functions that
-        take States."""
-        return [State(*(SpectralField(u, dom) for u in c), t)
-                for t, c in zip(self.times, self.samples)]
 
 
 @pytest.fixture

@@ -6,10 +6,9 @@ import pytest
 
 from ltne import (CertificateConfig, CertificateSuite, Domain, Params,
                   SpectralField, State, StepperConfig, build_initial_state,
-                  check_continuous_dependence, check_decay,
-                  check_h1_absorbing, compute_constants, energy_y,
-                  measured_decay_rate, replay_certificates, run, state_norms,
-                  summarize_records)
+                  check_decay, check_h1_absorbing, compute_constants,
+                  energy_y, measured_decay_rate, replay_certificates, run,
+                  state_norms, summarize_records)
 from ltne.certificates import (CERT_FIELDS, TrajectoryRecord, _Certifier,
                                _H1Window, _RunningTrapz)
 from ltne.dynamics import _energy_identity_rhs
@@ -288,51 +287,6 @@ def test_psi_absorbing_anchor_and_ball_form(recording_suite):
     assert seen_pre and seen_post
 
 
-def test_continuous_dependence_envelope(sample_log):
-    rng = np.random.default_rng(67)
-    dom = Domain(a=1.0, Nx=6, Nz=6)
-    p = _params(Ra=10.0)
-    cfg = CertificateConfig()
-    k = compute_constants(p, dom, cfg, rho0_sq=1.0)
-    taper = np.exp(-0.5 * np.add.outer(np.arange(6), np.arange(6)))
-    f = [SpectralField(0.1 * rng.uniform(-1, 1, (6, 6)) * taper, dom)
-         for _ in range(3)]
-    sA = State(*f)
-    st = StepperConfig(dt=0.005, t_end=0.5, sample_every=5)
-    logA, logB, logC = sample_log(), sample_log(), sample_log()
-    run(sA, p, st, monitors=logA)
-    statesA = logA.states(dom)
-    ok, slack = check_continuous_dependence(statesA, statesA, k, p)
-    assert ok and slack == math.inf
-    pert = f[1].coeffs.copy()
-    pert[1, 0] += 1e-6
-    sB = State(f[0], SpectralField(pert, dom), f[2])
-    run(sB, p, st, monitors=logB)
-    statesB = logB.states(dom)
-    ok2, slack2 = check_continuous_dependence(statesA, statesB, k, p)
-    assert ok2 and 0.0 < slack2 < math.inf
-    # the worst slack is taken over samples 1.., since sample 0 has slack 0
-    D, rate = [], []
-    for sa, sb in zip(statesA, statesB):
-        d = state_norms(State(*(SpectralField(
-            getattr(sa, f).coeffs - getattr(sb, f).coeffs, dom)
-            for f in ("psi", "theta", "phi"))))
-        D.append((p.Da / p.Pr) * d["grad_psi_sq"] + d["theta_sq"]
-                 + p.alpha * d["phi_sq"])
-        rate.append(max(k.M_so ** 2 * state_norms(sa)["grad_theta_sq"]
-                        * p.Pr / p.Da, (p.Ra ** 2 + p.gamma * p.lam) / 4.0,
-                        p.lam / (4.0 * p.alpha)))
-    ts, rate = np.array(logA.times), np.array(rate)
-    want = min(math.log(D[0]) - math.log(D[i])
-               + sum(_trapz_with_err(np.diff(ts[:i + 1]), rate[:i + 1]))
-               for i in range(1, len(ts)))
-    assert slack2 == pytest.approx(want, rel=1e-12)
-    run(sA, p, StepperConfig(dt=0.005, t_end=0.5, sample_every=10),
-        monitors=logC)
-    with pytest.raises(ValueError, match="sample grids"):
-        check_continuous_dependence(statesA, logC.states(dom), k, p)
-
-
 def test_energy_balance_residual_is_second_order(recording_suite):
     rng = np.random.default_rng(71)
     dom = Domain(a=1.0, Nx=8, Nz=8)
@@ -593,14 +547,6 @@ def test_degenerate_envelopes_fail_and_an_empty_replay_is_refused():
     k = compute_constants(p, dom, cfg)
     # a window whose (a3/r + a2) is not positive bounds no y_t > 0
     assert check_h1_absorbing(0.0, -1e30, 1.0, 1.0, k, p) \
-        == (False, -math.inf)
-    # two runs that start equal (D0 = 0) and then differ break the
-    # uniqueness envelope
-    z = SpectralField(np.zeros((4, 4)), dom)
-    one = SpectralField(np.eye(4), dom)
-    runA = [State(z, z, z, 0.0), State(z, z, z, 1.0)]
-    runB = [State(z, z, z, 0.0), State(one, z, z, 1.0)]
-    assert check_continuous_dependence(runA, runB, k, p) \
         == (False, -math.inf)
     with pytest.raises(ValueError, match="^empty record stream$"):
         replay_certificates([], p, dom, cfg)

@@ -236,12 +236,14 @@ def test_certify_rejects_meta_that_is_not_a_run_document(tmp_path, capsys):
 
 def test_certify_refuses_a_stream_of_another_rule(tmp_path, capsys):
     # a header names the rule its records were certified by, and one
-    # without names rule 1; only the current rule, 2, is certified
+    # without names rule 1; only the current rule, 2, is certified, and
+    # the rule is read before the header's other keys are typed
     code, jsonl = _run_case(tmp_path, capsys)
     head, *records = jsonl.read_text().splitlines()
     assert code == 0 and json.loads(head)["rule"] == 2
-    for rule, named in ((None, 1), (3, 3)):
-        doc = dict(json.loads(head), rule=rule)
+    for rule, named, extra in ((None, 1, {}), (3, 3, {}),
+                               (3, 3, {"extra": 1})):
+        doc = dict(json.loads(head), rule=rule, **extra)
         if rule is None:
             del doc["rule"]
         jsonl.write_text("\n".join([json.dumps(doc)] + records) + "\n")
@@ -540,11 +542,15 @@ def test_certify_rejects_mistyped_records(tmp_path, capsys):
         assert main(["certify", str(jsonl)]) == 3, field
         err = capsys.readouterr().err
         assert f":{len(lines) + 1}:" in err and field in err, err
-    head = json.dumps({"meta": 5, "config_hash": rec["config_hash"]})
-    jsonl.write_text("\n".join([head] + lines[1:]) + "\n")
-    assert main(["certify", str(jsonl)]) == 3
-    err = capsys.readouterr().err
-    assert ":1: not a meta line" in err and "'header.meta'" in err, err
+    # the header carries the current rule, or it is refused by rule first
+    for bad, field in (({"meta": 5, "rule": 2}, "header.meta"),
+                       ({"meta": json.loads(lines[0])["meta"], "rule": "2"},
+                        "header.rule")):
+        head = json.dumps(dict(bad, config_hash=rec["config_hash"]))
+        jsonl.write_text("\n".join([head] + lines[1:]) + "\n")
+        assert main(["certify", str(jsonl)]) == 3
+        err = capsys.readouterr().err
+        assert ":1: not a meta line" in err and f"'{field}'" in err, err
 
 
 def _int_valued(recs):

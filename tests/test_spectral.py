@@ -25,8 +25,8 @@ def _inner(u, v):
 
 def _sq(u):
     """`state_norms` of the State with u in all three fields: theta_sq is
-    ||u||^2, grad_theta_sq ||grad u||^2, and grad_psi_sq, lap_psi_sq,
-    gradlap_psi_sq the squared H^k-level seminorms for k = 1, 2, 3."""
+    ||u||^2, grad_theta_sq ||grad u||^2, and lap_psi_sq, gradlap_psi_sq
+    the squared H^k-level seminorms for k = 2, 3."""
     return state_norms(State(u, u, u))
 
 
@@ -34,7 +34,7 @@ def _bracket_scale(psi, theta):
     """||grad psi|| ||theta|| ||grad theta||, the size a pairing
     <J(psi, theta), theta> of roundoff is measured against."""
     p, t = _sq(psi), _sq(theta)
-    return np.sqrt(p["grad_psi_sq"] * t["theta_sq"] * t["grad_theta_sq"])
+    return np.sqrt(p["grad_theta_sq"] * t["theta_sq"] * t["grad_theta_sq"])
 
 
 def test_laplacian_eigenvalue_literals():
@@ -266,8 +266,7 @@ def test_norms_single_mode_closed_form():
     mu = (3 * np.pi / a) ** 2 + (2 * np.pi) ** 2
     base = 9.0 * a / 4.0    # (a/4) 3^2
     for name, k in (("theta_sq", 0), ("grad_theta_sq", 1),
-                    ("grad_psi_sq", 1), ("lap_psi_sq", 2),
-                    ("gradlap_psi_sq", 3)):
+                    ("lap_psi_sq", 2), ("gradlap_psi_sq", 3)):
         assert n[name] == pytest.approx(base * mu ** k, rel=1e-13)
 
 
@@ -292,7 +291,6 @@ def test_grad_norm_matches_fine_grid_quadrature():
     integ = simpson(simpson(ux ** 2 + uz ** 2, x=z, axis=1), x=x)
     n = _sq(u)
     assert integ == pytest.approx(n["grad_theta_sq"], rel=1e-8)
-    assert n["grad_psi_sq"] == n["grad_theta_sq"]
 
 
 def test_tail_fraction_direct_summation():
